@@ -88,7 +88,7 @@ class Capacity:
         if not isinstance(data, dict) or "n" not in data or "mu" not in data:
             raise ValueError('capacity JSON must be {"n": ..., "mu": {...}}')
         n = data["n"]
-        if not isinstance(n, int) or not (1 <= n <= _MAX_JSON_POINTS):
+        if isinstance(n, bool) or not isinstance(n, int) or not (1 <= n <= _MAX_JSON_POINTS):
             raise ValueError("n: must be an integer in 1..10")
         raw = data["mu"]
         if not isinstance(raw, dict):

@@ -31,6 +31,11 @@ class Membership:
     def in_zero_class(self) -> bool:
         return self.below_ramp and (self.capped_at_iso or self.below_one)
 
+    @property
+    def step(self) -> Fraction:
+        """The step functional's value: 0 on the zero class, 1 elsewhere."""
+        return ZERO if self.in_zero_class else ONE
+
 
 def membership(f: SeqFn) -> Membership:
     peak = attained_max(f).value
@@ -43,4 +48,4 @@ def membership(f: SeqFn) -> Membership:
 
 def step_value(f: SeqFn) -> Fraction:
     """0 on the zero class, 1 elsewhere."""
-    return ZERO if membership(f).in_zero_class else ONE
+    return membership(f).step

@@ -190,6 +190,7 @@ def _dispatch(subcommand: str, config: SuiteConfig, args: argparse.Namespace) ->
             prefix_max=config.prefix_max,
             params=GeneratorParams(prefix_max=config.prefix_max),
             jobs=config.jobs,
+            budget=config.budget,
         )
     if subcommand == "finite-census":
         return functional_census(Chain(config.grid), config.n, config.budget, jobs=config.jobs)
@@ -212,6 +213,7 @@ def _dispatch(subcommand: str, config: SuiteConfig, args: argparse.Namespace) ->
             grid=config.grid,
             prefix_max=config.prefix_max,
             params=GeneratorParams(prefix_max=config.prefix_max),
+            budget=config.budget,
         )
     raise InputError(f"unknown subcommand {subcommand!r}")
 

@@ -1,0 +1,100 @@
+"""Exact pair relations over a fixed list of sequence-space functions.
+
+``PairRelations`` evaluates every function of the list once, on
+``points_upto(D + 1)`` where ``D`` is the longest head in the list, as
+integers over one common denominator (``math.lcm``, never floats).
+From those values it decides comonotonicity and pointwise order of any
+two members:
+
+* **Screen.** Over every pair of those points, two bitmasks record where
+  a function rises and where it falls.  If the masks of f and g conflict
+  (``up_f & down_g | down_f & up_g``), the pair is not comonotone: the
+  conflicting point pair is a real witness.
+* **Flat tails.** If there is no conflict and either tail slope is 0,
+  the pair is comonotone.  Say g's is: every ``seq(n)`` with ``n > D``
+  takes g's limit value, so two such points are never ordered by g,
+  and a fixed point x of ``points_upto(D)`` compares with all of them
+  as with the limit.  Against x, f's difference is affine in the tail
+  coordinate, so if it opposes g's fixed sign at some ``seq(n)``, it
+  already does at ``seq(D + 1)`` or at the limit, both in the masks.
+  (With both slopes 0 this is the plain fact that ``points_upto(D)``
+  carries every order relation.)
+* **Fallback.** Otherwise the pair goes to ``comonotone_witness``.
+* **Order.** ``f <= g`` is a compare of the integer vectors.  Both tails
+  are affine past ``seq(D)``, so their difference is nonnegative on the
+  whole tail iff it is at ``seq(D + 1)`` and at the limit.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations
+from typing import Iterator, Sequence
+
+from .seq_comonotone import comonotone_witness
+from .seqspace import SeqFn, points_upto
+
+
+class PairRelations:
+    """Comonotonicity and pointwise order among the members of ``fns``."""
+
+    def __init__(self, fns: Sequence[SeqFn]):
+        self._fns = list(fns)
+        depth = max((f.head_len for f in self._fns), default=0)
+        points = points_upto(depth + 1)
+        values = [[f.at(p) for p in points] for f in self._fns]
+        scale = math.lcm(*(v.denominator for row in values for v in row))
+        self._vectors = [
+            tuple(v.numerator * (scale // v.denominator) for v in row) for row in values
+        ]
+        point_pairs = list(combinations(range(len(points)), 2))
+        self._rises: list[int] = []
+        self._falls: list[int] = []
+        for vec in self._vectors:
+            rises = falls = 0
+            for bit, (a, b) in enumerate(point_pairs):
+                if vec[a] < vec[b]:
+                    rises |= 1 << bit
+                elif vec[a] > vec[b]:
+                    falls |= 1 << bit
+            self._rises.append(rises)
+            self._falls.append(falls)
+        self._flat = [f.slope == 0 for f in self._fns]
+
+    def comonotone(self, i: int, j: int) -> bool:
+        """Are ``fns[i]`` and ``fns[j]`` comonotone on the whole space?"""
+        if self._rises[i] & self._falls[j] or self._falls[i] & self._rises[j]:
+            return False
+        if self._flat[i] or self._flat[j]:
+            return True
+        return comonotone_witness(self._fns[i], self._fns[j]) is None
+
+    def leq(self, i: int, j: int) -> bool:
+        """Is ``fns[i] <= fns[j]`` pointwise on the whole space?"""
+        return all(a <= b for a, b in zip(self._vectors[i], self._vectors[j]))
+
+    def order(self, i: int, j: int) -> int:
+        """-1 when ``fns[i] <= fns[j]``, 1 when only ``fns[j] <= fns[i]``, else 0."""
+        if self.leq(i, j):
+            return -1
+        return 1 if self.leq(j, i) else 0
+
+
+def upper_pairs(count: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """``(flat, i, j)`` for the pairs ``i <= j < count`` with ``lo <= flat < hi``.
+
+    Pairs are numbered row by row: (0,0), (0,1), ..., (0,count-1), (1,1), ...
+    """
+    i, flat = 0, 0
+    while i < count and flat + (count - i) <= lo:
+        flat += count - i
+        i += 1
+    j = i + (lo - flat)
+    flat = lo
+    while i < count and flat < hi:
+        yield flat, i, j
+        flat += 1
+        j += 1
+        if j == count:
+            i += 1
+            j = i

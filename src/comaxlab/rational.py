@@ -8,6 +8,7 @@ string when the denominator is 1 (``"0"``, ``"1"``, ``"3/4"``).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -18,27 +19,27 @@ class RationalFormatError(ValueError):
     """A string does not encode a rational number."""
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` into a Fraction.
 
-    Raises RationalFormatError for anything else (floats included:
-    this package never accepts inexact input).
+    The grammar is ASCII ``-?[0-9]+(/[0-9]+)?`` after trimming outer
+    whitespace.  Raises RationalFormatError for anything else: floats
+    (this package never accepts inexact input), signs other than a
+    leading minus, digit separators, inner spaces, non-ASCII digits,
+    and zero denominators.
     """
     if not isinstance(text, str):
         raise RationalFormatError(f"expected a rational string, got {text!r}")
-    s = text.strip()
-    try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            d = int(den)
-            if d <= 0:
-                raise RationalFormatError(f"denominator must be positive in {text!r}")
-            return Fraction(int(num), d)
-        return Fraction(int(s))
-    except RationalFormatError:
-        raise
-    except (ValueError, ZeroDivisionError) as exc:
-        raise RationalFormatError(f"not a rational: {text!r}") from exc
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise RationalFormatError(f"not a rational: {text!r}")
+    num, den = match.groups()
+    if den is not None and int(den) == 0:
+        raise RationalFormatError(f"denominator must be positive in {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(value: Fraction) -> str:

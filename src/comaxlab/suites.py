@@ -14,6 +14,7 @@ never claiming to settle the question.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +23,9 @@ from typing import Callable, Sequence
 
 from .classify import Membership, membership, step_value
 from .pairgen import GeneratorParams, generate_pair, pair_seed, random_seqfn
+from .pairs import PairRelations, upper_pairs
 from .parallel import run_shards, split_range
+from .properties import BudgetExceededError
 from .rational import ONE, ZERO
 from .report import FAIL, FINDING, INCONCLUSIVE, PASS, VerificationReport, jsonify
 from .seq_comonotone import comonotone_witness
@@ -107,23 +110,65 @@ def structured_family(grid: Sequence[Fraction], prefix_max: int) -> list[SeqFn]:
     return sorted(fns, key=lambda f: (f.iso, f.head, f.slope, f.intercept))
 
 
+def family_size(grid: Sequence[Fraction], prefix_max: int) -> int:
+    """``len(structured_family(grid, prefix_max))``, without building the family.
+
+    With g distinct grid values and P = ``prefix_max``: a constant-tail
+    member is an isolated value, a level, and a head of length h <= P
+    whose last entry differs from the level, which gives
+    g * g * (1 + sum over h of g^(h-1) * (g-1)) = g^(P+2) members; the
+    sloped empty-head members are g * g * (g-1) (isolated value, first
+    value, a different limit); the named witness functions add those not
+    already among them.
+    """
+    values = set(grid)
+    g = len(values)
+
+    def generated(fn: SeqFn) -> bool:
+        on_grid = fn.iso in values and fn.intercept in values and fn.limit in values
+        if fn.slope == 0:
+            return on_grid and fn.head_len <= prefix_max and set(fn.head) <= values
+        return on_grid and not fn.head
+
+    named = {fn for _, f, h in named_witness_pairs() for fn in (f, h)}
+    return g ** (prefix_max + 2) + g * g * (g - 1) + sum(not generated(fn) for fn in named)
+
+
+def _check_family_budget(grid: Sequence[Fraction], prefix_max: int, budget: int) -> None:
+    """Refuse, with the exact pair count, a family whose pairs exceed the budget."""
+    size = family_size(grid, prefix_max)
+    pairs = size * (size + 1) // 2
+    if pairs > budget:
+        raise BudgetExceededError(pairs, budget, "structured family pairs")
+
+
+def _order(f: SeqFn, g: SeqFn) -> int:
+    """-1 when f <= g, 1 when only g <= f, 0 when they are incomparable."""
+    if leq(f, g):
+        return -1
+    return 1 if leq(g, f) else 0
+
+
 def _check_pair(
     f: SeqFn,
     g: SeqFn,
     mf: Membership,
     mg: Membership,
-    nu_f: Fraction,
-    nu_g: Fraction,
+    nu_join: Fraction,
+    order: int,
     tally: Counter,
     violations: list[dict],
     source: str,
     index: int,
 ) -> None:
-    """Maxitivity and restricted-monotonicity checks for one comonotone pair."""
+    """Maxitivity and restricted-monotonicity checks for one comonotone pair.
+
+    ``nu_join`` is the step value of ``join(f, g)``; ``order`` is as
+    returned by :func:`_order`.
+    """
     tally["maxitivity_checks"] += 1
     tally[f"branch_{branch_tag(mf, mg)}"] += 1
-    joined = join(f, g)
-    nu_join = step_value(joined)
+    nu_f, nu_g = mf.step, mg.step
     expected = max(nu_f, nu_g)
     if nu_join != expected:
         tally["maxitivity_violations"] += 1
@@ -140,12 +185,8 @@ def _check_pair(
                 }
             )
         )
-    lower = upper = None
-    if leq(f, g):
-        lower, upper, nu_lo, nu_hi = f, g, nu_f, nu_g
-    elif leq(g, f):
-        lower, upper, nu_lo, nu_hi = g, f, nu_g, nu_f
-    if lower is not None:
+    if order:
+        lower, upper, nu_lo, nu_hi = (f, g, nu_f, nu_g) if order < 0 else (g, f, nu_g, nu_f)
         tally["ordered_comonotone_checks"] += 1
         if nu_lo > nu_hi:
             tally["ordered_violations"] += 1
@@ -167,36 +208,23 @@ def _check_pair(
 def _family_shard(args: tuple) -> dict:
     grid, prefix_max, lo, hi = args
     family = structured_family(grid, prefix_max)
+    relations = PairRelations(family)
     memberships = [membership(f) for f in family]
-    nus = [ZERO if m.in_zero_class else ONE for m in memberships]
+    # Joins of different pairs often coincide; their step value is a
+    # pure function of the joined function.
+    step_of = functools.cache(step_value)
 
     tally: Counter = Counter()
     violations: list[dict] = []
-
-    count = len(family)
-    flat = 0
-    for i in range(count):
-        row_len = count - i
-        if flat + row_len <= lo:
-            flat += row_len
+    for flat, i, j in upper_pairs(len(family), lo, hi):
+        if not relations.comonotone(i, j):
             continue
-        if flat >= hi:
-            break
-        for j in range(i, count):
-            if flat >= hi:
-                break
-            if flat < lo:
-                flat += 1
-                continue
-            flat += 1
-            f, g = family[i], family[j]
-            if comonotone_witness(f, g) is not None:
-                continue
-            tally["family_comonotone_pairs"] += 1
-            _check_pair(
-                f, g, memberships[i], memberships[j], nus[i], nus[j],
-                tally, violations, "family", flat - 1,
-            )
+        tally["family_comonotone_pairs"] += 1
+        f, g = family[i], family[j]
+        _check_pair(
+            f, g, memberships[i], memberships[j], step_of(join(f, g)),
+            relations.order(i, j), tally, violations, "family", flat,
+        )
     return {"tally": tally, "violations": violations}
 
 
@@ -207,10 +235,10 @@ def _sample_shard(args: tuple) -> dict:
     for index in range(lo, hi):
         f, g = generate_pair(pair_seed(seed, index), params)
         tally["generated_pairs"] += 1
-        mf, mg = membership(f), membership(g)
-        nu_f = ZERO if mf.in_zero_class else ONE
-        nu_g = ZERO if mg.in_zero_class else ONE
-        _check_pair(f, g, mf, mg, nu_f, nu_g, tally, violations, "generated", index)
+        _check_pair(
+            f, g, membership(f), membership(g), step_value(join(f, g)), _order(f, g),
+            tally, violations, "generated", index,
+        )
     return {"tally": tally, "violations": violations}
 
 
@@ -221,6 +249,7 @@ def counterexample_suite(
     prefix_max: int = 2,
     params: GeneratorParams | None = None,
     jobs: int = 1,
+    budget: int = 10**7,
 ) -> VerificationReport:
     """Verify the step functional's headline behaviour end to end.
 
@@ -229,8 +258,10 @@ def counterexample_suite(
     functional is not monotone.  Then every comonotone pair drawn from
     the named witnesses, the structured family, and ``samples`` seeded
     generated pairs must satisfy step(f v g) = max(step f, step g), and
-    all five analysis cases must occur.
+    all five analysis cases must occur.  A family with more than
+    ``budget`` pairs is refused before anything runs.
     """
+    _check_family_budget(grid, prefix_max, budget)
     params = params or GeneratorParams(prefix_max=prefix_max)
     tally: Counter = Counter()
     violations: list[dict] = []
@@ -253,11 +284,8 @@ def counterexample_suite(
             )
             continue
         tally["named_pairs"] += 1
-        mf, mg = membership(f), membership(g)
         _check_pair(
-            f, g, mf, mg,
-            ZERO if mf.in_zero_class else ONE,
-            ZERO if mg.in_zero_class else ONE,
+            f, g, membership(f), membership(g), step_value(join(f, g)), _order(f, g),
             tally, violations, "named", tally["named_pairs"] - 1,
         )
 
@@ -344,6 +372,7 @@ def normalized_search(
     grid: Sequence[Fraction] = DEFAULT_GRID,
     prefix_max: int = 2,
     params: GeneratorParams | None = None,
+    budget: int = 10**7,
 ) -> VerificationReport:
     """Look for a normalized, comonotonically maxitive, non-monotone functional.
 
@@ -353,19 +382,25 @@ def normalized_search(
     for a monotonicity violation over ordered pairs.  Finding one would
     be reported as a finding; the expected outcome at this scale is
     ``inconclusive``, and the suite never claims the question settled.
+    A family with more than ``budget`` pairs is refused before anything
+    runs.
     """
+    _check_family_budget(grid, prefix_max, budget)
     params = params or GeneratorParams(prefix_max=prefix_max)
 
     family = structured_family(grid, prefix_max)
+    relations = PairRelations(family)
     family_pairs: list[tuple[SeqFn, SeqFn, SeqFn]] = []
     ordered_pairs: list[tuple[SeqFn, SeqFn]] = []
     for i, f in enumerate(family):
-        for g in family[i:]:
-            if comonotone_witness(f, g) is None:
+        for j in range(i, len(family)):
+            g = family[j]
+            if relations.comonotone(i, j):
                 family_pairs.append((f, g, join(f, g)))
-            if leq(f, g):
+            order = relations.order(i, j)
+            if order < 0:
                 ordered_pairs.append((f, g))
-            elif leq(g, f):
+            elif order > 0:
                 ordered_pairs.append((g, f))
 
     generated: list[tuple[SeqFn, SeqFn, SeqFn]] = []
@@ -406,15 +441,7 @@ def normalized_search(
             outcomes.append(record)
             continue
 
-        cache: dict[SeqFn, Fraction] = {}
-
-        def value(fn: SeqFn, _functional=functional, _cache=cache) -> Fraction:
-            v = _cache.get(fn)
-            if v is None:
-                v = _functional(fn)
-                _cache[fn] = v
-            return v
-
+        value = functools.cache(functional)
         maxitivity_break = None
         for f, g, joined in family_pairs + generated:
             if value(joined) != max(value(f), value(g)):

@@ -92,6 +92,18 @@ def test_budget_refusal_reports_exact_count_and_exits_2(tmp_path):
     assert report["witnesses"][0]["kind"] == "budget_refusal"
 
 
+@pytest.mark.parametrize("subcommand", ["verify-counterexample", "explore-problem1"])
+def test_sequence_suite_budget_refusal_exits_2(subcommand, tmp_path):
+    out = tmp_path / "refused.json"
+    # 100 family functions at the default grid and prefix-max: 5,050 pairs.
+    result = run_cli(subcommand, "--budget", "5049", "--output", str(out))
+    assert result.returncode == 2
+    report = json.loads(out.read_text())
+    assert report["status"] == "inconclusive"
+    assert report["counts"] == {"required": 5050, "budget": 5049}
+    assert report["witnesses"][0]["kind"] == "budget_refusal"
+
+
 def test_tnorm_axioms_subcommand():
     result = run_cli("tnorm-axioms", "--grid", "0,1/4,1/2,3/4,1")
     assert result.returncode == 0

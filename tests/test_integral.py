@@ -111,6 +111,12 @@ def test_capacity_json_round_trip():
     assert Capacity.from_json(data) == cap
 
 
+def test_capacity_json_rejects_boolean_n():
+    # True == 1 and bool subclasses int, yet JSON true is no point count.
+    with pytest.raises(ValueError, match="n: must be an integer"):
+        Capacity.from_json({"n": True, "mu": {"": "0", "0": "1"}})
+
+
 def test_capacity_json_rejects_monotonicity_violation():
     with pytest.raises(ValueError, match="monotonicity"):
         Capacity.from_json({"n": 3, "mu": violating_mu3()})

@@ -1,0 +1,57 @@
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from comaxlab.pairgen import GeneratorParams, random_seqfn
+from comaxlab.pairs import PairRelations, upper_pairs
+from comaxlab.parallel import split_range
+from comaxlab.seq_comonotone import comonotone_witness
+from comaxlab.seqspace import leq
+from comaxlab.suites import structured_family
+
+F = Fraction
+
+ACCEPTANCE_GRID = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+
+
+def assert_matches_reference(fns):
+    relations = PairRelations(fns)
+    for i, f in enumerate(fns):
+        for j in range(i, len(fns)):
+            g = fns[j]
+            expected = comonotone_witness(f, g) is None
+            assert relations.comonotone(i, j) == expected == relations.comonotone(j, i), (f, g)
+            assert relations.leq(i, j) == leq(f, g), (f, g)
+            assert relations.leq(j, i) == leq(g, f), (f, g)
+
+
+def test_acceptance_family_matches_reference_on_every_pair():
+    family = structured_family(ACCEPTANCE_GRID, 2)
+    assert len(family) * (len(family) + 1) // 2 == 263_175
+    assert_matches_reference(family)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=100, deadline=None)
+def test_random_lists_match_reference(seed, size):
+    rng = random.Random(seed)
+    params = GeneratorParams(prefix_max=4, max_denominator=12)
+    assert_matches_reference([random_seqfn(rng, params) for _ in range(size)])
+
+
+@pytest.mark.parametrize("count", range(7))
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+def test_upper_pairs_shards_cover_the_triangle_in_order(count, parts):
+    expected = [(i, j) for i in range(count) for j in range(i, count)]
+    got = [
+        item
+        for lo, hi in split_range(len(expected), parts)
+        for item in upper_pairs(count, lo, hi)
+    ]
+    assert got == [(flat, i, j) for flat, (i, j) in enumerate(expected)]

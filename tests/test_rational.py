@@ -26,6 +26,20 @@ def test_parse_rejects(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "1_0",  # digit separator
+        "3/ 4",  # inner space
+        "+1",  # explicit plus sign
+        "\u0661/2",  # Arabic-Indic digit one
+    ],
+)
+def test_parse_rejects_forms_int_would_accept(bad):
+    with pytest.raises(RationalFormatError):
+        parse_rational(bad)
+
+
 def test_format_lowest_terms():
     assert format_rational(Fraction(2, 4)) == "1/2"
     assert format_rational(Fraction(0)) == "0"

@@ -1,13 +1,17 @@
 from fractions import Fraction
 
+import pytest
+
 from comaxlab.classify import membership
 from comaxlab.seq_comonotone import comonotone
+from comaxlab.properties import BudgetExceededError
 from comaxlab.seqspace import constant, join, ramp
 from comaxlab.suites import (
     ALL_BRANCHES,
     BRANCH_PEAK_ONE,
     branch_tag,
     counterexample_suite,
+    family_size,
     named_witness_pairs,
     normalized_search,
     structured_family,
@@ -87,3 +91,29 @@ def test_normalized_search_rejects_step_functional_on_a_constant():
     c = Fraction(record["constant"])
     assert 0 < c <= 1
     assert Fraction(record["value"]) == 1
+
+
+@pytest.mark.parametrize(
+    "grid, prefix_max",
+    [
+        (GRID3, 0),
+        (GRID3, 1),
+        (GRID3, 2),
+        (GRID3, 3),
+        ((F(0), F(1)), 2),
+        ((F(0), F(1, 3), F(2, 3), F(1)), 2),
+        ((F(0), F(1, 4), F(1, 2), F(3, 4), F(1)), 2),
+        ((F(0), F(1, 4), F(1, 2), F(1)), 1),
+    ],
+)
+def test_family_size_matches_built_family(grid, prefix_max):
+    assert family_size(grid, prefix_max) == len(structured_family(grid, prefix_max))
+
+
+@pytest.mark.parametrize("suite", [counterexample_suite, normalized_search])
+def test_sequence_suites_refuse_families_over_budget(suite):
+    size = family_size(GRID3, 6)
+    with pytest.raises(BudgetExceededError) as refused:
+        suite(samples=1, grid=GRID3, prefix_max=6)
+    assert refused.value.required == size * (size + 1) // 2 == 21_651_490
+    assert refused.value.budget == 10**7
