@@ -95,10 +95,9 @@ class Capacity:
             raise ValueError("mu: must be an object keyed by subset strings")
         mu: dict[frozenset[int], Fraction] = {}
         for key, value in raw.items():
-            try:
-                indices = [int(ch) for ch in key]
-            except ValueError as exc:
-                raise ValueError(f"mu.{key!r}: bad subset key") from exc
+            if not all(ch in "0123456789" for ch in key):
+                raise ValueError(f"mu.{key!r}: bad subset key")
+            indices = [int(ch) for ch in key]
             if sorted(indices) != indices or len(set(indices)) != len(indices):
                 raise ValueError(f"mu.{key!r}: subset key must list sorted distinct indices")
             if any(i >= n for i in indices):

@@ -7,8 +7,8 @@ refuses (with the exact count) rather than run away.
 
 The census classifies every table as comonotonically maxitive and/or
 monotone.  Both properties only compare values, so tables are walked as
-tuples of chain indices with all pair structure precomputed; witnesses
-are translated back to real functions for the report.  The table space
+tuples of chain indices against ``grid.relations``; witnesses are
+translated back to real functions for the report.  The table space
 splits into contiguous lexicographic ranges, one per job, and the merge
 is by shard order, so the report is independent of parallelism.
 """
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .grid import Chain, GridFn, all_functions, comonotone, join
+from .grid import Chain, GridFn, Relations, all_functions, relations
 from .parallel import run_shards, split_range
 from .properties import BudgetExceededError
 from .report import FINDING, PASS, VerificationReport, jsonify
@@ -72,39 +72,6 @@ def enumerate_functionals(
         yield TabulatedFunctional(chain, n, domain, row)
 
 
-@dataclass(frozen=True)
-class _PairStructure:
-    """Index form of every pair relation the census needs."""
-
-    domain: tuple[GridFn, ...]
-    maxitivity: tuple[tuple[int, int, int], ...]  # (i, j, index of join)
-    order: tuple[tuple[int, int], ...]  # i strictly below j pointwise
-    comonotone_order: tuple[tuple[int, int], ...]  # ordered and comonotone
-
-
-def _pair_structure(chain: Chain, n: int) -> _PairStructure:
-    domain = tuple(all_functions(chain, n))
-    index = {f.values: i for i, f in enumerate(domain)}
-    maxitivity = []
-    order = []
-    comonotone_order = []
-    for i, f in enumerate(domain):
-        for j in range(i + 1, len(domain)):
-            g = domain[j]
-            pair_comonotone = comonotone(f, g)
-            if pair_comonotone:
-                maxitivity.append((i, j, index[join(f, g).values]))
-            if f.leq(g):
-                order.append((i, j))
-                if pair_comonotone:
-                    comonotone_order.append((i, j))
-            elif g.leq(f):
-                order.append((j, i))
-                if pair_comonotone:
-                    comonotone_order.append((j, i))
-    return _PairStructure(domain, tuple(maxitivity), tuple(order), tuple(comonotone_order))
-
-
 def _decode_row(index: int, m: int, width: int) -> list[int]:
     row = [0] * width
     for pos in range(width - 1, -1, -1):
@@ -126,7 +93,7 @@ def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
     """Classify tables with lexicographic indices in [lo, hi)."""
     chain_values, n, lo, hi = args
     chain = Chain(chain_values)
-    structure = _pair_structure(chain, n)
+    structure = relations(chain, n)
     m = len(chain_values)
     d = len(structure.domain)
 
@@ -146,7 +113,7 @@ def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
 
         maxitive = True
         maxitivity_break = None
-        for i, j, k in structure.maxitivity:
+        for i, j, k in structure.joins:
             vi, vj = row[i], row[j]
             if row[k] != (vi if vi >= vj else vj):
                 maxitive = False
@@ -248,7 +215,7 @@ def functional_census(
     )
 
 
-def _row_json(structure: _PairStructure, chain: Chain, row: list[int]) -> dict:
+def _row_json(structure: Relations, chain: Chain, row: list[int]) -> dict:
     return {
         ",".join(jsonify(v) for v in f.values): jsonify(chain.values[ix])
         for f, ix in zip(structure.domain, row)

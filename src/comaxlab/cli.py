@@ -13,11 +13,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from .census import functional_census
-from .grid import Chain, GridFn
-from .capacity import Capacity
+from .grid import Chain
 from .pairgen import GeneratorParams
 from .properties import BudgetExceededError, integral_property_suite
 from .rational import RationalFormatError, parse_grid
@@ -25,7 +24,7 @@ from .report import FAIL, INCONCLUSIVE, PASS, FINDING, SuiteConfig, Verification
 from .seq_comonotone import comonotone_witness, defining_product
 from .seqspace import SeqFn
 from .suites import counterexample_suite, normalized_search
-from .tnorms import TNorm, check_axioms
+from .tnorms import TNorm, axiom_check_count, check_axioms
 
 SUBCOMMANDS = (
     "verify-counterexample",
@@ -55,22 +54,6 @@ def validate_function_file(path: str) -> SeqFn:
         return SeqFn.from_json(data)
     except (ValueError, RationalFormatError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def validate_object(data: Any) -> SeqFn | GridFn | Capacity:
-    """Parse one of the supported JSON payloads, detected by its keys."""
-    if not isinstance(data, dict):
-        raise InputError("payload must be a JSON object")
-    try:
-        if "vP" in data:
-            return SeqFn.from_json(data)
-        if "mu" in data:
-            return Capacity.from_json(data)
-        if "values" in data:
-            return GridFn.from_json(data)
-    except (ValueError, RationalFormatError) as exc:
-        raise InputError(str(exc)) from exc
-    raise InputError("unrecognized payload: expected a function or capacity object")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,6 +107,9 @@ def _config_from_args(args: argparse.Namespace) -> SuiteConfig:
 
 
 def _run_tnorm_axioms(config: SuiteConfig) -> VerificationReport:
+    required = axiom_check_count(len(config.grid))
+    if required > config.budget:
+        raise BudgetExceededError(required, config.budget, "t-norm axiom checks")
     counts: dict[str, int] = {}
     witnesses = []
     failed = False

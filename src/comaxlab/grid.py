@@ -3,14 +3,16 @@
 A Chain is the desk-scale stand-in for [0,1]: a strictly increasing
 tuple of rationals running from 0 to 1.  A GridFn is simply the value
 vector of a function on ``{0..n-1}``.  Comonotonicity, the lattice
-operations, and the pointwise order are all decided exactly.
+operations, and the pointwise order are all decided exactly;
+``relations`` indexes them over a whole grid, cached per ``(chain, n)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 from typing import Any, Iterator
 
 from .rational import ONE, ZERO, check_unit_interval, format_rational, parse_rational
@@ -111,3 +113,31 @@ def meet(f: GridFn, g: GridFn) -> GridFn:
 def all_functions(chain: Chain, n: int) -> list[GridFn]:
     """Every function on n points with values in the chain, in lexicographic order."""
     return [GridFn(vals) for vals in product(chain.values, repeat=n)]
+
+
+@dataclass(frozen=True)
+class Relations:
+    """Index form of the pair relations over ``all_functions(chain, n)``."""
+
+    domain: tuple[GridFn, ...]
+    joins: tuple[tuple[int, int, int], ...]  # comonotone i < j, index of their join
+    order: tuple[tuple[int, int], ...]  # domain[i] <= domain[j], i != j
+    comonotone_order: tuple[tuple[int, int], ...]  # the comonotone pairs of ``order``
+
+
+@lru_cache(maxsize=16)
+def relations(chain: Chain, n: int) -> Relations:
+    """Comonotone pairs with their join, and ordered pairs, over the grid.
+
+    Pairs are listed in lexicographic ``(i, j)`` order.  Pairs of a
+    function with itself are left out: they are comonotone, their join
+    is the function, and they are ordered, so no check can fail on them.
+    """
+    domain = tuple(all_functions(chain, n))
+    index = {f.values: i for i, f in enumerate(domain)}
+    pairs = [(i, j, domain[i], domain[j]) for i, j in combinations(range(len(domain)), 2)]
+    joins = tuple((i, j, index[join(f, g).values]) for i, j, f, g in pairs if comonotone(f, g))
+    # The domain is lexicographic over an increasing chain: f <= g, f != g puts f first.
+    order = tuple((i, j) for i, j, f, g in pairs if f.leq(g))
+    together = {(i, j) for i, j, _ in joins}
+    return Relations(domain, joins, order, tuple(p for p in order if p in together))

@@ -11,6 +11,7 @@ in t.  With the minimum norm this is the classical Sugeno integral.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .capacity import Capacity
 from .grid import GridFn
@@ -18,16 +19,21 @@ from .rational import ONE, ZERO
 from .tnorms import TNorm, apply
 
 
+@lru_cache(maxsize=4096)
+def _levels(values: tuple[Fraction, ...]) -> tuple[tuple[Fraction, frozenset[int]], ...]:
+    """Thresholds ``values + {0, 1}``, ascending, with their level sets (any capacity)."""
+    return tuple(
+        (t, frozenset(i for i, v in enumerate(values) if v >= t))
+        for t in sorted({*values, ZERO, ONE})
+    )
+
+
 def tnorm_integral(cap: Capacity, norm: TNorm, f: GridFn) -> Fraction:
     """Exact integral value; with norm = MINIMUM this is the Sugeno integral."""
     if len(f) != cap.n:
         raise ValueError(f"function on {len(f)} points vs capacity on {cap.n}")
-    thresholds = set(f.values)
-    thresholds.add(ZERO)
-    thresholds.add(ONE)
     best = ZERO
-    for t in sorted(thresholds):
-        level = frozenset(i for i, v in enumerate(f.values) if v >= t)
+    for t, level in _levels(f.values):
         value = apply(norm, t, cap(level))
         if value > best:
             best = value

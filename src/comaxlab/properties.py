@@ -3,6 +3,8 @@
 Each checker takes a functional (any callable from GridFn to Fraction)
 and decides one axiom exhaustively over a chain grid, returning the
 verdict together with the first violating input when there is one.
+Each evaluates the functional once per input and scans index lists
+built once per configuration (``grid.relations``, ``_homogeneity_cases``).
 ``integral_property_suite`` bundles the four checks for the t-normed
 integral across every capacity with values on the chain.
 """
@@ -11,10 +13,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Callable
 
 from .capacity import enumerate_capacities
-from .grid import Chain, GridFn, all_functions, comonotone, constant, join
+from .grid import Chain, GridFn, all_functions, constant, relations
 from .integral import tnorm_integral
 from .report import FAIL, PASS, VerificationReport, jsonify
 from .tnorms import TNorm, apply, pointwise_scale
@@ -43,30 +46,27 @@ def is_comonotone_maxitive(
     functional: Functional, chain: Chain, n: int
 ) -> tuple[bool, Witness | None]:
     """Check F(f v g) = max(F(f), F(g)) over every comonotone pair on the grid."""
-    fns = all_functions(chain, n)
-    for i, f in enumerate(fns):
-        for g in fns[i:]:
-            if not comonotone(f, g):
-                continue
-            lhs = functional(join(f, g))
-            rhs = max(functional(f), functional(g))
-            if lhs != rhs:
-                witness = {"f": f.to_json(), "g": g.to_json(), "F_join": lhs, "max_F": rhs}
-                return False, jsonify(witness)
+    rel = relations(chain, n)
+    values = [functional(f) for f in rel.domain]
+    for i, j, k in rel.joins:
+        lhs, rhs = values[k], max(values[i], values[j])
+        if lhs != rhs:
+            f, g = rel.domain[i], rel.domain[j]
+            witness = {"f": f.to_json(), "g": g.to_json(), "F_join": lhs, "max_F": rhs}
+            return False, jsonify(witness)
     return True, None
 
 
 def is_monotone(functional: Functional, chain: Chain, n: int) -> tuple[bool, Witness | None]:
     """Check f <= g pointwise implies F(f) <= F(g), exhaustively on the grid."""
-    fns = all_functions(chain, n)
-    for f in fns:
-        for g in fns:
-            if not f.leq(g):
-                continue
-            vf, vg = functional(f), functional(g)
-            if vf > vg:
-                witness = {"f": f.to_json(), "g": g.to_json(), "F_f": vf, "F_g": vg}
-                return False, jsonify(witness)
+    rel = relations(chain, n)
+    values = [functional(f) for f in rel.domain]
+    for i, j in rel.order:
+        vf, vg = values[i], values[j]
+        if vf > vg:
+            f, g = rel.domain[i], rel.domain[j]
+            witness = {"f": f.to_json(), "g": g.to_json(), "F_f": vf, "F_g": vg}
+            return False, jsonify(witness)
     return True, None
 
 
@@ -77,6 +77,31 @@ def chain_closed_under(norm: TNorm, chain: Chain) -> bool:
 def _sampled_rationals(rng: random.Random, max_denominator: int) -> Fraction:
     den = rng.randint(1, max_denominator)
     return Fraction(rng.randint(0, den), den)
+
+
+@lru_cache(maxsize=64)
+def _homogeneity_cases(
+    norm: TNorm, chain: Chain, n: int, samples: int, seed: int, max_denominator: int
+) -> tuple[tuple[GridFn, ...], tuple[tuple[Fraction, int, int], ...]]:
+    """The distinct functions to evaluate, and ``(c, index of f, index of c * f)`` per case."""
+    if chain_closed_under(norm, chain):
+        pairs = [(c, f) for c in chain for f in all_functions(chain, n)]
+    else:
+        rng = random.Random(seed)
+        pairs = [
+            (
+                _sampled_rationals(rng, max_denominator),
+                GridFn(tuple(_sampled_rationals(rng, max_denominator) for _ in range(n))),
+            )
+            for _ in range(samples)
+        ]
+    positions: dict[GridFn, int] = {}
+    cases = []
+    for c, f in pairs:
+        scaled = GridFn(pointwise_scale(norm, c, f.values))
+        i = positions.setdefault(f, len(positions))
+        cases.append((c, i, positions.setdefault(scaled, len(positions))))
+    return tuple(positions), tuple(cases)
 
 
 def is_scale_homogeneous(
@@ -96,23 +121,12 @@ def is_scale_homogeneous(
     so the check samples seeded rational scalars and functions instead;
     the functional must then accept off-chain inputs.
     """
-    if chain_closed_under(norm, chain):
-        cases = ((c, f) for c in chain for f in all_functions(chain, n))
-    else:
-        rng = random.Random(seed)
-        cases = (
-            (
-                _sampled_rationals(rng, max_denominator),
-                GridFn(tuple(_sampled_rationals(rng, max_denominator) for _ in range(n))),
-            )
-            for _ in range(samples)
-        )
-    for c, f in cases:
-        scaled = GridFn(pointwise_scale(norm, c, f.values))
-        lhs = functional(scaled)
-        rhs = apply(norm, c, functional(f))
+    functions, cases = _homogeneity_cases(norm, chain, n, samples, seed, max_denominator)
+    values = [functional(h) for h in functions]
+    for c, i, k in cases:
+        lhs, rhs = values[k], apply(norm, c, values[i])
         if lhs != rhs:
-            witness = {"c": c, "f": f.to_json(), "F_scaled": lhs, "c_times_F": rhs}
+            witness = {"c": c, "f": functions[i].to_json(), "F_scaled": lhs, "c_times_F": rhs}
             return False, jsonify(witness)
     return True, None
 
@@ -164,15 +178,7 @@ def integral_property_suite(
 
     for cap in enumerate_capacities(chain.values, n):
         counts["capacities"] += 1
-        cache: dict[tuple[Fraction, ...], Fraction] = {}
-
-        def functional(f: GridFn, _cap=cap, _cache=cache) -> Fraction:
-            value = _cache.get(f.values)
-            if value is None:
-                value = tnorm_integral(_cap, norm, f)
-                _cache[f.values] = value
-            return value
-
+        functional = partial(tnorm_integral, cap, norm)
         if not is_normalized(functional, chain, n):
             counts["normalized_failures"] += 1
             witnesses.append({"property": "normalized", "capacity": cap.to_json()})

@@ -104,6 +104,19 @@ def test_sequence_suite_budget_refusal_exits_2(subcommand, tmp_path):
     assert report["witnesses"][0]["kind"] == "budget_refusal"
 
 
+def test_tnorm_axioms_budget_refusal_exits_2(tmp_path):
+    out = tmp_path / "refused.json"
+    # A 5-point grid needs 5 + 25 + 75 + 125 = 230 checks per norm.
+    result = run_cli("tnorm-axioms", "--grid", "0,1/4,1/2,3/4,1", "--budget", "229",
+                     "--output", str(out))
+    assert result.returncode == 2
+    report = json.loads(out.read_text())
+    assert report["status"] == "inconclusive"
+    assert report["counts"] == {"required": 230, "budget": 229}
+    assert report["witnesses"] == [{"kind": "budget_refusal", "what": "t-norm axiom checks"}]
+    assert run_cli("tnorm-axioms", "--grid", "0,1/4,1/2,3/4,1", "--budget", "230").returncode == 0
+
+
 def test_tnorm_axioms_subcommand():
     result = run_cli("tnorm-axioms", "--grid", "0,1/4,1/2,3/4,1")
     assert result.returncode == 0
@@ -180,16 +193,3 @@ def test_exit_code_1_on_failing_report(monkeypatch, capsys):
     assert code == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["status"] == "fail"
-
-
-def test_validate_object_dispatch():
-    fn = cli.validate_object(RAMP1_JSON)
-    assert fn.to_json()["alpha"] == "1"
-    cap = cli.validate_object({"n": 2, "mu": {"": "0", "0": "1/2", "1": "1/2", "01": "1"}})
-    assert cap.n == 2
-    grid_fn = cli.validate_object({"values": ["1/2", "3/4"]})
-    assert len(grid_fn) == 2
-    with pytest.raises(cli.InputError):
-        cli.validate_object({"mu": {"": "0", "0": "1", "1": "1/2", "01": "1/2"}, "n": 2})
-    with pytest.raises(cli.InputError):
-        cli.validate_object({"unknown": 1})

@@ -117,6 +117,18 @@ def test_capacity_json_rejects_boolean_n():
         Capacity.from_json({"n": True, "mu": {"": "0", "0": "1"}})
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        "\u0660",  # ARABIC-INDIC DIGIT ZERO, which int() reads as 0
+        "\uff10",  # FULLWIDTH DIGIT ZERO, which int() reads as 0
+    ],
+)
+def test_capacity_json_rejects_non_ascii_digit_keys(key):
+    with pytest.raises(ValueError, match="bad subset key"):
+        Capacity.from_json({"n": 1, "mu": {"": "0", key: "1"}})
+
+
 def test_capacity_json_rejects_monotonicity_violation():
     with pytest.raises(ValueError, match="monotonicity"):
         Capacity.from_json({"n": 3, "mu": violating_mu3()})

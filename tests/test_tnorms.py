@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comaxlab.tnorms import TNorm, apply, check_axioms
+from comaxlab.tnorms import TNorm, apply, axiom_check_count, check_axioms
 
 F = Fraction
 
@@ -73,3 +73,11 @@ def test_shifted_cutoff_op_fails_with_witness_triple():
     assert triples, "expected an associativity witness triple"
     s, t, u = (Fraction(a) for a in triples[0]["args"])
     assert pseudo(pseudo(s, t), u) != pseudo(s, pseudo(t, u))
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 17])
+def test_axiom_check_count_is_exact(size):
+    grid = tuple(F(k, size - 1) for k in range(size))
+    counts = check_axioms(TNorm.PRODUCT, grid).counts
+    checks = sum(v for k, v in counts.items() if k.endswith("_checks"))
+    assert axiom_check_count(size) == checks
