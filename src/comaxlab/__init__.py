@@ -10,7 +10,7 @@ reversing a pointwise-ordered pair).
 """
 
 from .capacity import Capacity, enumerate_capacities, subsets, uniform
-from .census import TabulatedFunctional, enumerate_functionals, functional_census, table_count
+from .census import functional_census, table_count
 from .classify import Membership, membership, step_value
 from .grid import Chain, GridFn, all_functions, constant as grid_constant
 from .grid import comonotone as grid_comonotone, join as grid_join, meet as grid_meet
@@ -23,7 +23,6 @@ from .properties import (
     is_monotone,
     is_normalized,
     is_scale_homogeneous,
-    satisfies_all_axioms,
 )
 from .rational import format_rational, parse_grid, parse_rational
 from .report import SuiteConfig, VerificationReport
@@ -65,7 +64,6 @@ __all__ = [
     "SeqFn",
     "SuiteConfig",
     "TNorm",
-    "TabulatedFunctional",
     "VerificationReport",
     "all_functions",
     "attained_max",
@@ -77,7 +75,6 @@ __all__ = [
     "constant",
     "counterexample_suite",
     "enumerate_capacities",
-    "enumerate_functionals",
     "format_rational",
     "functional_census",
     "generate_pair",
@@ -101,7 +98,6 @@ __all__ = [
     "points_upto",
     "ramp",
     "random_pair",
-    "satisfies_all_axioms",
     "seq",
     "seq_coord",
     "step_value",

@@ -15,61 +15,17 @@ is by shard order, so the report is independent of parallelism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterator
 
-from .grid import Chain, GridFn, Relations, all_functions, relations
+from .grid import Chain, Relations, relations
 from .parallel import run_shards, split_range
 from .properties import BudgetExceededError
 from .report import FINDING, PASS, VerificationReport, jsonify
 
 
-@dataclass(frozen=True)
-class TabulatedFunctional:
-    """A total map from grid functions to chain values."""
-
-    chain: Chain
-    n: int
-    domain: tuple[GridFn, ...]
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.domain) != len(self.values):
-            raise ValueError("table must assign a value to every domain function")
-
-    def __call__(self, f: GridFn) -> Fraction:
-        return self.values[self.domain.index(f)]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "table": {
-                ",".join(jsonify(v) for v in f.values): jsonify(v_out)
-                for f, v_out in zip(self.domain, self.values)
-            },
-        }
-
-
 def table_count(chain: Chain, n: int) -> int:
     m = len(chain)
     return m ** (m**n)
-
-
-def enumerate_functionals(
-    chain: Chain, n: int, budget: int = 10**7
-) -> Iterator[TabulatedFunctional]:
-    """Yield every functional table in lexicographic order of its value row.
-
-    Refuses up front when the total count exceeds the budget.
-    """
-    total = table_count(chain, n)
-    if total > budget:
-        raise BudgetExceededError(total, budget, "functional enumeration")
-    domain = tuple(all_functions(chain, n))
-    for row in product(chain.values, repeat=len(domain)):
-        yield TabulatedFunctional(chain, n, domain, row)
 
 
 def _decode_row(index: int, m: int, width: int) -> list[int]:

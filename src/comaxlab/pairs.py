@@ -2,8 +2,9 @@
 
 ``PairRelations`` evaluates every function of the list once, on
 ``points_upto(D + 1)`` where ``D`` is the longest head in the list, as
-integers over one common denominator (``math.lcm``, never floats).
-From those values it decides comonotonicity and pointwise order of any
+integers over one common scale (``seqspace.scaled_values``, brought to
+the ``math.lcm`` of the functions' scales; never floats).  From those
+values it decides comonotonicity and pointwise order of any
 two members:
 
 * **Screen.** Over every pair of those points, two bitmasks record where
@@ -32,7 +33,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .seq_comonotone import comonotone_witness
-from .seqspace import SeqFn, points_upto
+from .seqspace import SeqFn, scaled_values
 
 
 class PairRelations:
@@ -41,13 +42,12 @@ class PairRelations:
     def __init__(self, fns: Sequence[SeqFn]):
         self._fns = list(fns)
         depth = max((f.head_len for f in self._fns), default=0)
-        points = points_upto(depth + 1)
-        values = [[f.at(p) for p in points] for f in self._fns]
-        scale = math.lcm(*(v.denominator for row in values for v in row))
-        self._vectors = [
-            tuple(v.numerator * (scale // v.denominator) for v in row) for row in values
-        ]
-        point_pairs = list(combinations(range(len(points)), 2))
+        count = depth + 1
+        scaled = [scaled_values(f, count) for f in self._fns]
+        scale = math.lcm(*(s for s, _ in scaled))
+        self._vectors = [tuple(v * (scale // s) for v in row) for s, row in scaled]
+        # The points are the isolated point, seq(1..count) and the limit.
+        point_pairs = list(combinations(range(count + 2), 2))
         self._rises: list[int] = []
         self._falls: list[int] = []
         for vec in self._vectors:

@@ -131,24 +131,6 @@ def is_scale_homogeneous(
     return True, None
 
 
-def satisfies_all_axioms(
-    functional: Functional,
-    norm: TNorm,
-    chain: Chain,
-    n: int,
-    samples: int = 200,
-    seed: int = 0,
-) -> bool:
-    """Normalized, comonotonically maxitive, and homogeneous for the norm."""
-    if not is_normalized(functional, chain, n):
-        return False
-    ok, _ = is_comonotone_maxitive(functional, chain, n)
-    if not ok:
-        return False
-    ok, _ = is_scale_homogeneous(functional, norm, chain, n, samples=samples, seed=seed)
-    return ok
-
-
 def integral_property_suite(
     chain: Chain,
     n: int,

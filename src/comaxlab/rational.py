@@ -58,7 +58,10 @@ def parse_grid(text: str) -> tuple[Fraction, ...]:
 
 
 def check_unit_interval(value: Fraction, where: str = "value") -> Fraction:
-    """Return ``value`` unchanged, raising ValueError unless 0 <= value <= 1."""
-    if not (ZERO <= value <= ONE):
+    """Return ``value`` unchanged, raising ValueError unless 0 <= value <= 1.
+
+    Decided on the numerator alone: a Fraction's denominator is positive.
+    """
+    if not 0 <= value.numerator <= value.denominator:
         raise ValueError(f"{where} {format_rational(value)} outside [0,1]")
     return value

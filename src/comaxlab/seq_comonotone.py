@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .rational import ONE
-from .seqspace import Point, SeqFn, points_upto, seq
+from .seqspace import Point, SeqFn, points_upto, scaled_values, seq
 
 Bound = Fraction | None  # None stands for the unbounded side
 
@@ -76,12 +76,13 @@ def comonotone_witness(f: SeqFn, g: SeqFn) -> tuple[Point, Point] | None:
     """First point pair ordered oppositely by f and g, or None if comonotone."""
     shared = max(f.head_len, g.head_len)
     fixed = points_upto(shared)
+    _, fv = scaled_values(f, shared)
+    _, gv = scaled_values(g, shared)
 
-    for i, x1 in enumerate(fixed):
-        f1, g1 = f.at(x1), g.at(x1)
-        for x2 in fixed[i + 1 :]:
-            if (f1 - f.at(x2)) * (g1 - g.at(x2)) < 0:
-                return (x1, x2)
+    for i in range(len(fixed)):
+        for j in range(i + 1, len(fixed)):
+            if (fv[i] - fv[j]) * (gv[i] - gv[j]) < 0:
+                return (fixed[i], fixed[j])
 
     if f.slope * g.slope < 0:
         return (seq(shared + 1), seq(shared + 2))
@@ -105,13 +106,17 @@ def comonotone(f: SeqFn, g: SeqFn) -> bool:
 
 
 def comonotone_truncated(f: SeqFn, g: SeqFn, depth: int = 50) -> tuple[Point, Point] | None:
-    """Brute-force check over the isolated point, seq(1..depth), and the limit."""
-    pts = points_upto(depth)
-    fv = [f.at(p) for p in pts]
-    gv = [g.at(p) for p in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
+    """Brute-force check over the isolated point, seq(1..depth), and the limit.
+
+    Each function's values are compared as integers times its own
+    positive scale, which keeps the sign of every product.
+    """
+    _, fv = scaled_values(f, depth)
+    _, gv = scaled_values(g, depth)
+    for i in range(len(fv)):
+        for j in range(i + 1, len(fv)):
             if (fv[i] - fv[j]) * (gv[i] - gv[j]) < 0:
+                pts = points_upto(depth)
                 return (pts[i], pts[j])
     return None
 

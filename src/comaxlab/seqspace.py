@@ -172,6 +172,33 @@ def points_upto(count: int) -> list[Point]:
     return [ISOLATED] + [seq(n) for n in range(1, count + 1)] + [LIMIT]
 
 
+def scaled_values(f: SeqFn, count: int) -> tuple[int, list[int]]:
+    """A positive integer ``scale`` and ``scale * f.at(p)`` for p in ``points_upto(count)``.
+
+    ``scale`` is ``D * M``: ``D`` is the lcm of the denominators of f's
+    iso value, head, slope and intercept, and ``M`` the lcm of the
+    indices ``n`` of the tail points ``seq(head_len + 1 .. count)``.
+    With ``S = D * slope`` and ``I = D * intercept``, the tail value at
+    ``seq(n)`` is ``(S*(n-1) + I*n) / (D*n)``, so every value comes out
+    as an integer with no Fraction arithmetic.  The scale is positive,
+    so signs and order are those of the values.
+    """
+    den = math.lcm(
+        f.iso.denominator,
+        f.slope.denominator,
+        f.intercept.denominator,
+        *(v.denominator for v in f.head),
+    )
+    tail = range(f.head_len + 1, count + 1)
+    mult = math.lcm(*tail)
+    s = f.slope.numerator * (den // f.slope.denominator)
+    i = f.intercept.numerator * (den // f.intercept.denominator)
+    values = [v.numerator * (den // v.denominator) * mult for v in (f.iso, *f.head[:count])]
+    values += [(s * (n - 1) + i * n) * (mult // n) for n in tail]
+    values.append((s + i) * mult)
+    return den * mult, values
+
+
 def leq(f: SeqFn, g: SeqFn) -> bool:
     """Pointwise f <= g over the whole space, decided exactly.
 

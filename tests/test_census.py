@@ -2,16 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from comaxlab.census import (
-    TabulatedFunctional,
-    enumerate_functionals,
-    functional_census,
-    table_count,
-)
+from comaxlab.census import functional_census, table_count
 from comaxlab.grid import Chain, GridFn
 from comaxlab.properties import BudgetExceededError
 
-from grid_oracles import oracle_comonotone_maxitive, oracle_monotone
+from grid_oracles import (
+    enumerate_functionals,
+    oracle_comonotone_maxitive,
+    oracle_monotone,
+)
 
 F = Fraction
 

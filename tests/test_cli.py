@@ -160,6 +160,16 @@ def test_verify_counterexample_jobs_invariant(tmp_path):
     assert out1.read_bytes() == out4.read_bytes()
 
 
+def test_jobs_above_the_cpu_count_keep_report_bytes(tmp_path):
+    # Eight shards run on a pool capped at the CPUs this process may use.
+    out1 = tmp_path / "j1.json"
+    out8 = tmp_path / "j8.json"
+    base = ("verify-counterexample", "--samples", "80", "--seed", "5", "--grid", "0,1/2,1")
+    assert run_cli(*base, "--jobs", "1", "--output", str(out1)).returncode == 0
+    assert run_cli(*base, "--jobs", "8", "--output", str(out8)).returncode == 0
+    assert out1.read_bytes() == out8.read_bytes()
+
+
 def test_explore_problem1_inconclusive():
     result = run_cli("explore-problem1", "--samples", "40")
     assert result.returncode == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comaxlab.pairgen import GeneratorParams, generate_pair, random_pair
+from comaxlab.pairgen import GeneratorParams, generate_pair, pair_seed, random_pair
 from comaxlab.seq_comonotone import (
     comonotone,
     comonotone_truncated,
@@ -11,6 +11,8 @@ from comaxlab.seq_comonotone import (
     defining_product,
 )
 from comaxlab.seqspace import ISOLATED, constant, make, ramp, seq
+
+from seq_oracles import fraction_truncated
 
 F = Fraction
 
@@ -143,3 +145,35 @@ def test_random_pairs_vs_oracle(seed):
         assert exact is not None
     if exact is not None:
         assert defining_product(f, g, *exact) < 0
+
+
+PARAMS2 = GeneratorParams(prefix_max=2)
+DEPTHS = (50, 70)
+
+
+def test_integer_oracle_matches_fraction_oracle_on_generated_pairs():
+    for seed in range(1_000):
+        f, g = generate_pair(pair_seed(1, seed), PARAMS2)
+        for depth in DEPTHS:
+            assert comonotone_truncated(f, g, depth) == fraction_truncated(f, g, depth) is None
+
+
+def test_integer_oracle_matches_fraction_oracle_on_random_pairs():
+    found = {depth: 0 for depth in DEPTHS}
+    for seed in range(1_000):
+        f, g = random_pair(pair_seed(2, seed), PARAMS2)
+        for depth in DEPTHS:
+            witness = fraction_truncated(f, g, depth)
+            assert comonotone_truncated(f, g, depth) == witness, (seed, depth, f, g)
+            found[depth] += witness is not None
+    assert all(0 < n < 1_000 for n in found.values()), found
+
+
+def test_exact_decision_keeps_the_first_fixed_point_witness():
+    # Among the isolated point, the shared head and the limit, the exact
+    # decision names the first opposed pair in the oracle's loop order.
+    for seed in range(1_000):
+        f, g = random_pair(pair_seed(3, seed), GeneratorParams(prefix_max=4, max_denominator=12))
+        fixed = fraction_truncated(f, g, max(f.head_len, g.head_len))
+        if fixed is not None:
+            assert comonotone_witness(f, g) == fixed, (seed, f, g)

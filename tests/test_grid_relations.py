@@ -7,13 +7,18 @@ from functools import cache, partial
 import pytest
 
 from comaxlab.capacity import enumerate_capacities
-from comaxlab.census import TabulatedFunctional, enumerate_functionals
 from comaxlab.grid import Chain, GridFn, all_functions, comonotone, join, relations
 from comaxlab.integral import tnorm_integral
 from comaxlab.properties import is_comonotone_maxitive, is_monotone, is_scale_homogeneous
 from comaxlab.tnorms import TNorm
 
-from grid_oracles import oracle_comonotone_maxitive, oracle_monotone, oracle_scale_homogeneous
+from grid_oracles import (
+    TabulatedFunctional,
+    enumerate_functionals,
+    oracle_comonotone_maxitive,
+    oracle_monotone,
+    oracle_scale_homogeneous,
+)
 
 F = Fraction
 

@@ -1,3 +1,8 @@
+import os
+
+import pytest
+
+from comaxlab import parallel
 from comaxlab.parallel import run_shards, split_range
 
 
@@ -25,3 +30,43 @@ def test_run_shards_sequential_equals_parallel():
     parallel = run_shards(square_sum, shards, jobs=4)
     assert sequential == parallel
     assert sum(sequential) == sum(i * i for i in range(1000))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap in an inline pool that starts no process; return the sizes asked of it."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    shards = split_range(5000, 5000)
+    assert len(shards) == 5000
+    assert run_shards(square_sum, shards, jobs=5000) == run_shards(square_sum, shards, jobs=1)
+    assert run_shards(square_sum, split_range(10, 2), jobs=2) == [30, 255]
+    assert pool_sizes == [3, 2]
+
+
+def test_pool_cap_falls_back_to_cpu_count(monkeypatch, pool_sizes):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    run_shards(square_sum, split_range(100, 50), jobs=50)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_shards(square_sum, split_range(100, 50), jobs=50)
+    assert pool_sizes == [4, 1]

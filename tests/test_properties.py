@@ -13,9 +13,10 @@ from comaxlab.properties import (
     is_monotone,
     is_normalized,
     is_scale_homogeneous,
-    satisfies_all_axioms,
 )
 from comaxlab.tnorms import TNorm
+
+from grid_oracles import satisfies_all_axioms
 
 F = Fraction
 

@@ -61,3 +61,26 @@ def test_unit_interval_guard():
     check_unit_interval(Fraction(1))
     with pytest.raises(ValueError):
         check_unit_interval(Fraction(3, 2), "value")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(0), Fraction(1), Fraction(1, 7), Fraction(10**40, 10**40 + 1)],
+)
+def test_unit_interval_accepts(value):
+    assert check_unit_interval(value) is value
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Fraction(-1, 7), "-1/7"),
+        (Fraction(8, 7), "8/7"),
+        (Fraction(10**40 + 1, 10**40), f"{10**40 + 1}/{10**40}"),
+        (Fraction(-(10**40), 3), f"-{10**40}/3"),
+    ],
+)
+def test_unit_interval_rejects_with_message(value, text):
+    with pytest.raises(ValueError) as excinfo:
+        check_unit_interval(value, "head value")
+    assert str(excinfo.value) == f"head value {text} outside [0,1]"

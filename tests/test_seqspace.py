@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comaxlab.pairgen import GeneratorParams, random_seqfn
 from comaxlab.seqspace import (
     ISOLATED,
     LIMIT,
@@ -16,6 +18,7 @@ from comaxlab.seqspace import (
     meet,
     points_upto,
     ramp,
+    scaled_values,
     seq,
     seq_coord,
 )
@@ -215,3 +218,38 @@ def test_json_accepts_redundant_prefix_and_canonicalizes():
     f = SeqFn.from_json(data)
     assert f == ramp(F(1))
     assert f.head_len == 0
+
+
+def assert_scaled_values_match(f, count):
+    scale, values = scaled_values(f, count)
+    assert isinstance(scale, int) and scale > 0
+    assert all(isinstance(v, int) for v in values)
+    assert [Fraction(v, scale) for v in values] == [f.at(p) for p in points_upto(count)]
+
+
+def counts_for(f):
+    return {0, 1, max(f.head_len - 1, 0), f.head_len, 50}
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=200, deadline=None)
+def test_scaled_values_equal_pointwise_values(seed):
+    f = random_seqfn(random.Random(seed), GeneratorParams(prefix_max=6, max_denominator=12))
+    for count in counts_for(f):
+        assert_scaled_values_match(f, count)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        constant(F(3, 7)),  # flat tail, no head
+        make(F(1, 5), [F(1), F(0), F(2, 3)], F(0), F(5, 11)),  # flat tail after a head
+        make(F(0), [], F(-1, 2), F(1, 2)),  # falling tail
+        make(F(1, 9), [F(1, 4), F(5, 6)], F(-3, 4), F(7, 8)),  # falling tail after a head
+        make(F(1), [F(1, 2)] * 5 + [F(1, 3)], F(1), F(0)),  # head of 6, longer than 0..5
+        ramp(F(1, 12)),
+    ],
+)
+def test_scaled_values_special_shapes(f):
+    for count in counts_for(f) | set(range(f.head_len + 2)):
+        assert_scaled_values_match(f, count)
