@@ -85,7 +85,7 @@ class Capacity:
 
     @classmethod
     def from_json(cls, data: Any) -> Capacity:
-        if not isinstance(data, dict) or "n" not in data or "mu" not in data:
+        if not isinstance(data, dict) or set(data) != {"n", "mu"}:
             raise ValueError('capacity JSON must be {"n": ..., "mu": {...}}')
         n = data["n"]
         if isinstance(n, bool) or not isinstance(n, int) or not (1 <= n <= _MAX_JSON_POINTS):

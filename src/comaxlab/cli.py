@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .census import functional_census
 from .grid import Chain
-from .pairgen import GeneratorParams
 from .properties import BudgetExceededError, integral_property_suite
 from .rational import RationalFormatError, parse_grid
 from .report import FAIL, INCONCLUSIVE, PASS, FINDING, SuiteConfig, VerificationReport
@@ -174,7 +173,6 @@ def _dispatch(subcommand: str, config: SuiteConfig, args: argparse.Namespace) ->
             samples=config.samples,
             grid=config.grid,
             prefix_max=config.prefix_max,
-            params=GeneratorParams(prefix_max=config.prefix_max),
             jobs=config.jobs,
             budget=config.budget,
         )
@@ -198,7 +196,6 @@ def _dispatch(subcommand: str, config: SuiteConfig, args: argparse.Namespace) ->
             samples=config.samples,
             grid=config.grid,
             prefix_max=config.prefix_max,
-            params=GeneratorParams(prefix_max=config.prefix_max),
             budget=config.budget,
         )
     raise InputError(f"unknown subcommand {subcommand!r}")

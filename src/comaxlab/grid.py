@@ -2,8 +2,8 @@
 
 A Chain is the desk-scale stand-in for [0,1]: a strictly increasing
 tuple of rationals running from 0 to 1.  A GridFn is simply the value
-vector of a function on ``{0..n-1}``.  Comonotonicity, the lattice
-operations, and the pointwise order are all decided exactly;
+vector of a function on ``{0..n-1}``.  Comonotonicity, the join and
+the pointwise order are all decided exactly;
 ``relations`` indexes them over a whole grid, cached per ``(chain, n)``.
 """
 
@@ -71,7 +71,7 @@ class GridFn:
 
     @classmethod
     def from_json(cls, data: Any) -> GridFn:
-        if not isinstance(data, dict) or "values" not in data:
+        if not isinstance(data, dict) or set(data) != {"values"}:
             raise ValueError('grid function JSON must be {"values": [...]}')
         raw = data["values"]
         if not isinstance(raw, list) or not raw:
@@ -103,11 +103,6 @@ def comonotone(f: GridFn, g: GridFn) -> bool:
 def join(f: GridFn, g: GridFn) -> GridFn:
     _check_lengths(f, g)
     return GridFn(tuple(max(a, b) for a, b in zip(f.values, g.values)))
-
-
-def meet(f: GridFn, g: GridFn) -> GridFn:
-    _check_lengths(f, g)
-    return GridFn(tuple(min(a, b) for a, b in zip(f.values, g.values)))
 
 
 def all_functions(chain: Chain, n: int) -> list[GridFn]:

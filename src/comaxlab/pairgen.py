@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import ONE, ZERO
+from .rational import ONE, ZERO, random_unit_rational
 from .seq_comonotone import comonotone_witness
 from .seqspace import SeqFn, make, seq
 
@@ -102,11 +102,6 @@ def compose(phi: MonotoneMap, h: SeqFn) -> SeqFn:
     return make(phi(h.iso), head, tail_slope, tail_intercept)
 
 
-def _fraction(rng: random.Random, max_denominator: int) -> Fraction:
-    den = rng.randint(1, max_denominator)
-    return Fraction(rng.randint(0, den), den)
-
-
 def _interior_fraction(rng: random.Random, max_denominator: int) -> Fraction:
     den = rng.randint(2, max(2, max_denominator))
     return Fraction(rng.randint(1, den - 1), den)
@@ -115,12 +110,12 @@ def _interior_fraction(rng: random.Random, max_denominator: int) -> Fraction:
 def random_seqfn(rng: random.Random, params: GeneratorParams) -> SeqFn:
     """A random representable function within the size bounds."""
     head_len = rng.randint(0, params.prefix_max)
-    iso = _fraction(rng, params.max_denominator)
-    head = [_fraction(rng, params.max_denominator) for _ in range(head_len)]
+    iso = random_unit_rational(rng, params.max_denominator)
+    head = [random_unit_rational(rng, params.max_denominator) for _ in range(head_len)]
     # Tail from its two endpoint values; affine between in-range endpoints
     # stays in range.
-    y_first = _fraction(rng, params.max_denominator)
-    y_limit = _fraction(rng, params.max_denominator)
+    y_first = random_unit_rational(rng, params.max_denominator)
+    y_limit = random_unit_rational(rng, params.max_denominator)
     m = head_len + 1
     slope = (y_limit - y_first) * m
     return make(iso, head, slope, y_limit - slope)
@@ -130,7 +125,7 @@ def random_monotone_map(rng: random.Random, params: GeneratorParams) -> Monotone
     count = rng.randint(0, params.max_breakpoints)
     inner = sorted({_interior_fraction(rng, params.max_denominator) for _ in range(count)})
     xs = [ZERO, *inner, ONE]
-    ys = sorted(_fraction(rng, params.max_denominator) for _ in xs)
+    ys = sorted(random_unit_rational(rng, params.max_denominator) for _ in xs)
     return MonotoneMap(tuple(zip(xs, ys)))
 
 

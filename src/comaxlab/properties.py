@@ -19,6 +19,7 @@ from typing import Callable
 from .capacity import enumerate_capacities
 from .grid import Chain, GridFn, all_functions, constant, relations
 from .integral import tnorm_integral
+from .rational import random_unit_rational
 from .report import FAIL, PASS, VerificationReport, jsonify
 from .tnorms import TNorm, apply, pointwise_scale
 
@@ -74,11 +75,6 @@ def chain_closed_under(norm: TNorm, chain: Chain) -> bool:
     return all(apply(norm, s, t) in chain for s in chain for t in chain)
 
 
-def _sampled_rationals(rng: random.Random, max_denominator: int) -> Fraction:
-    den = rng.randint(1, max_denominator)
-    return Fraction(rng.randint(0, den), den)
-
-
 @lru_cache(maxsize=64)
 def _homogeneity_cases(
     norm: TNorm, chain: Chain, n: int, samples: int, seed: int, max_denominator: int
@@ -90,8 +86,8 @@ def _homogeneity_cases(
         rng = random.Random(seed)
         pairs = [
             (
-                _sampled_rationals(rng, max_denominator),
-                GridFn(tuple(_sampled_rationals(rng, max_denominator) for _ in range(n))),
+                random_unit_rational(rng, max_denominator),
+                GridFn(tuple(random_unit_rational(rng, max_denominator) for _ in range(n))),
             )
             for _ in range(samples)
         ]

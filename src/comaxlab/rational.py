@@ -8,6 +8,7 @@ string when the denominator is 1 (``"0"``, ``"1"``, ``"3/4"``).
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 
@@ -50,11 +51,21 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_grid(text: str) -> tuple[Fraction, ...]:
-    """Parse a comma-separated list of rationals, e.g. ``"0,1/2,1"``."""
-    items = [piece for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise RationalFormatError(f"empty grid: {text!r}")
-    return tuple(parse_rational(piece) for piece in items)
+    """Parse a comma-separated list of rationals, e.g. ``"0,1/2,1"``.
+
+    Every entry must be a rational: an empty entry (``"0,,1"``, a
+    trailing comma, or an empty string) is refused.
+    """
+    pieces = text.split(",")
+    if any(not piece.strip() for piece in pieces):
+        raise RationalFormatError(f"empty grid entry in {text!r}")
+    return tuple(parse_rational(piece) for piece in pieces)
+
+
+def random_unit_rational(rng: random.Random, max_denominator: int) -> Fraction:
+    """A seeded rational in [0,1]: a denominator in 1..max_denominator, then its numerator."""
+    den = rng.randint(1, max_denominator)
+    return Fraction(rng.randint(0, den), den)
 
 
 def check_unit_interval(value: Fraction, where: str = "value") -> Fraction:

@@ -10,10 +10,9 @@ value at the limit is forced by continuity to ``slope + intercept``.
 
 The representation is canonical (the head is as short as possible), so
 structural equality is function equality, and every decision here --
-pointwise order, attained maximum, lattice operations -- is exact.
-Joins and meets stay inside the class: two affine tails cross at most
-once, so extending the head past the crossing leaves a single dominant
-tail.
+pointwise order, attained maximum, join -- is exact.
+Joins stay inside the class: two affine tails cross at most once, so
+extending the head past the crossing leaves a single dominant tail.
 """
 
 from __future__ import annotations
@@ -130,6 +129,9 @@ class SeqFn:
         missing = {"vP", "alpha", "beta"} - set(data)
         if missing:
             raise ValueError(f"missing keys: {sorted(missing)}")
+        unknown = set(data) - {"vP", "prefix", "alpha", "beta"}
+        if unknown:
+            raise ValueError(f"unknown keys: {sorted(unknown)}")
         prefix = data.get("prefix", [])
         if not isinstance(prefix, list):
             raise ValueError("prefix: must be a list of rationals")
@@ -244,48 +246,20 @@ def attained_max(f: SeqFn) -> AttainedMax:
     return AttainedMax(best_value, best_site)
 
 
-def _dominant_tail(
-    f: SeqFn, g: SeqFn, want_max: bool
-) -> tuple[Fraction, Fraction]:
-    """Tail coefficients of max(f,g) (or min) near the limit.
+def join(f: SeqFn, g: SeqFn) -> SeqFn:
+    """Pointwise maximum.
 
-    With distinct limits the tail with the larger (smaller) limit wins
-    on a neighbourhood of 1; with equal limits the difference is
-    ``(slope_f - slope_g) * (t - 1)``, so the smaller slope wins a join
-    and the larger slope wins a meet.
+    The head reaches past the (single) crossing of the two tails, if
+    any.  Past it, the tail with the larger limit wins; with equal
+    limits the difference is ``(slope_f - slope_g) * (t - 1)``, so the
+    smaller slope wins.
     """
-    lf, lg = f.limit, g.limit
-    if lf != lg:
-        f_wins = (lf > lg) if want_max else (lf < lg)
-    elif f.slope != g.slope:
-        f_wins = (f.slope < g.slope) if want_max else (f.slope > g.slope)
-    else:
-        f_wins = True
-    return (f.slope, f.intercept) if f_wins else (g.slope, g.intercept)
-
-
-def _lattice(f: SeqFn, g: SeqFn, want_max: bool) -> SeqFn:
-    pick = max if want_max else min
-    iso = pick(f.iso, g.iso)
-
-    # Head must reach past the (single) crossing of the two tails, if any.
     extend_to = max(f.head_len, g.head_len)
     if f.slope != g.slope:
         t_star = (g.intercept - f.intercept) / (f.slope - g.slope)
         if t_star < 1:
             # seq(n) lies at or before the crossing iff n <= 1/(1 - t_star)
             extend_to = max(extend_to, math.floor(1 / (1 - t_star)))
-    head = [pick(f.at(seq(n)), g.at(seq(n))) for n in range(1, extend_to + 1)]
-
-    slope, intercept = _dominant_tail(f, g, want_max)
-    return make(iso, head, slope, intercept)
-
-
-def join(f: SeqFn, g: SeqFn) -> SeqFn:
-    """Pointwise maximum."""
-    return _lattice(f, g, want_max=True)
-
-
-def meet(f: SeqFn, g: SeqFn) -> SeqFn:
-    """Pointwise minimum."""
-    return _lattice(f, g, want_max=False)
+    head = [max(f.at(seq(n)), g.at(seq(n))) for n in range(1, extend_to + 1)]
+    tail = f if (f.limit, -f.slope) >= (g.limit, -g.slope) else g
+    return make(max(f.iso, g.iso), head, tail.slope, tail.intercept)

@@ -247,7 +247,6 @@ def counterexample_suite(
     samples: int = 10_000,
     grid: Sequence[Fraction] = DEFAULT_GRID,
     prefix_max: int = 2,
-    params: GeneratorParams | None = None,
     jobs: int = 1,
     budget: int = 10**7,
 ) -> VerificationReport:
@@ -262,7 +261,7 @@ def counterexample_suite(
     ``budget`` pairs is refused before anything runs.
     """
     _check_family_budget(grid, prefix_max, budget)
-    params = params or GeneratorParams(prefix_max=prefix_max)
+    params = GeneratorParams(prefix_max=prefix_max)
     tally: Counter = Counter()
     violations: list[dict] = []
 
@@ -371,7 +370,6 @@ def normalized_search(
     samples: int = 10_000,
     grid: Sequence[Fraction] = DEFAULT_GRID,
     prefix_max: int = 2,
-    params: GeneratorParams | None = None,
     budget: int = 10**7,
 ) -> VerificationReport:
     """Look for a normalized, comonotonically maxitive, non-monotone functional.
@@ -386,7 +384,7 @@ def normalized_search(
     runs.
     """
     _check_family_budget(grid, prefix_max, budget)
-    params = params or GeneratorParams(prefix_max=prefix_max)
+    params = GeneratorParams(prefix_max=prefix_max)
 
     family = structured_family(grid, prefix_max)
     relations = PairRelations(family)

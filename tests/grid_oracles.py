@@ -20,12 +20,12 @@ from comaxlab.census import table_count
 from comaxlab.grid import Chain, GridFn, all_functions, comonotone, join
 from comaxlab.properties import (
     BudgetExceededError,
-    _sampled_rationals,
     chain_closed_under,
     is_comonotone_maxitive,
     is_normalized,
     is_scale_homogeneous,
 )
+from comaxlab.rational import random_unit_rational
 from comaxlab.report import jsonify
 from comaxlab.tnorms import apply, pointwise_scale
 
@@ -107,8 +107,8 @@ def oracle_scale_homogeneous(functional, norm, chain, n, samples=200, seed=0, ma
         rng = random.Random(seed)
         cases = (
             (
-                _sampled_rationals(rng, max_denominator),
-                GridFn(tuple(_sampled_rationals(rng, max_denominator) for _ in range(n))),
+                random_unit_rational(rng, max_denominator),
+                GridFn(tuple(random_unit_rational(rng, max_denominator) for _ in range(n))),
             )
             for _ in range(samples)
         )

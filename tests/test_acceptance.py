@@ -63,7 +63,6 @@ def test_criterion_2_maxitivity_family_and_samples():
         samples=10_000,
         grid=ACCEPTANCE_GRID,
         prefix_max=2,
-        params=GeneratorParams(prefix_max=2),
     )
     elapsed = time.perf_counter() - start
     branch_hits = {b: report.counts[f"branch_{b}"] for b in ALL_BRANCHES}

@@ -68,6 +68,21 @@ def test_bad_grid_flag_exits_2():
     assert result.returncode == 2
 
 
+def test_empty_grid_entry_exits_2():
+    result = run_cli("finite-census", "--grid", "0,,1")
+    assert result.returncode == 2
+    assert "empty grid entry" in result.stderr
+    assert result.stdout == ""
+
+
+def test_unknown_function_key_exits_2(tmp_path):
+    bad = write_json(tmp_path / "bad.json", {"vP": "1", "prefx": ["0"], "alpha": "1", "beta": "0"})
+    ok = write_json(tmp_path / "ok.json", RAMP1_JSON)
+    result = run_cli("comonotone-check", bad, ok)
+    assert result.returncode == 2
+    assert "unknown keys" in result.stderr
+
+
 def test_census_report_and_exit_zero(tmp_path):
     out = tmp_path / "census.json"
     result = run_cli("finite-census", "--grid", "0,1", "--n", "2", "--output", str(out))

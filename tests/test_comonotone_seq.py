@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -5,6 +6,7 @@ from hypothesis import strategies as st
 
 from comaxlab.pairgen import GeneratorParams, generate_pair, pair_seed, random_pair
 from comaxlab.seq_comonotone import (
+    _first_opposed,
     comonotone,
     comonotone_truncated,
     comonotone_witness,
@@ -12,7 +14,7 @@ from comaxlab.seq_comonotone import (
 )
 from comaxlab.seqspace import ISOLATED, constant, make, ramp, seq
 
-from seq_oracles import fraction_truncated
+from seq_oracles import fraction_truncated, interval_witness
 
 F = Fraction
 
@@ -104,7 +106,7 @@ def test_violation_beyond_truncated_horizon_is_still_found():
     g = make(F(61, 62), [], F(1), F(0))
     assert comonotone_truncated(f, g, depth=50) is None
     witness = comonotone_witness(f, g)
-    assert witness == (ISOLATED, seq(61))
+    assert witness == interval_witness(f, g) == (ISOLATED, seq(61))
     assert defining_product(f, g, *witness) < 0
     assert comonotone_truncated(f, g, depth=70) is not None
 
@@ -177,3 +179,52 @@ def test_exact_decision_keeps_the_first_fixed_point_witness():
         fixed = fraction_truncated(f, g, max(f.head_len, g.head_len))
         if fixed is not None:
             assert comonotone_witness(f, g) == fixed, (seed, f, g)
+
+
+def test_exact_decision_matches_interval_oracle_on_generated_pairs():
+    for seed in range(1_000):
+        f, g = generate_pair(pair_seed(4, seed), PARAMS2)
+        assert comonotone_witness(f, g) == interval_witness(f, g) is None, (seed, f, g)
+
+
+def test_exact_decision_matches_interval_oracle_on_random_pairs():
+    params = GeneratorParams(prefix_max=4, max_denominator=12)
+    tail_witnesses = 0
+    for seed in range(1_000):
+        f, g = random_pair(pair_seed(5, seed), params)
+        witness = interval_witness(f, g)
+        assert comonotone_witness(f, g) == witness, (seed, f, g)
+        shared = max(f.head_len, g.head_len)
+        tail_witnesses += witness is not None and witness[1].index > shared
+    assert tail_witnesses > 0
+
+
+@given(st.integers(1, 200), st.integers(1, 200), st.fractions(F(1, 6), 1, max_denominator=6))
+@settings(max_examples=200, deadline=None)
+def test_exact_decision_matches_interval_oracle_on_late_thresholds(k, m, s):
+    # Thresholds k/(k+1) at the isolated point against rising tails
+    # 1 - s/n put the first opposed sequence point near seq(k), often
+    # far past any fixed depth.
+    f = make(F(k, k + 1), [], F(1), F(0))
+    g = make(F(m, m + 1), [], s, 1 - s)
+    witness = interval_witness(f, g)
+    assert comonotone_witness(f, g) == witness
+    if witness is not None:
+        assert defining_product(f, g, *witness) < 0
+
+
+def _brute_first_opposed(af, bf, ag, bg, n_min):
+    # Every root lies at |b/a| <= 5 here, so past n = 6 each factor keeps its sign.
+    for n in range(n_min, 12):
+        if (n * af - bf) * (n * ag - bg) < 0:
+            return n
+    return None
+
+
+def test_first_opposed_matches_brute_force_on_small_box():
+    box = range(-5, 6)
+    for af, bf, ag, bg in itertools.product(box, repeat=4):
+        for n_min in range(1, 6):
+            assert _first_opposed(af, bf, ag, bg, n_min) == _brute_first_opposed(
+                af, bf, ag, bg, n_min
+            ), (af, bf, ag, bg, n_min)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comaxlab.grid import Chain, GridFn, all_functions, comonotone, constant, join, meet
+from comaxlab.grid import Chain, GridFn, all_functions, comonotone, constant, join
 
 F = Fraction
 
@@ -42,10 +42,9 @@ def test_comonotone_symmetric(f, g):
     assert comonotone(f, f)
 
 
-def test_join_meet_examples():
+def test_join_examples():
     a, b = GridFn((F(0), F(1))), GridFn((F(1), F(0)))
     assert join(a, b) == GridFn((F(1), F(1)))
-    assert meet(a, b) == GridFn((F(0), F(0)))
     assert join(GridFn((F(1, 4), F(3, 4))), GridFn((F(1, 2), F(1, 2)))) == GridFn(
         (F(1, 2), F(3, 4))
     )
@@ -60,11 +59,9 @@ def test_length_mismatch():
 
 @given(fns(2), fns(2), fns(2))
 def test_lattice_laws(f, g, h):
-    assert join(f, f) == f and meet(f, f) == f
-    assert join(f, g) == join(g, f) and meet(f, g) == meet(g, f)
+    assert join(f, f) == f
+    assert join(f, g) == join(g, f)
     assert join(join(f, g), h) == join(f, join(g, h))
-    assert meet(meet(f, g), h) == meet(f, meet(g, h))
-    assert join(f, meet(f, g)) == f and meet(f, join(f, g)) == f
 
 
 def test_all_functions_count_and_order():
@@ -83,3 +80,8 @@ def test_grid_fn_json_round_trip():
         GridFn.from_json({"values": []})
     with pytest.raises(ValueError):
         GridFn.from_json({"values": ["3/2"]})
+
+
+def test_grid_fn_json_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="must be"):
+        GridFn.from_json({"values": ["1/2"], "value": ["1"]})

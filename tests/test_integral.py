@@ -111,6 +111,11 @@ def test_capacity_json_round_trip():
     assert Capacity.from_json(data) == cap
 
 
+def test_capacity_json_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="capacity JSON must be"):
+        Capacity.from_json({"n": 1, "mu": {"": "0", "0": "1"}, "m": {}})
+
+
 def test_capacity_json_rejects_boolean_n():
     # True == 1 and bool subclasses int, yet JSON true is no point count.
     with pytest.raises(ValueError, match="n: must be an integer"):

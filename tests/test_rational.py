@@ -57,6 +57,12 @@ def test_parse_grid():
         parse_grid("")
 
 
+@pytest.mark.parametrize("text", ["0,,1", "0,1/2,1,", ",0,1", "0, ,1"])
+def test_parse_grid_rejects_empty_entries(text):
+    with pytest.raises(RationalFormatError, match="empty grid entry"):
+        parse_grid(text)
+
+
 def test_unit_interval_guard():
     check_unit_interval(Fraction(1))
     with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from comaxlab.seqspace import (
     join,
     leq,
     make,
-    meet,
     points_upto,
     ramp,
     scaled_values,
@@ -160,15 +159,13 @@ def test_join_with_crossing_tails():
 
 def test_join_with_crossing_near_the_limit():
     # Tails crossing at 7/8 force the head out to seq(8) before the steeper
-    # tail takes over; meet keeps the flat one.
+    # tail takes over.
     r = ramp(F(0))
     c = constant(F(7, 8))
-    j, m = join(r, c), meet(r, c)
+    j = join(r, c)
     for p in points_upto(20):
         assert j.at(p) == max(r.at(p), c.at(p))
-        assert m.at(p) == min(r.at(p), c.at(p))
     assert (j.slope, j.intercept) == (F(1), F(0))
-    assert (m.slope, m.intercept) == (F(0), F(7, 8))
     assert j.head_len == 7  # seq(8) sits exactly at the crossing, so it trims
 
 
@@ -177,28 +174,23 @@ def test_join_with_equal_limits_picks_flatter_tail():
     flat = constant(F(1))
     j = join(rising, flat)
     assert j == flat
-    m = meet(rising, flat)
-    assert m == rising
 
 
 @given(seq_fns(), seq_fns())
 @settings(max_examples=80)
-def test_join_meet_pointwise(f, g):
-    j, m = join(f, g), meet(f, g)
-    depth = max(f.head_len, g.head_len, j.head_len, m.head_len) + 8
+def test_join_pointwise(f, g):
+    j = join(f, g)
+    depth = max(f.head_len, g.head_len, j.head_len) + 8
     for p in points_upto(depth):
         assert j.at(p) == max(f.at(p), g.at(p))
-        assert m.at(p) == min(f.at(p), g.at(p))
 
 
 @given(seq_fns(), seq_fns(), seq_fns())
 @settings(max_examples=60)
 def test_lattice_laws(f, g, h):
-    assert join(f, f) == f and meet(f, f) == f
-    assert join(f, g) == join(g, f) and meet(f, g) == meet(g, f)
+    assert join(f, f) == f
+    assert join(f, g) == join(g, f)
     assert join(join(f, g), h) == join(f, join(g, h))
-    assert meet(meet(f, g), h) == meet(f, meet(g, h))
-    assert join(f, meet(f, g)) == f and meet(f, join(f, g)) == f
 
 
 def test_json_round_trip():
@@ -211,6 +203,12 @@ def test_json_round_trip():
 def test_json_rejects_out_of_range():
     with pytest.raises(ValueError):
         SeqFn.from_json({"vP": "3/2", "prefix": [], "alpha": "0", "beta": "0"})
+
+
+def test_json_rejects_unknown_keys():
+    # A misspelled "prefix" must not load as a function with an empty head.
+    with pytest.raises(ValueError, match="unknown keys: \\['prefx'\\]"):
+        SeqFn.from_json({"vP": "1", "prefx": ["0"], "alpha": "1", "beta": "0"})
 
 
 def test_json_accepts_redundant_prefix_and_canonicalizes():
