@@ -1,11 +1,12 @@
-"""Report bytes of the finite-model subcommands, pinned by sha256.
+"""Report bytes of the subcommands, pinned by sha256.
 
-A refactor or a speed-up of the finite model must leave these reports
+A refactor or a speed-up of either model must leave these reports
 byte for byte as they are; a deliberate format change updates the
 digests and says so in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -32,11 +33,49 @@ GOLDEN = [
         ("integral-properties", "--n", "3"),
         "e3402f01cce8d35eba6b42c4c297db36e4fddb2fa7c8cbe9001f27e2128dc663",
     ),
+    (
+        ("verify-counterexample", "--grid", "0,1/3,2/3,1", "--samples", "200"),
+        "853f1e43b881535320f1505595d96c1ba2c81d6639a28be1934dfe34f4f38f8c",
+    ),
+    (
+        ("verify-counterexample", "--samples", "500"),
+        "041a9a69e7ab14818cf07a5501a518fb0c1efd1614dd85c2e2cff9fe9b7b6180",
+    ),
+    (
+        ("verify-counterexample", "--grid", "0,1/4,1/2,3/4,1", "--samples", "100"),
+        "1c440344a6e10c30e59bd4918e3a88b411a8b890da4fef5d2c2e8eb89466ba33",
+    ),
+    (
+        ("explore-problem1", "--samples", "300"),
+        "8e0cd7a7e1b963a969ba4edab085cfd4d90cbd168c2c231d2af519d49bff9b78",
+    ),
 ]
+
+# Witnesses deep in the tail (seq(61), seq(63)) and a redundant prefix
+# entry in r79.json, which loading must trim.
+FUNCTION_FILES = {
+    "r59.json": {"vP": "59/60", "prefix": [], "alpha": "1", "beta": "0"},
+    "r61.json": {"vP": "61/62", "prefix": [], "alpha": "1", "beta": "0"},
+    "r79.json": {"vP": "79/80", "prefix": ["0"], "alpha": "1", "beta": "0"},
+    "fall.json": {"vP": "0", "prefix": ["1/7"], "alpha": "-1/2", "beta": "1"},
+}
+COMONOTONE_CHECK_DIGEST = "e0a8c496c2b7d1fdfe783b276951f4324140e9dfa6992527a8de0b1129507c8f"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_report_bytes_are_pinned(argv, digest, capsys):
     assert cli.main(list(argv)) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert sha256(capsys.readouterr().out) == digest
+
+
+def test_comonotone_check_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # The report echoes the file paths, so they are given relative to tmp_path.
+    monkeypatch.chdir(tmp_path)
+    for name, data in FUNCTION_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["comonotone-check", *FUNCTION_FILES]) == 0
+    assert sha256(capsys.readouterr().out) == COMONOTONE_CHECK_DIGEST
