@@ -106,11 +106,6 @@ class Capacity:
         return cls(n, mu)
 
 
-def uniform(n: int) -> Capacity:
-    """The capacity mu(A) = |A| / n."""
-    return Capacity(n, {s: Fraction(len(s), n) for s in subsets(n)})
-
-
 def enumerate_capacities(chain_values: tuple[Fraction, ...], n: int) -> Iterator[Capacity]:
     """Yield every capacity on n points whose values lie in the given set.
 

@@ -38,7 +38,7 @@ class Membership:
 
 
 def membership(f: SeqFn) -> Membership:
-    peak = attained_max(f).value
+    peak = attained_max(f)
     return Membership(
         below_ramp=leq(f, RAMP_ONE),
         capped_at_iso=peak <= f.iso,

@@ -201,7 +201,8 @@ def _dispatch(subcommand: str, config: SuiteConfig, args: argparse.Namespace) ->
     raise InputError(f"unknown subcommand {subcommand!r}")
 
 
-def _emit(report: VerificationReport, config: SuiteConfig, subcommand: str, extra: dict | None = None) -> None:
+def _emit(report: VerificationReport, config: SuiteConfig, subcommand: str, extra: dict | None = None) -> bool:
+    """Write the report; False, after an error line, if --output cannot be written."""
     echo = config.echo()
     echo["subcommand"] = subcommand
     if extra:
@@ -209,9 +210,14 @@ def _emit(report: VerificationReport, config: SuiteConfig, subcommand: str, extr
     report.config_echo = echo
     text = report.to_json()
     if config.output_path:
-        Path(config.output_path).write_text(text, encoding="utf-8")
+        try:
+            Path(config.output_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: --output: {exc}", file=sys.stderr)
+            return False
     else:
         sys.stdout.write(text)
+    return True
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -241,7 +247,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _emit(report, config, args.subcommand, extra)
+    if not _emit(report, config, args.subcommand, extra):
+        return 2
     return 1 if report.failed else 0
 
 

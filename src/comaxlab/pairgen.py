@@ -70,13 +70,6 @@ class MonotoneMap:
         return s * v + c
 
 
-IDENTITY_MAP = MonotoneMap(((ZERO, ZERO), (ONE, ONE)))
-
-
-def constant_map(c: Fraction) -> MonotoneMap:
-    return MonotoneMap(((ZERO, c), (ONE, c)))
-
-
 def compose(phi: MonotoneMap, h: SeqFn) -> SeqFn:
     """The function phi(h(.)), renormalized into canonical form.
 

@@ -59,7 +59,7 @@ class PairRelations:
                     falls |= 1 << bit
             self._rises.append(rises)
             self._falls.append(falls)
-        self._flat = [f.slope == 0 for f in self._fns]
+        self._flat = [f.slope_num == 0 for f in self._fns]
 
     def comonotone(self, i: int, j: int) -> bool:
         """Are ``fns[i]`` and ``fns[j]`` comonotone on the whole space?"""

@@ -1,9 +1,11 @@
 """Exact rational scalars and their wire format.
 
-Every numeric value in this package is a :class:`fractions.Fraction`;
-nothing is ever rounded.  On the wire rationals travel as strings,
-``"p/q"`` in lowest terms with a positive denominator, or a bare integer
-string when the denominator is 1 (``"0"``, ``"1"``, ``"3/4"``).
+Every numeric value in this package is exact: a
+:class:`fractions.Fraction`, or, inside the sequence model, integers
+over one common denominator; nothing is ever rounded.  On the wire
+rationals travel as strings, ``"p/q"`` in lowest terms with a positive
+denominator, or a bare integer string when the denominator is 1
+(``"0"``, ``"1"``, ``"3/4"``).
 """
 
 from __future__ import annotations

@@ -56,8 +56,8 @@ def comonotone_witness(f: SeqFn, g: SeqFn) -> tuple[Point, Point] | None:
             if (fv[i] - fv[j]) * (gv[i] - gv[j]) < 0:
                 return (fixed[i], fixed[j])
 
-    bf = f.slope.numerator * (f_scale // f.slope.denominator)
-    bg = g.slope.numerator * (g_scale // g.slope.denominator)
+    bf = f.slope_num * (f_scale // f.den)
+    bg = g.slope_num * (g_scale // g.den)
     if bf * bg < 0:
         return (seq(shared + 1), seq(shared + 2))
 
@@ -68,10 +68,6 @@ def comonotone_witness(f: SeqFn, g: SeqFn) -> tuple[Point, Point] | None:
             return (x0, seq(n))
 
     return None
-
-
-def comonotone(f: SeqFn, g: SeqFn) -> bool:
-    return comonotone_witness(f, g) is None
 
 
 def comonotone_truncated(f: SeqFn, g: SeqFn, depth: int = 50) -> tuple[Point, Point] | None:

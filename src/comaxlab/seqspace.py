@@ -8,9 +8,10 @@ at the first N sequence points (the head), and an affine tail rule
 ``slope * (1 - 1/n) + intercept`` for every later sequence point.  The
 value at the limit is forced by continuity to ``slope + intercept``.
 
-The representation is canonical (the head is as short as possible), so
-structural equality is function equality, and every decision here --
-pointwise order, attained maximum, join -- is exact.
+All of these are stored as integers over one least common denominator,
+canonically (shortest head, reduced denominator), so structural
+equality is function equality, and every decision here -- pointwise
+order, attained maximum, join -- is exact integer arithmetic.
 Joins stay inside the class: two affine tails cross at most once, so
 extending the head past the crossing leaves a single dominant tail.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .rational import ONE, ZERO, check_unit_interval, format_rational, parse_rational
+from .rational import check_unit_interval, format_rational, parse_rational
 
 
 class PointKind(enum.Enum):
@@ -45,10 +46,6 @@ class Point:
         if self.kind is not PointKind.SEQ and self.index != 0:
             raise ValueError("only sequence points carry an index")
 
-    def sort_key(self) -> tuple[int, int]:
-        order = {PointKind.ISOLATED: 0, PointKind.SEQ: 1, PointKind.LIMIT: 2}
-        return (order[self.kind], self.index)
-
     def __str__(self) -> str:
         if self.kind is PointKind.SEQ:
             return f"seq({self.index})"
@@ -63,46 +60,66 @@ def seq(n: int) -> Point:
     return Point(PointKind.SEQ, n)
 
 
-def seq_coord(n: int) -> Fraction:
-    """Coordinate of the n-th sequence point: 1 - 1/n (so seq(1) sits at 0)."""
-    return ONE - Fraction(1, n)
-
-
 @dataclass(frozen=True)
 class SeqFn:
     """Canonical finitely-presented continuous function on the space.
 
-    Fields: value at the isolated point, explicit head values at the
-    first ``len(head)`` sequence points, and the affine tail
-    coefficients.  Use :func:`make` (or the constructors below) instead
-    of instantiating directly with a non-canonical head.
+    Values are integers over ``den``: ``iso_num / den`` at the isolated
+    point, ``head_nums[k-1] / den`` at ``seq(k)`` in the head, and, with
+    ``S = slope_num`` and ``I = intercept_num``, ``(S*(n-1) + I*n) / (den*n)``
+    at a later ``seq(n)``.  Canonical: the last head entry is not the tail
+    value and ``gcd(den, iso_num, *head_nums, S, I) == 1``.  Build one
+    from Fractions with :func:`make`.
     """
 
-    iso: Fraction
-    head: tuple[Fraction, ...]
-    slope: Fraction
-    intercept: Fraction
+    den: int
+    iso_num: int
+    head_nums: tuple[int, ...]
+    slope_num: int
+    intercept_num: int
 
     def __post_init__(self) -> None:
-        check_unit_interval(self.iso, "value at the isolated point")
-        for k, value in enumerate(self.head, start=1):
-            check_unit_interval(value, f"head value at seq({k})")
-        n = len(self.head)
-        check_unit_interval(self.tail_value(n + 1), f"tail value at seq({n + 1})")
-        check_unit_interval(self.limit, "limit value")
-        if self.head and self.head[-1] == self.tail_value(n):
+        den, s, i = self.den, self.slope_num, self.intercept_num
+        if den < 1:
+            raise ValueError(f"denominator {den} must be positive")
+        _check_unit(self.iso_num, den, "value at the isolated point")
+        for k, num in enumerate(self.head_nums, start=1):
+            _check_unit(num, den, f"head value at seq({k})")
+        n = len(self.head_nums)
+        _check_unit(s * n + i * (n + 1), den * (n + 1), f"tail value at seq({n + 1})")
+        _check_unit(s + i, den, "limit value")
+        if math.gcd(den, self.iso_num, s, i, *self.head_nums) != 1:
+            raise ValueError("denominator is not reduced")
+        if n and self.head_nums[-1] * n == s * (n - 1) + i * n:
             raise ValueError("head is not canonical: last entry matches the tail rule")
 
     @property
     def head_len(self) -> int:
-        return len(self.head)
+        return len(self.head_nums)
+
+    @property
+    def iso(self) -> Fraction:
+        return Fraction(self.iso_num, self.den)
+
+    @property
+    def head(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(h, self.den) for h in self.head_nums)
+
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(self.slope_num, self.den)
+
+    @property
+    def intercept(self) -> Fraction:
+        return Fraction(self.intercept_num, self.den)
 
     @property
     def limit(self) -> Fraction:
-        return self.slope + self.intercept
+        return Fraction(self.slope_num + self.intercept_num, self.den)
 
     def tail_value(self, n: int) -> Fraction:
-        return self.slope * seq_coord(n) + self.intercept
+        """The tail rule at ``seq(n)``: slope * (1 - 1/n) + intercept."""
+        return Fraction(self.slope_num * (n - 1) + self.intercept_num * n, self.den * n)
 
     def at(self, point: Point) -> Fraction:
         if point.kind is PointKind.ISOLATED:
@@ -110,8 +127,8 @@ class SeqFn:
         if point.kind is PointKind.LIMIT:
             return self.limit
         n = point.index
-        if n <= len(self.head):
-            return self.head[n - 1]
+        if n <= self.head_len:
+            return Fraction(self.head_nums[n - 1], self.den)
         return self.tail_value(n)
 
     def to_json(self) -> dict[str, Any]:
@@ -143,6 +160,20 @@ class SeqFn:
         )
 
 
+def _check_unit(num: int, den: int, where: str) -> None:
+    """Raise ValueError unless 0 <= num/den <= 1 (den is positive)."""
+    if not 0 <= num <= den:
+        raise ValueError(f"{where} {format_rational(Fraction(num, den))} outside [0,1]")
+
+
+def _reduced(den: int, iso: int, head: list[int], slope: int, intercept: int) -> SeqFn:
+    """SeqFn from integers over ``den``: trim head entries the tail rule gives, reduce."""
+    while head and head[-1] * len(head) == slope * (len(head) - 1) + intercept * len(head):
+        head.pop()
+    k = math.gcd(den, iso, slope, intercept, *head)
+    return SeqFn(den // k, iso // k, tuple(h // k for h in head), slope // k, intercept // k)
+
+
 def make(
     iso: Fraction,
     head: tuple[Fraction, ...] | list[Fraction],
@@ -150,23 +181,23 @@ def make(
     intercept: Fraction,
 ) -> SeqFn:
     """Build a SeqFn, trimming head entries already implied by the tail."""
-    trimmed = list(head)
-    while trimmed and trimmed[-1] == slope * seq_coord(len(trimmed)) + intercept:
-        trimmed.pop()
-    return SeqFn(iso, tuple(trimmed), slope, intercept)
+    values = (iso, *head, slope, intercept)
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    return _reduced(den, nums[0], nums[1:-2], nums[-2], nums[-1])
 
 
 def constant(c: Fraction) -> SeqFn:
     """The function with value c everywhere."""
     check_unit_interval(c, "constant")
-    return SeqFn(c, (), ZERO, c)
+    return SeqFn(c.denominator, c.numerator, (), 0, c.numerator)
 
 
 def ramp(iso_value: Fraction) -> SeqFn:
     """Identity on sequence coordinates (value 1 - 1/n at seq(n), 1 at the
     limit) with a chosen value at the isolated point."""
     check_unit_interval(iso_value, "value at the isolated point")
-    return SeqFn(iso_value, (), ONE, ZERO)
+    return SeqFn(iso_value.denominator, iso_value.numerator, (), iso_value.denominator, 0)
 
 
 def points_upto(count: int) -> list[Point]:
@@ -177,28 +208,19 @@ def points_upto(count: int) -> list[Point]:
 def scaled_values(f: SeqFn, count: int) -> tuple[int, list[int]]:
     """A positive integer ``scale`` and ``scale * f.at(p)`` for p in ``points_upto(count)``.
 
-    ``scale`` is ``D * M``: ``D`` is the lcm of the denominators of f's
-    iso value, head, slope and intercept, and ``M`` the lcm of the
-    indices ``n`` of the tail points ``seq(head_len + 1 .. count)``.
-    With ``S = D * slope`` and ``I = D * intercept``, the tail value at
-    ``seq(n)`` is ``(S*(n-1) + I*n) / (D*n)``, so every value comes out
-    as an integer with no Fraction arithmetic.  The scale is positive,
-    so signs and order are those of the values.
+    ``scale`` is ``f.den * M``, with ``M`` the lcm of the indices ``n``
+    of the tail points ``seq(head_len + 1 .. count)``, so every value,
+    ``(S*(n-1) + I*n) / (den*n)`` at a tail point included, comes out
+    as an integer.  The scale is positive, so signs and order are those
+    of the values.
     """
-    den = math.lcm(
-        f.iso.denominator,
-        f.slope.denominator,
-        f.intercept.denominator,
-        *(v.denominator for v in f.head),
-    )
     tail = range(f.head_len + 1, count + 1)
     mult = math.lcm(*tail)
-    s = f.slope.numerator * (den // f.slope.denominator)
-    i = f.intercept.numerator * (den // f.intercept.denominator)
-    values = [v.numerator * (den // v.denominator) * mult for v in (f.iso, *f.head[:count])]
+    s, i = f.slope_num, f.intercept_num
+    values = [v * mult for v in (f.iso_num, *f.head_nums[:count])]
     values += [(s * (n - 1) + i * n) * (mult // n) for n in tail]
     values.append((s + i) * mult)
-    return den * mult, values
+    return f.den * mult, values
 
 
 def leq(f: SeqFn, g: SeqFn) -> bool:
@@ -208,58 +230,39 @@ def leq(f: SeqFn, g: SeqFn) -> bool:
     difference is affine in the coordinate, so checking it at the first
     shared tail point and at the limit covers every later point.
     """
-    if f.iso > g.iso:
-        return False
-    shared = max(f.head_len, g.head_len)
-    for n in range(1, shared + 1):
-        if f.at(seq(n)) > g.at(seq(n)):
-            return False
-    return f.tail_value(shared + 1) <= g.tail_value(shared + 1) and f.limit <= g.limit
+    count = max(f.head_len, g.head_len) + 1
+    f_scale, fv = scaled_values(f, count)
+    g_scale, gv = scaled_values(g, count)
+    return all(a * g_scale <= b * f_scale for a, b in zip(fv, gv))
 
 
-@dataclass(frozen=True)
-class AttainedMax:
-    """Maximum of a function over the space and the first point attaining it."""
-
-    value: Fraction
-    site: Point
-
-
-def attained_max(f: SeqFn) -> AttainedMax:
-    """Largest value of f, with ties resolved toward the earliest point.
-
-    Candidate sites are the isolated point, every head point, the first
-    tail point when the tail falls (that is where it peaks), and the
-    limit (where a nondecreasing tail peaks).  The space is compact and
-    f continuous, so the maximum is attained at one of these.
-    """
-    n = f.head_len
-    candidates: list[tuple[Point, Fraction]] = [(ISOLATED, f.iso)]
-    candidates += [(seq(k), f.head[k - 1]) for k in range(1, n + 1)]
-    if f.slope < 0:
-        candidates.append((seq(n + 1), f.tail_value(n + 1)))
-    candidates.append((LIMIT, f.limit))
-    best_site, best_value = candidates[0]
-    for site, value in candidates[1:]:
-        if value > best_value:
-            best_site, best_value = site, value
-    return AttainedMax(best_value, best_site)
+def attained_max(f: SeqFn) -> Fraction:
+    """Largest value of f: a tail peaks at its first point or at the limit."""
+    scale, values = scaled_values(f, f.head_len + 1)
+    return Fraction(max(values), scale)
 
 
 def join(f: SeqFn, g: SeqFn) -> SeqFn:
     """Pointwise maximum.
 
-    The head reaches past the (single) crossing of the two tails, if
-    any.  Past it, the tail with the larger limit wins; with equal
-    limits the difference is ``(slope_f - slope_g) * (t - 1)``, so the
-    smaller slope wins.
+    A tail takes ``limit - slope/n`` at ``seq(n)``, so two tails differ
+    by ``dl - ds/n`` and cross only at ``n = ds/dl``, when ``ds*dl > 0``;
+    the head reaches that far.  Past it, the tail with the larger limit
+    wins; with equal limits the smaller slope wins.
     """
+    den = math.lcm(f.den, g.den)
+    fk, gk = den // f.den, den // g.den
+    ds = f.slope_num * fk - g.slope_num * gk
+    dl = (f.slope_num + f.intercept_num) * fk - (g.slope_num + g.intercept_num) * gk
     extend_to = max(f.head_len, g.head_len)
-    if f.slope != g.slope:
-        t_star = (g.intercept - f.intercept) / (f.slope - g.slope)
-        if t_star < 1:
-            # seq(n) lies at or before the crossing iff n <= 1/(1 - t_star)
-            extend_to = max(extend_to, math.floor(1 / (1 - t_star)))
-    head = [max(f.at(seq(n)), g.at(seq(n))) for n in range(1, extend_to + 1)]
-    tail = f if (f.limit, -f.slope) >= (g.limit, -g.slope) else g
-    return make(max(f.iso, g.iso), head, tail.slope, tail.intercept)
+    if ds * dl > 0:
+        # seq(n) lies at or before the crossing iff n <= ds / dl
+        extend_to = max(extend_to, ds // dl)
+    tail = f if (dl, -ds) >= (0, 0) else g
+    f_scale, fv = scaled_values(f, extend_to)
+    g_scale, gv = scaled_values(g, extend_to)
+    scale = math.lcm(f_scale, g_scale)
+    fm, gm = scale // f_scale, scale // g_scale
+    values = [max(a * fm, b * gm) for a, b in zip(fv, gv)]
+    k = scale // tail.den
+    return _reduced(scale, values[0], values[1:-1], tail.slope_num * k, tail.intercept_num * k)

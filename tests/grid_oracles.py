@@ -5,7 +5,8 @@ loop and calls the functional on every input as it meets it: no shared
 relations, no index lists, no caching.  The differential tests hold
 the checkers of ``comaxlab.properties`` to these: same verdict, same
 witness.  ``TabulatedFunctional`` and ``enumerate_functionals`` give
-the tests functionals as explicit tables, walked in the census's order.
+the tests functionals as explicit tables, walked in the census's order;
+``uniform`` gives them the counting capacity.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
+from comaxlab.capacity import Capacity, subsets
 from comaxlab.census import table_count
 from comaxlab.grid import Chain, GridFn, all_functions, comonotone, join
 from comaxlab.properties import (
@@ -28,6 +30,11 @@ from comaxlab.properties import (
 from comaxlab.rational import random_unit_rational
 from comaxlab.report import jsonify
 from comaxlab.tnorms import apply, pointwise_scale
+
+
+def uniform(n: int) -> Capacity:
+    """The capacity mu(A) = |A| / n."""
+    return Capacity(n, {s: Fraction(len(s), n) for s in subsets(n)})
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,14 @@ fixed point is settled by mapping the roots of two affine factors in
 the coordinate ``t = 1 - 1/n`` to an open interval, then to the first
 sequence index inside it.  The differential tests hold
 ``comaxlab.seq_comonotone`` to both: same verdict, same first witness.
+
+``fraction_make``, ``fraction_join``, ``fraction_leq`` and
+``fraction_attained_max`` are the operations of ``comaxlab.seqspace``
+written literally in ``Fraction`` arithmetic.  They work on the
+``Fraction`` fields ``(iso, head, slope, intercept)`` and return them
+(or a verdict, or a value), so the integer code is held to them field
+by field.  ``comonotone``, ``constant_map`` and
+``IDENTITY_MAP`` are small helpers only the tests need.
 """
 
 from __future__ import annotations
@@ -15,6 +23,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from comaxlab.pairgen import MonotoneMap
+from comaxlab.rational import format_rational
+from comaxlab.seq_comonotone import comonotone_witness
 from comaxlab.seqspace import points_upto, seq
 
 Bound = Fraction | None  # None stands for the unbounded side
@@ -89,3 +100,79 @@ def interval_witness(f, g):
             if n is not None:
                 return (x0, seq(n))
     return None
+
+
+def comonotone(f, g):
+    return comonotone_witness(f, g) is None
+
+
+def constant_map(c):
+    return MonotoneMap(((Fraction(0), c), (Fraction(1), c)))
+
+
+IDENTITY_MAP = MonotoneMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
+
+
+def fields(f):
+    """The Fraction fields ``(iso, head, slope, intercept)`` of a SeqFn."""
+    return (f.iso, f.head, f.slope, f.intercept)
+
+
+def fields_json(fields_):
+    iso, head, slope, intercept = fields_
+    return {
+        "vP": format_rational(iso),
+        "prefix": [format_rational(v) for v in head],
+        "alpha": format_rational(slope),
+        "beta": format_rational(intercept),
+    }
+
+
+def fraction_tail_value(slope, intercept, n):
+    return slope * (1 - Fraction(1, n)) + intercept
+
+
+def fraction_at(fields_, n):
+    """Value at seq(n) of a function given by its Fraction fields."""
+    _, head, slope, intercept = fields_
+    return head[n - 1] if n <= len(head) else fraction_tail_value(slope, intercept, n)
+
+
+def fraction_make(iso, head, slope, intercept):
+    """Trim head entries already implied by the tail; return the fields."""
+    trimmed = list(head)
+    while trimmed and trimmed[-1] == fraction_tail_value(slope, intercept, len(trimmed)):
+        trimmed.pop()
+    return (iso, tuple(trimmed), slope, intercept)
+
+
+def fraction_leq(f, g):
+    a, b = fields(f), fields(g)
+    if a[0] > b[0]:
+        return False
+    shared = max(len(a[1]), len(b[1]))
+    for n in range(1, shared + 2):
+        if fraction_at(a, n) > fraction_at(b, n):
+            return False
+    return a[2] + a[3] <= b[2] + b[3]
+
+
+def fraction_attained_max(f):
+    iso, head, slope, intercept = fields(f)
+    candidates = [iso, *head, slope + intercept]
+    if slope < 0:
+        candidates.append(fraction_tail_value(slope, intercept, len(head) + 1))
+    return max(candidates)
+
+
+def fraction_join(f, g):
+    a, b = fields(f), fields(g)
+    extend_to = max(len(a[1]), len(b[1]))
+    if a[2] != b[2]:
+        t_star = (b[3] - a[3]) / (a[2] - b[2])
+        if t_star < 1:
+            # seq(n) lies at or before the crossing iff n <= 1/(1 - t_star)
+            extend_to = max(extend_to, math.floor(1 / (1 - t_star)))
+    head = [max(fraction_at(a, n), fraction_at(b, n)) for n in range(1, extend_to + 1)]
+    tail = a if (a[2] + a[3], -a[2]) >= (b[2] + b[3], -b[2]) else b
+    return fraction_make(max(a[0], b[0]), head, tail[2], tail[3])

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comaxlab.classify import membership, step_value
-from comaxlab.seq_comonotone import comonotone
 from comaxlab.seqspace import constant, join, leq, make, ramp
+
+from seq_oracles import comonotone
 
 F = Fraction
 

@@ -218,3 +218,12 @@ def test_exit_code_1_on_failing_report(monkeypatch, capsys):
     assert code == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["status"] == "fail"
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_2_with_one_line(tmp_path, target):
+    result = run_cli("tnorm-axioms", "--output", str(tmp_path / target))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --output: "), result.stderr

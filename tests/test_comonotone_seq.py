@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from comaxlab.pairgen import GeneratorParams, generate_pair, pair_seed, random_pair
 from comaxlab.seq_comonotone import (
     _first_opposed,
-    comonotone,
     comonotone_truncated,
     comonotone_witness,
     defining_product,
 )
 from comaxlab.seqspace import ISOLATED, constant, make, ramp, seq
 
-from seq_oracles import fraction_truncated, interval_witness
+from seq_oracles import comonotone, fraction_truncated, interval_witness
 
 F = Fraction
 

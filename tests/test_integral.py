@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comaxlab.capacity import Capacity, enumerate_capacities, subsets, uniform
+from comaxlab.capacity import Capacity, enumerate_capacities, subsets
 from comaxlab.grid import GridFn, constant
 from comaxlab.integral import tnorm_integral
 from comaxlab.tnorms import TNorm, apply
+
+from grid_oracles import uniform
 
 F = Fraction
 

@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 
 from comaxlab.pairgen import (
     GeneratorParams,
-    IDENTITY_MAP,
     MonotoneMap,
     compose,
-    constant_map,
     generate_pair,
     pair_seed,
     random_seqfn,
 )
-from comaxlab.seq_comonotone import comonotone
 from comaxlab.seqspace import constant, make, points_upto, ramp, seq
+
+from seq_oracles import IDENTITY_MAP, comonotone, constant_map
 
 F = Fraction
 

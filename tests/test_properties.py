@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from comaxlab.capacity import uniform
 from comaxlab.grid import Chain, GridFn, join
 from comaxlab.integral import tnorm_integral
 from comaxlab.properties import (
@@ -16,7 +15,7 @@ from comaxlab.properties import (
 )
 from comaxlab.tnorms import TNorm
 
-from grid_oracles import satisfies_all_axioms
+from grid_oracles import satisfies_all_axioms, uniform
 
 F = Fraction
 

@@ -19,7 +19,6 @@ from comaxlab.seqspace import (
     ramp,
     scaled_values,
     seq,
-    seq_coord,
 )
 
 F = Fraction
@@ -36,12 +35,6 @@ def seq_fns(draw):
     m = len(head) + 1
     slope = (y_limit - y_first) * m
     return make(iso, head, slope, y_limit - slope)
-
-
-def test_seq_coord():
-    assert seq_coord(1) == 0
-    assert seq_coord(2) == F(1, 2)
-    assert seq_coord(4) == F(3, 4)
 
 
 def test_ramp_examples():
@@ -71,8 +64,29 @@ def test_constructor_validation():
         constant(F(3, 2))
     with pytest.raises(ValueError):
         make(F(0), [], F(2), F(0))  # limit value 2
-    with pytest.raises(ValueError):
-        SeqFn(F(0), (F(1, 2),), F(0), F(1, 2))  # head entry equals tail rule
+    with pytest.raises(ValueError, match="not canonical"):
+        SeqFn(2, 0, (1,), 0, 1)  # head entry equals tail rule
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((2, 3, (), 0, 1), "value at the isolated point 3/2 outside"),
+        ((2, 0, (1, -1), 0, 1), "head value at seq\\(2\\) -1/2 outside"),
+        ((1, 0, (0,), -4, 4), "tail value at seq\\(2\\) 2 outside"),  # limit 0
+        ((1, 0, (0,), 4, -3), "tail value at seq\\(2\\) -1 outside"),  # limit 1
+        ((2, 0, (), 0, 3), "tail value at seq\\(1\\) 3/2 outside"),
+        ((2, 0, (), 4, 0), "limit value 2 outside"),
+        ((4, 0, (2,), 0, 2), "not reduced"),
+        ((6, 0, (2,), 0, 4), "not reduced"),  # head canonical, common factor 2
+        ((2, 0, (2, 1), 0, 1), "not canonical"),
+        ((0, 0, (), 0, 0), "must be positive"),
+        ((-1, 0, (), 0, 0), "must be positive"),
+    ],
+)
+def test_integer_constructor_validation(fields, message):
+    with pytest.raises(ValueError, match=message):
+        SeqFn(*fields)
 
 
 def test_canonicalization_trims_redundant_head():
@@ -118,19 +132,14 @@ def test_leq_antisymmetry_is_equality(f, g):
 
 
 def test_attained_max_examples():
-    top = attained_max(ramp(F(1)))
-    assert top.value == 1 and top.site == ISOLATED  # tie with the limit: site order wins
-    low = attained_max(ramp(F(0)))
-    assert low.value == 1 and low.site == LIMIT
-    c = attained_max(constant(F(1, 3)))
-    assert c.value == F(1, 3) and c.site == ISOLATED
+    assert attained_max(ramp(F(1))) == 1
+    assert attained_max(ramp(F(0))) == 1  # reached only at the limit
+    assert attained_max(constant(F(1, 3))) == F(1, 3)
 
 
 def test_attained_max_decreasing_tail_peaks_at_first_tail_point():
     f = make(F(0), [F(0)], F(-1, 2), F(1, 2))  # tail falls from 1/4 toward 0
-    peak = attained_max(f)
-    assert peak.value == f.tail_value(2) == F(1, 4)
-    assert peak.site == seq(2)
+    assert attained_max(f) == f.tail_value(2) == F(1, 4)
 
 
 @given(seq_fns())
@@ -138,9 +147,7 @@ def test_attained_max_decreasing_tail_peaks_at_first_tail_point():
 def test_attained_max_matches_truncated_oracle(f):
     depth = f.head_len + 12
     best = max(f.at(p) for p in points_upto(depth))
-    got = attained_max(f)
-    assert got.value == best
-    assert f.at(got.site) == got.value
+    assert attained_max(f) == best
 
 
 def test_join_of_ramps_collapses():

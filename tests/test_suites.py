@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from comaxlab.classify import membership
-from comaxlab.seq_comonotone import comonotone
 from comaxlab.properties import BudgetExceededError
 from comaxlab.seqspace import constant, join, ramp
 from comaxlab.suites import (
@@ -16,6 +15,8 @@ from comaxlab.suites import (
     normalized_search,
     structured_family,
 )
+
+from seq_oracles import comonotone
 
 F = Fraction
 
