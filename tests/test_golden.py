@@ -49,6 +49,15 @@ GOLDEN = [
         ("explore-problem1", "--samples", "300"),
         "8e0cd7a7e1b963a969ba4edab085cfd4d90cbd168c2c231d2af519d49bff9b78",
     ),
+    # Longer heads than the default --prefix-max 2.
+    (
+        ("verify-counterexample", "--prefix-max", "4", "--samples", "300"),
+        "ce1cda54d3177ec6bbc19289d0a7683c68b4c1c6c3a4974c86e485f1a600c6a1",
+    ),
+    (
+        ("explore-problem1", "--prefix-max", "3", "--samples", "200"),
+        "c2005e3514a1286e562ff340d05aa28cf18c52c5b046443810d114235dc76d61",
+    ),
 ]
 
 # Witnesses deep in the tail (seq(61), seq(63)) and a redundant prefix
