@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from .census import functional_census
 from .grid import Chain
@@ -39,16 +39,29 @@ class InputError(Exception):
     """Malformed file or flag content; maps to exit code 2."""
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's members as a dict, refusing a repeated key."""
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def validate_function_file(path: str) -> SeqFn:
     """Load and canonicalize a sequence-space function from a JSON file."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # A repeated key, or nesting past the interpreter's recursion limit.
+        raise InputError(f"{path}: {exc}") from exc
     try:
         return SeqFn.from_json(data)
     except (ValueError, RationalFormatError) as exc:

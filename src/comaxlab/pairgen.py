@@ -8,6 +8,13 @@ and composing a piecewise-linear map with an affine tail is piecewise
 affine with finitely many rational breakpoints, so the result stays
 representable once the head is extended past the last breakpoint.
 
+Everything runs on integers over one denominator, as in ``SeqFn``:
+a map keeps its knots as integer pairs ``(X, Y)`` over ``den``, every
+drawn rational is put over ``lcm(1..max(2, max_denominator))``, and
+composition scales the head values of h to one denominator
+(``scaled_values``) and maps each through its segment by integer
+cross-multiplication.
+
 Every output is still post-validated with the exact comonotonicity
 decision; a validation failure would mean a bug in the construction and
 aborts loudly.
@@ -18,11 +25,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .rational import ONE, ZERO, random_unit_rational
 from .seq_comonotone import comonotone_witness
-from .seqspace import SeqFn, make, seq
+from .seqspace import SeqFn, _reduced, scaled_values
 
 
 @dataclass(frozen=True)
@@ -40,34 +45,39 @@ class GeneratorParams:
 
 @dataclass(frozen=True)
 class MonotoneMap:
-    """Nondecreasing piecewise-linear self-map of [0,1], stored as knots."""
+    """Nondecreasing piecewise-linear self-map of [0,1].
 
-    knots: tuple[tuple[Fraction, Fraction], ...]
+    The knots are integer pairs ``(X, Y)`` standing for ``(X/den, Y/den)``.
+    """
+
+    den: int
+    knots: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        den = self.den
+        if den < 1:
+            raise ValueError(f"denominator {den} must be positive")
         xs = [x for x, _ in self.knots]
         ys = [y for _, y in self.knots]
-        if xs[0] != ZERO or xs[-1] != ONE:
+        if xs[0] != 0 or xs[-1] != den:
             raise ValueError("knot abscissas must run from 0 to 1")
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError("knot abscissas must be strictly increasing")
         if any(a > b for a, b in zip(ys, ys[1:])):
             raise ValueError("knot ordinates must be nondecreasing")
         for y in ys:
-            if not (ZERO <= y <= ONE):
+            if not 0 <= y <= den:
                 raise ValueError("knot ordinates must lie in [0,1]")
 
-    def segment(self, v: Fraction) -> tuple[Fraction, Fraction]:
-        """Slope and offset of the segment containing v (as y = s*v + c)."""
-        for (x0, y0), (x1, y1) in zip(self.knots, self.knots[1:]):
-            if x0 <= v <= x1:
-                s = (y1 - y0) / (x1 - x0)
-                return s, y0 - s * x0
-        raise ValueError(f"{v} outside [0,1]")
 
-    def __call__(self, v: Fraction) -> Fraction:
-        s, c = self.segment(v)
-        return s * v + c
+def _segment(knots: tuple[tuple[int, int], ...], w: int, q: int) -> tuple[int, int, int, int]:
+    """``(X0, Y0, dX, dY)`` of the first segment with ``X0*q <= w <= X1*q`` (0 <= w)."""
+    for k in range(1, len(knots)):
+        x1, y1 = knots[k]
+        if w <= x1 * q:
+            x0, y0 = knots[k - 1]
+            return x0, y0, x1 - x0, y1 - y0
+    raise ValueError("value outside [0,1]")
 
 
 def compose(phi: MonotoneMap, h: SeqFn) -> SeqFn:
@@ -75,51 +85,79 @@ def compose(phi: MonotoneMap, h: SeqFn) -> SeqFn:
 
     The head is extended past every coordinate where the tail of h
     crosses a knot abscissa of phi; beyond that the composite follows a
-    single segment of phi and is affine in the coordinate again.
+    single segment of phi and is affine in the coordinate again.  With
+    ``E = phi.den`` and h's ``(D, S, I)``, the tail meets the abscissa
+    ``X`` at the coordinate ``t = (X*D - I*E) / (S*E)``, and ``seq(n)``
+    lies past it once ``n > 1/(1 - t)``.
     """
-    if h.slope == 0:
-        tail_slope, tail_intercept = ZERO, phi(h.intercept)
-        extend_to = h.head_len
-    else:
-        extend_to = h.head_len
-        for x_knot, _ in phi.knots:
-            t_cross = (x_knot - h.intercept) / h.slope
+    e, knots = phi.den, phi.knots
+    d, s, i = h.den, h.slope_num, h.intercept_num
+    extend_to = h.head_len
+    if s:
+        for x, _ in knots:
+            num, den = x * d - i * e, s * e
+            if den < 0:
+                num, den = -num, -den
             # Include 0 so a tail starting exactly at a knot is carried past
             # it explicitly; the open tail must stay inside one segment.
-            if 0 <= t_cross < 1:
-                extend_to = max(extend_to, math.floor(1 / (1 - t_cross)) + 1)
-        s, c = phi.segment(h.tail_value(extend_to + 1))
-        tail_slope = s * h.slope
-        tail_intercept = s * h.intercept + c
-    head = [phi(h.at(seq(k))) for k in range(1, extend_to + 1)]
-    return make(phi(h.iso), head, tail_slope, tail_intercept)
+            if 0 <= num < den:
+                extend_to = max(extend_to, den // (den - num) + 1)
+    q, values = scaled_values(h, extend_to + 1)
+    # phi(v/q) = (Y0*dX*q + dY*(v*E - X0*q)) / (E*dX*q) on the segment of v/q.
+    parts = []
+    for v in values[: extend_to + 1]:
+        x0, y0, dx, dy = _segment(knots, v * e, q)
+        parts.append((y0 * dx * q + dy * (v * e - x0 * q), e * dx * q))
+    # The tail point seq(extend_to + 1) lies strictly inside the segment
+    # the whole tail follows (or, for a flat tail, on its value).
+    x0, y0, dx, dy = _segment(knots, values[extend_to + 1] * e, q)
+    parts.append((dy * s * e, e * dx * d))
+    parts.append((dy * i * e + (y0 * dx - dy * x0) * d, e * dx * d))
+    den = math.lcm(*(b for _, b in parts))
+    nums = [a * (den // b) for a, b in parts]
+    return _reduced(den, nums[0], nums[1:-2], nums[-2], nums[-1])
 
 
-def _interior_fraction(rng: random.Random, max_denominator: int) -> Fraction:
-    den = rng.randint(2, max(2, max_denominator))
-    return Fraction(rng.randint(1, den - 1), den)
+def _draw_denominator(max_denominator: int) -> int:
+    """``lcm(1..max(2, max_denominator))``: a multiple of every denominator drawn."""
+    return math.lcm(*range(1, max(2, max_denominator) + 1))
+
+
+def _unit_num(rng: random.Random, max_denominator: int, den: int) -> int:
+    """``random_unit_rational``'s draw, as an integer over ``den``."""
+    d = rng.randint(1, max_denominator)
+    return rng.randint(0, d) * (den // d)
+
+
+def _interior_num(rng: random.Random, max_denominator: int, den: int) -> int:
+    """A draw strictly inside (0, 1), with denominator 2..max(2, max_denominator), over ``den``."""
+    d = rng.randint(2, max(2, max_denominator))
+    return rng.randint(1, d - 1) * (den // d)
 
 
 def random_seqfn(rng: random.Random, params: GeneratorParams) -> SeqFn:
     """A random representable function within the size bounds."""
+    maxd = params.max_denominator
+    den = _draw_denominator(maxd)
     head_len = rng.randint(0, params.prefix_max)
-    iso = random_unit_rational(rng, params.max_denominator)
-    head = [random_unit_rational(rng, params.max_denominator) for _ in range(head_len)]
+    iso = _unit_num(rng, maxd, den)
+    head = [_unit_num(rng, maxd, den) for _ in range(head_len)]
     # Tail from its two endpoint values; affine between in-range endpoints
     # stays in range.
-    y_first = random_unit_rational(rng, params.max_denominator)
-    y_limit = random_unit_rational(rng, params.max_denominator)
-    m = head_len + 1
-    slope = (y_limit - y_first) * m
-    return make(iso, head, slope, y_limit - slope)
+    y_first = _unit_num(rng, maxd, den)
+    y_limit = _unit_num(rng, maxd, den)
+    slope = (y_limit - y_first) * (head_len + 1)
+    return _reduced(den, iso, head, slope, y_limit - slope)
 
 
 def random_monotone_map(rng: random.Random, params: GeneratorParams) -> MonotoneMap:
+    maxd = params.max_denominator
+    den = _draw_denominator(maxd)
     count = rng.randint(0, params.max_breakpoints)
-    inner = sorted({_interior_fraction(rng, params.max_denominator) for _ in range(count)})
-    xs = [ZERO, *inner, ONE]
-    ys = sorted(random_unit_rational(rng, params.max_denominator) for _ in xs)
-    return MonotoneMap(tuple(zip(xs, ys)))
+    inner = sorted({_interior_num(rng, maxd, den) for _ in range(count)})
+    xs = [0, *inner, den]
+    ys = sorted(_unit_num(rng, maxd, den) for _ in xs)
+    return MonotoneMap(den, tuple(zip(xs, ys)))
 
 
 def pair_seed(seed: int, index: int) -> int:

@@ -14,17 +14,27 @@ sequence index inside it.  The differential tests hold
 written literally in ``Fraction`` arithmetic.  They work on the
 ``Fraction`` fields ``(iso, head, slope, intercept)`` and return them
 (or a verdict, or a value), so the integer code is held to them field
-by field.  ``comonotone``, ``constant_map`` and
-``IDENTITY_MAP`` are small helpers only the tests need.
+by field.
+
+``FractionMap``, ``fraction_compose``, ``fraction_random_monotone_map``
+and ``fraction_random_seqfn`` are the seeded generator of
+``comaxlab.pairgen`` in ``Fraction`` arithmetic: a map's
+knots are ``Fraction`` pairs, a drawn rational is a ``Fraction``, and
+composition evaluates the head point by point.  Fed the same seed they
+make the same ``randint`` calls as the integer generator.
+
+``comonotone``, ``constant_map``, ``IDENTITY_MAP`` and ``fraction_map``
+are small helpers only the tests need.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from comaxlab.pairgen import MonotoneMap
-from comaxlab.rational import format_rational
+from comaxlab.rational import format_rational, random_unit_rational
 from comaxlab.seq_comonotone import comonotone_witness
 from comaxlab.seqspace import points_upto, seq
 
@@ -107,10 +117,10 @@ def comonotone(f, g):
 
 
 def constant_map(c):
-    return MonotoneMap(((Fraction(0), c), (Fraction(1), c)))
+    return MonotoneMap(c.denominator, ((0, c.numerator), (c.denominator, c.numerator)))
 
 
-IDENTITY_MAP = MonotoneMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
+IDENTITY_MAP = MonotoneMap(1, ((0, 0), (1, 1)))
 
 
 def fields(f):
@@ -176,3 +186,73 @@ def fraction_join(f, g):
     head = [max(fraction_at(a, n), fraction_at(b, n)) for n in range(1, extend_to + 1)]
     tail = a if (a[2] + a[3], -a[2]) >= (b[2] + b[3], -b[2]) else b
     return fraction_make(max(a[0], b[0]), head, tail[2], tail[3])
+
+
+@dataclass(frozen=True)
+class FractionMap:
+    """Nondecreasing piecewise-linear self-map of [0,1], knots as Fractions."""
+
+    knots: tuple[tuple[Fraction, Fraction], ...]
+
+    def segment(self, v):
+        """Slope and offset of the first segment containing v (as y = s*v + c)."""
+        for (x0, y0), (x1, y1) in zip(self.knots, self.knots[1:]):
+            if x0 <= v <= x1:
+                s = (y1 - y0) / (x1 - x0)
+                return s, y0 - s * x0
+        raise ValueError(f"{v} outside [0,1]")
+
+    def __call__(self, v):
+        s, c = self.segment(v)
+        return s * v + c
+
+
+def fraction_map(phi):
+    """The FractionMap with the same knots as an integer MonotoneMap."""
+    return FractionMap(tuple((Fraction(x, phi.den), Fraction(y, phi.den)) for x, y in phi.knots))
+
+
+def fraction_compose(phi, h):
+    """Fields of phi(h(.)); ``phi`` a FractionMap, ``h`` given by its fields.
+
+    The head is extended past every coordinate where the tail of h
+    crosses a knot abscissa of phi (a crossing at coordinate 0 included);
+    beyond that the composite follows one segment of phi.
+    """
+    iso, head, slope, intercept = h
+    extend_to = len(head)
+    if slope == 0:
+        tail_slope, tail_intercept = Fraction(0), phi(intercept)
+    else:
+        for x_knot, _ in phi.knots:
+            t_cross = (x_knot - intercept) / slope
+            if 0 <= t_cross < 1:
+                extend_to = max(extend_to, math.floor(1 / (1 - t_cross)) + 1)
+        s, c = phi.segment(fraction_tail_value(slope, intercept, extend_to + 1))
+        tail_slope, tail_intercept = s * slope, s * intercept + c
+    new_head = [phi(fraction_at(h, k)) for k in range(1, extend_to + 1)]
+    return fraction_make(phi(iso), new_head, tail_slope, tail_intercept)
+
+
+def fraction_interior(rng, max_denominator):
+    den = rng.randint(2, max(2, max_denominator))
+    return Fraction(rng.randint(1, den - 1), den)
+
+
+def fraction_random_seqfn(rng, params):
+    head_len = rng.randint(0, params.prefix_max)
+    iso = random_unit_rational(rng, params.max_denominator)
+    head = [random_unit_rational(rng, params.max_denominator) for _ in range(head_len)]
+    y_first = random_unit_rational(rng, params.max_denominator)
+    y_limit = random_unit_rational(rng, params.max_denominator)
+    slope = (y_limit - y_first) * (head_len + 1)
+    return fraction_make(iso, head, slope, y_limit - slope)
+
+
+def fraction_random_monotone_map(rng, params):
+    count = rng.randint(0, params.max_breakpoints)
+    inner = sorted({fraction_interior(rng, params.max_denominator) for _ in range(count)})
+    xs = [Fraction(0), *inner, Fraction(1)]
+    ys = sorted(random_unit_rational(rng, params.max_denominator) for _ in xs)
+    return FractionMap(tuple(zip(xs, ys)))
+

@@ -83,6 +83,40 @@ def test_unknown_function_key_exits_2(tmp_path):
     assert "unknown keys" in result.stderr
 
 
+def test_non_utf8_function_file_exits_2_with_one_line(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"vP": "1", "prefix": [], "alpha": "1", "beta": "0", "note": "\xe9"}')
+    ok = write_json(tmp_path / "ok.json", RAMP1_JSON)
+    result = run_cli("comonotone-check", str(bad), ok)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), result.stderr
+    assert "can't decode" in lines[0]
+
+
+def test_deeply_nested_function_file_exits_2_with_one_line(tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    ok = write_json(tmp_path / "ok.json", RAMP1_JSON)
+    result = run_cli("comonotone-check", str(bad), ok)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), result.stderr
+    assert "recursion" in lines[0]
+
+
+def test_duplicate_function_key_exits_2(tmp_path):
+    bad = tmp_path / "dup.json"
+    bad.write_text('{"vP": "0", "alpha": "0", "beta": "0", "vP": "1"}', encoding="utf-8")
+    ok = write_json(tmp_path / "ok.json", RAMP1_JSON)
+    result = run_cli("comonotone-check", str(bad), ok)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"error: {bad}: duplicate key 'vP'" in result.stderr
+
+
 def test_census_report_and_exit_zero(tmp_path):
     out = tmp_path / "census.json"
     result = run_cli("finite-census", "--grid", "0,1", "--n", "2", "--output", str(out))

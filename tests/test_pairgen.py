@@ -14,18 +14,30 @@ from comaxlab.pairgen import (
 )
 from comaxlab.seqspace import constant, make, points_upto, ramp, seq
 
-from seq_oracles import IDENTITY_MAP, comonotone, constant_map
+from seq_oracles import IDENTITY_MAP, comonotone, constant_map, fraction_map
 
 F = Fraction
 
 small_fractions = st.fractions(min_value=0, max_value=1, max_denominator=6)
 
 
+MAP_VALIDATION_CASES = [
+    (2, ((0, 0), (1, 2)), "must run from 0 to 1"),  # ends at 1/2
+    (2, ((1, 0), (2, 2)), "must run from 0 to 1"),  # starts at 1/2
+    (2, ((0, 0), (1, 1), (1, 1), (2, 2)), "strictly increasing"),  # repeated abscissa
+    (1, ((0, 1), (1, 0)), "nondecreasing"),  # decreasing ordinates
+    (2, ((0, 0), (2, 3)), r"lie in \[0,1\]"),  # ordinate above den
+    (2, ((0, -1), (2, 0)), r"lie in \[0,1\]"),  # ordinate below 0
+    (0, ((0, 0), (0, 0)), "denominator 0 must be positive"),
+    (-2, ((0, 0), (-2, -2)), "denominator -2 must be positive"),
+]
+
+
 def test_monotone_map_validation():
-    with pytest.raises(ValueError):
-        MonotoneMap(((F(0), F(0)), (F(1, 2), F(1))))  # must end at 1
-    with pytest.raises(ValueError):
-        MonotoneMap(((F(0), F(1)), (F(1), F(0))))  # decreasing ordinates
+    for den, knots, message in MAP_VALIDATION_CASES:
+        with pytest.raises(ValueError, match=message):
+            MonotoneMap(den, knots)
+    assert MonotoneMap(2, ((0, 0), (1, 2), (2, 2))).knots == ((0, 0), (1, 2), (2, 2))
 
 
 def test_identity_composition_returns_same_function():
@@ -39,21 +51,21 @@ def test_constant_map_composition_gives_constant():
 
 
 def test_composition_matches_pointwise_application():
-    phi = MonotoneMap(((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(1))))
+    phi = MonotoneMap(4, ((0, 0), (2, 1), (4, 4)))
     h = ramp(F(1, 3))
     composed = compose(phi, h)
     for p in points_upto(composed.head_len + 10):
-        assert composed.at(p) == phi(h.at(p))
+        assert composed.at(p) == fraction_map(phi)(h.at(p))
 
 
 def test_composition_with_tail_starting_on_a_knot():
     # The tail starts exactly at the knot abscissa 1/2 at coordinate 0;
     # the composite must follow the segment the tail moves into.
-    phi = MonotoneMap(((F(0), F(0)), (F(1, 2), F(0)), (F(1), F(1))))
+    phi = MonotoneMap(2, ((0, 0), (1, 0), (2, 2)))
     h = make(F(0), [], F(1, 2), F(1, 2))  # rises from 1/2 to 1
     composed = compose(phi, h)
     for p in points_upto(composed.head_len + 10):
-        assert composed.at(p) == phi(h.at(p))
+        assert composed.at(p) == fraction_map(phi)(h.at(p))
 
 
 @given(st.integers(min_value=0, max_value=2000))
@@ -68,8 +80,9 @@ def test_composition_pointwise_on_random_inputs(seed):
     h = random_seqfn(rng, params)
     phi = random_monotone_map(rng, params)
     composed = compose(phi, h)
+    reference = fraction_map(phi)
     for p in points_upto(max(composed.head_len, h.head_len) + 10):
-        assert composed.at(p) == phi(h.at(p))
+        assert composed.at(p) == reference(h.at(p))
 
 
 def test_generate_pair_deterministic_and_comonotone():
