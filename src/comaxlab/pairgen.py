@@ -45,10 +45,7 @@ class GeneratorParams:
 
 @dataclass(frozen=True)
 class MonotoneMap:
-    """Nondecreasing piecewise-linear self-map of [0,1].
-
-    The knots are integer pairs ``(X, Y)`` standing for ``(X/den, Y/den)``.
-    """
+    """Nondecreasing piecewise-linear self-map of [0,1]; knot ``(X, Y)`` is ``(X/den, Y/den)``."""
 
     den: int
     knots: tuple[tuple[int, int], ...]
@@ -71,13 +68,12 @@ class MonotoneMap:
 
 
 def _segment(knots: tuple[tuple[int, int], ...], w: int, q: int) -> tuple[int, int, int, int]:
-    """``(X0, Y0, dX, dY)`` of the first segment with ``X0*q <= w <= X1*q`` (0 <= w)."""
-    for k in range(1, len(knots)):
-        x1, y1 = knots[k]
-        if w <= x1 * q:
-            x0, y0 = knots[k - 1]
-            return x0, y0, x1 - x0, y1 - y0
-    raise ValueError("value outside [0,1]")
+    """``(X0, Y0, dX, dY)`` of the first segment with ``X0*q <= w <= X1*q``, for ``0 <= w <= den*q``."""
+    k = 1
+    while k < len(knots) - 1 and w > knots[k][0] * q:
+        k += 1
+    (x0, y0), (x1, y1) = knots[k - 1], knots[k]
+    return x0, y0, x1 - x0, y1 - y0
 
 
 def compose(phi: MonotoneMap, h: SeqFn) -> SeqFn:
