@@ -58,6 +58,12 @@ GOLDEN = [
         ("explore-problem1", "--prefix-max", "3", "--samples", "200"),
         "c2005e3514a1286e562ff340d05aa28cf18c52c5b046443810d114235dc76d61",
     ),
+    # A grid where a candidate built on the step functional
+    # (limit-join-step-1/3) survives normalization and is screened.
+    (
+        ("explore-problem1", "--grid", "0,1/3,2/3,1", "--samples", "300", "--seed", "3"),
+        "67086d52c9bcadbd8f55c2bb0d0a205d57086432b61197e2a3499457cbc6cb27",
+    ),
 ]
 
 # Witnesses deep in the tail (seq(61), seq(63)) and a redundant prefix
