@@ -19,13 +19,15 @@ from fractions import Fraction
 
 from .grid import Chain, Relations, relations
 from .parallel import run_shards, split_range
-from .properties import BudgetExceededError
+from .properties import capped_power, check_budget
 from .report import FINDING, PASS, VerificationReport, jsonify
 
 
-def table_count(chain: Chain, n: int) -> int:
+def table_count(chain: Chain, n: int) -> int | None:
+    """``m ** (m ** n)`` tables for m chain values, or None past ``10**COUNT_DIGITS``."""
     m = len(chain)
-    return m ** (m**n)
+    cells = capped_power(m, n)
+    return None if cells is None else capped_power(m, cells)
 
 
 def _decode_row(index: int, m: int, width: int) -> list[int]:
@@ -134,8 +136,7 @@ def functional_census(
     pairs, which maxitivity forces.
     """
     total = table_count(chain, n)
-    if total > budget:
-        raise BudgetExceededError(total, budget, "functional enumeration")
+    check_budget(total, budget, "functional enumeration")
 
     shards = [
         (chain.values, n, lo, hi) for lo, hi in split_range(total, jobs)

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from .census import functional_census
 from .grid import Chain
-from .properties import BudgetExceededError, integral_property_suite
+from .properties import COUNT_DIGITS, BudgetExceededError, check_budget, integral_property_suite
 from .rational import RationalFormatError, parse_grid
 from .report import FAIL, INCONCLUSIVE, PASS, FINDING, SuiteConfig, VerificationReport
 from .seq_comonotone import comonotone_witness, defining_product
@@ -119,9 +119,7 @@ def _config_from_args(args: argparse.Namespace) -> SuiteConfig:
 
 
 def _run_tnorm_axioms(config: SuiteConfig) -> VerificationReport:
-    required = axiom_check_count(len(config.grid))
-    if required > config.budget:
-        raise BudgetExceededError(required, config.budget, "t-norm axiom checks")
+    check_budget(axiom_check_count(len(config.grid)), config.budget, "t-norm axiom checks")
     counts: dict[str, int] = {}
     witnesses = []
     failed = False
@@ -249,10 +247,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
+        if exc.required is None:
+            counts = {"required_digits_over": COUNT_DIGITS, "budget": exc.budget}
+        else:
+            counts = {"required": exc.required, "budget": exc.budget}
         refusal = VerificationReport(
             claim_id=args.subcommand,
             status=INCONCLUSIVE,
-            counts={"required": exc.required, "budget": exc.budget},
+            counts=counts,
             witnesses=[{"kind": "budget_refusal", "what": exc.what}],
             seed=config.seed,
         )

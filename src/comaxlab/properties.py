@@ -28,14 +28,40 @@ Functional = Callable[[GridFn], Fraction]
 Witness = dict
 
 
-class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the caller's budget; carries the exact count."""
+COUNT_DIGITS = 4300
+_COUNT_CAP = 10**COUNT_DIGITS
 
-    def __init__(self, required: int, budget: int, what: str):
-        super().__init__(f"{what} needs {required} items, over the budget of {budget}")
+
+def capped_power(base: int, exponent: int) -> int | None:
+    """``base ** exponent`` for ``base >= 2``, or None once it reaches ``10**COUNT_DIGITS``.
+
+    The exact product stops at the cap: Python will not print a longer integer.
+    """
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power >= _COUNT_CAP:
+            return None
+    return power
+
+
+class BudgetExceededError(RuntimeError):
+    """An enumeration would exceed the caller's budget; carries the count, None past the cap."""
+
+    def __init__(self, required: int | None, budget: int, what: str):
+        needs = f"more than 10**{COUNT_DIGITS}" if required is None else required
+        super().__init__(f"{what} needs {needs} items, over the budget of {budget}")
         self.required = required
         self.budget = budget
         self.what = what
+
+
+def check_budget(required: int | None, budget: int, what: str) -> None:
+    """Refuse a count over the budget; one that is None or past the cap, without the count."""
+    if required is not None and required >= _COUNT_CAP:
+        required = None
+    if required is None or required > budget:
+        raise BudgetExceededError(required, budget, what)
 
 
 def is_normalized(functional: Functional, chain: Chain, n: int) -> bool:
@@ -138,12 +164,11 @@ def integral_property_suite(
 
     Capacities range over all monotone set functions with values on the
     chain.  The number of raw value assignments is |chain|^(2^n - 2);
-    if that exceeds the budget the suite refuses with the exact count.
+    if that exceeds the budget the suite refuses (see ``check_budget``).
     """
-    free_slots = (1 << n) - 2
-    required = len(chain) ** free_slots
-    if required > budget:
-        raise BudgetExceededError(required, budget, "capacity enumeration")
+    slots = capped_power(2, n)
+    required = None if slots is None else capped_power(len(chain), slots - 2)
+    check_budget(required, budget, "capacity enumeration")
 
     counts = {
         "capacities": 0,

@@ -25,7 +25,7 @@ from .classify import Membership, membership, step_value
 from .pairgen import GeneratorParams, generate_pair, pair_seed, random_seqfn
 from .pairs import PairRelations, upper_pairs
 from .parallel import run_shards, split_range
-from .properties import BudgetExceededError
+from .properties import capped_power, check_budget
 from .rational import ONE, ZERO
 from .report import FAIL, FINDING, INCONCLUSIVE, PASS, VerificationReport, jsonify
 from .seq_comonotone import comonotone_witness
@@ -110,7 +110,7 @@ def structured_family(grid: Sequence[Fraction], prefix_max: int) -> list[SeqFn]:
     return sorted(fns, key=lambda f: (f.iso, f.head, f.slope, f.intercept))
 
 
-def family_size(grid: Sequence[Fraction], prefix_max: int) -> int:
+def family_size(grid: Sequence[Fraction], prefix_max: int) -> int | None:
     """``len(structured_family(grid, prefix_max))``, without building the family.
 
     With g distinct grid values and P = ``prefix_max``: a constant-tail
@@ -119,7 +119,7 @@ def family_size(grid: Sequence[Fraction], prefix_max: int) -> int:
     g * g * (1 + sum over h of g^(h-1) * (g-1)) = g^(P+2) members; the
     sloped empty-head members are g * g * (g-1) (isolated value, first
     value, a different limit); the named witness functions add those not
-    already among them.
+    already among them.  None when g^(P+2) reaches ``10**COUNT_DIGITS``.
     """
     values = set(grid)
     g = len(values)
@@ -131,15 +131,16 @@ def family_size(grid: Sequence[Fraction], prefix_max: int) -> int:
         return on_grid and not fn.head
 
     named = {fn for _, f, h in named_witness_pairs() for fn in (f, h)}
-    return g ** (prefix_max + 2) + g * g * (g - 1) + sum(not generated(fn) for fn in named)
+    extra = g * g * (g - 1) + sum(not generated(fn) for fn in named)
+    constant_tail = capped_power(g, prefix_max + 2)
+    return None if constant_tail is None else constant_tail + extra
 
 
 def _check_family_budget(grid: Sequence[Fraction], prefix_max: int, budget: int) -> None:
     """Refuse, with the exact pair count, a family whose pairs exceed the budget."""
     size = family_size(grid, prefix_max)
-    pairs = size * (size + 1) // 2
-    if pairs > budget:
-        raise BudgetExceededError(pairs, budget, "structured family pairs")
+    pairs = None if size is None else size * (size + 1) // 2
+    check_budget(pairs, budget, "structured family pairs")
 
 
 def _order(f: SeqFn, g: SeqFn) -> int:
@@ -339,29 +340,18 @@ def counterexample_suite(
     )
 
 
-Candidate = tuple[str, Callable[[SeqFn], Fraction]]
-
-
-def _candidate_zoo(grid: Sequence[Fraction]) -> list[Candidate]:
+def _candidate_zoo(grid: Sequence[Fraction]) -> list[tuple[str, Callable[[SeqFn], Fraction]]]:
     """Normalization-minded variations on the step functional and evaluations."""
-    zoo: list[Candidate] = [("step-functional", step_value)]
+    zoo = [("step-functional", step_value)]
     zoo.append(("eval-isolated", lambda f: f.iso))
     zoo.append(("eval-seq2", lambda f: f.at(seq(2))))
     zoo.append(("eval-limit", lambda f: f.limit))
     for level in grid:
         if ZERO < level < ONE:
-            zoo.append(
-                (
-                    f"limit-join-capped-iso-{level}",
-                    lambda f, _c=level: max(f.limit, min(f.iso, _c)),
-                )
-            )
-            zoo.append(
-                (
-                    f"limit-join-step-{level}",
-                    lambda f, _c=level: max(f.limit, _c * step_value(f)),
-                )
-            )
+            zoo += [
+                (f"limit-join-capped-iso-{level}", lambda f, c=level: max(f.limit, min(f.iso, c))),
+                (f"limit-join-step-{level}", lambda f, c=level: max(f.limit, c * step_value(f))),
+            ]
     return zoo
 
 
@@ -374,109 +364,94 @@ def normalized_search(
 ) -> VerificationReport:
     """Look for a normalized, comonotonically maxitive, non-monotone functional.
 
-    Candidates failing normalization on some constant are rejected
-    outright; survivors are screened for comonotone maxitivity over the
-    structured family and generated pairs, and the rest are searched
-    for a monotonicity violation over ordered pairs.  Finding one would
-    be reported as a finding; the expected outcome at this scale is
-    ``inconclusive``, and the suite never claims the question settled.
-    A family with more than ``budget`` pairs is refused before anything
-    runs.
+    Candidates failing normalization on some constant are rejected.  The
+    rest are screened together in one walk of each pair source (the
+    structured family, generated comonotone pairs, sampled ordered
+    pairs), keeping no pair past its check: a maxitivity break rejects a
+    candidate, a monotonicity break alone would be a finding.  The
+    expected outcome is ``inconclusive``, never a settled question.  A
+    family over ``budget`` pairs is refused before anything runs.
     """
     _check_family_budget(grid, prefix_max, budget)
     params = GeneratorParams(prefix_max=prefix_max)
+    probe_constants = sorted({*grid, Fraction(1, 3), Fraction(2, 3)})
+
+    records: list[dict] = []
+    screened = []  # (record, functional) for each normalized candidate
+    for name, functional in _candidate_zoo(grid):
+        record = {"candidate": name}
+        records.append(record)
+        bad = next((c for c in probe_constants if functional(constant(c)) != c), None)
+        if bad is None:
+            screened.append((record, functional))
+        else:
+            value = jsonify(functional(constant(bad)))
+            record.update(outcome="rejected_not_normalized", constant=jsonify(bad), value=value)
+
+    functionals = [functional for _, functional in screened]
+    maxitivity_breaks: dict[int, dict] = {}
+    monotonicity_breaks: dict[int, dict] = {}
+
+    def evaluate(fn: SeqFn) -> list[Fraction]:
+        return [functional(fn) for functional in functionals]
+
+    def check_join(f: SeqFn, g: SeqFn, vf: list, vg: list) -> None:
+        joined = join(f, g)
+        for k, functional in enumerate(functionals):
+            if k not in maxitivity_breaks and functional(joined) != max(vf[k], vg[k]):
+                maxitivity_breaks[k] = {"f": f.to_json(), "g": g.to_json()}
+
+    def check_order(lower: SeqFn, upper: SeqFn, v_lower: list, v_upper: list) -> None:
+        for k in range(len(functionals)):
+            if k not in monotonicity_breaks and v_lower[k] > v_upper[k]:
+                monotonicity_breaks[k] = {"lower": lower.to_json(), "upper": upper.to_json()}
 
     family = structured_family(grid, prefix_max)
     relations = PairRelations(family)
-    family_pairs: list[tuple[SeqFn, SeqFn, SeqFn]] = []
-    ordered_pairs: list[tuple[SeqFn, SeqFn]] = []
-    for i, f in enumerate(family):
-        for j in range(i, len(family)):
-            g = family[j]
-            if relations.comonotone(i, j):
-                family_pairs.append((f, g, join(f, g)))
-            order = relations.order(i, j)
-            if order < 0:
-                ordered_pairs.append((f, g))
-            elif order > 0:
-                ordered_pairs.append((g, f))
+    values = [evaluate(f) for f in family]
+    family_pairs = ordered_pairs = 0
+    for _, i, j in upper_pairs(len(family), 0, len(family) * (len(family) + 1) // 2):
+        if relations.comonotone(i, j):
+            family_pairs += 1
+            check_join(family[i], family[j], values[i], values[j])
+        order = relations.order(i, j)
+        if order:
+            ordered_pairs += 1
+            lo, hi = (i, j) if order < 0 else (j, i)
+            check_order(family[lo], family[hi], values[lo], values[hi])
 
-    generated: list[tuple[SeqFn, SeqFn, SeqFn]] = []
     for index in range(samples):
         f, g = generate_pair(pair_seed(seed, index), params)
-        generated.append((f, g, join(f, g)))
+        check_join(f, g, evaluate(f), evaluate(g))
     rng = random.Random(pair_seed(seed, samples))
-    sampled_ordered: list[tuple[SeqFn, SeqFn]] = []
     for _ in range(samples):
         f = random_seqfn(rng, params)
         g = join(f, random_seqfn(rng, params))  # g >= f by construction
-        sampled_ordered.append((f, g))
+        check_order(f, g, evaluate(f), evaluate(g))
 
-    probe_constants = sorted({*grid, Fraction(1, 3), Fraction(2, 3)})
-
-    counts: Counter = Counter(
-        {
-            "candidates": 0,
-            "rejected_not_normalized": 0,
-            "rejected_not_maxitive": 0,
-            "monotone_at_this_scale": 0,
-            "candidates_found": 0,
-        }
-    )
-    outcomes: list[dict] = []
-    for name, functional in _candidate_zoo(grid):
-        counts["candidates"] += 1
-        record: dict = {"candidate": name}
-
-        bad_constant = next(
-            (c for c in probe_constants if functional(constant(c)) != c), None
-        )
-        if bad_constant is not None:
-            counts["rejected_not_normalized"] += 1
-            record["outcome"] = "rejected_not_normalized"
-            record["constant"] = jsonify(bad_constant)
-            record["value"] = jsonify(functional(constant(bad_constant)))
-            outcomes.append(record)
-            continue
-
-        value = functools.cache(functional)
-        maxitivity_break = None
-        for f, g, joined in family_pairs + generated:
-            if value(joined) != max(value(f), value(g)):
-                maxitivity_break = (f, g)
-                break
-        if maxitivity_break is not None:
-            counts["rejected_not_maxitive"] += 1
-            record["outcome"] = "rejected_not_maxitive"
-            record["f"] = maxitivity_break[0].to_json()
-            record["g"] = maxitivity_break[1].to_json()
-            outcomes.append(record)
-            continue
-
-        monotonicity_break = None
-        for f, g in ordered_pairs + sampled_ordered:
-            if value(f) > value(g):
-                monotonicity_break = (f, g)
-                break
-        if monotonicity_break is None:
-            counts["monotone_at_this_scale"] += 1
-            record["outcome"] = "monotone_at_this_scale"
+    for k, (record, _) in enumerate(screened):
+        if k in maxitivity_breaks:
+            record.update(outcome="rejected_not_maxitive", **maxitivity_breaks[k])
+        elif k in monotonicity_breaks:
+            record.update(outcome="candidate_found", **monotonicity_breaks[k])
         else:
-            counts["candidates_found"] += 1
-            record["outcome"] = "candidate_found"
-            record["lower"] = monotonicity_break[0].to_json()
-            record["upper"] = monotonicity_break[1].to_json()
-        outcomes.append(record)
+            record["outcome"] = "monotone_at_this_scale"
 
-    counts["family_pairs_screened"] = len(family_pairs)
-    counts["generated_pairs_screened"] = len(generated)
-    counts["ordered_pairs_screened"] = len(ordered_pairs) + len(sampled_ordered)
-
-    status = FINDING if counts["candidates_found"] else INCONCLUSIVE
+    outcomes = Counter(record["outcome"] for record in records)
+    counts = {
+        "candidates": len(records),
+        "rejected_not_normalized": outcomes["rejected_not_normalized"],
+        "rejected_not_maxitive": outcomes["rejected_not_maxitive"],
+        "monotone_at_this_scale": outcomes["monotone_at_this_scale"],
+        "candidates_found": outcomes["candidate_found"],
+        "family_pairs_screened": family_pairs,
+        "generated_pairs_screened": samples,
+        "ordered_pairs_screened": ordered_pairs + samples,
+    }
     return VerificationReport(
         claim_id="explore-problem1",
-        status=status,
-        counts=dict(counts),
-        witnesses=outcomes,
+        status=FINDING if counts["candidates_found"] else INCONCLUSIVE,
+        counts=counts,
+        witnesses=records,
         seed=seed,
     )

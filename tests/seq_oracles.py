@@ -23,20 +23,33 @@ knots are ``Fraction`` pairs, a drawn rational is a ``Fraction``, and
 composition evaluates the head point by point.  Fed the same seed they
 make the same ``randint`` calls as the integer generator.
 
+``list_normalized_search`` is ``comaxlab.suites.normalized_search``
+written as lists: every comonotone family pair with its join, every
+ordered family pair, every generated and every sampled ordered pair is
+stored first, then rescanned once per candidate through a cache of the
+candidate's values.  It reads ``suites._candidate_zoo`` at call time,
+so a test may swap the zoo for both.
+
 ``comonotone``, ``constant_map``, ``IDENTITY_MAP`` and ``fraction_map``
 are small helpers only the tests need.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from comaxlab.pairgen import MonotoneMap
+from comaxlab import suites
+from comaxlab.pairgen import GeneratorParams, MonotoneMap, generate_pair, pair_seed, random_seqfn
+from comaxlab.pairs import PairRelations
 from comaxlab.rational import format_rational, random_unit_rational
+from comaxlab.report import FINDING, INCONCLUSIVE, VerificationReport, jsonify
 from comaxlab.seq_comonotone import comonotone_witness
-from comaxlab.seqspace import points_upto, seq
+from comaxlab.seqspace import constant, join, points_upto, seq
 
 Bound = Fraction | None  # None stands for the unbounded side
 
@@ -256,3 +269,103 @@ def fraction_random_monotone_map(rng, params):
     ys = sorted(random_unit_rational(rng, params.max_denominator) for _ in xs)
     return FractionMap(tuple(zip(xs, ys)))
 
+
+
+def list_normalized_search(seed, samples, grid, prefix_max, budget=10**7):
+    """``suites.normalized_search`` over stored pair lists, one rescan per candidate."""
+    suites._check_family_budget(grid, prefix_max, budget)
+    params = GeneratorParams(prefix_max=prefix_max)
+
+    family = suites.structured_family(grid, prefix_max)
+    relations = PairRelations(family)
+    family_pairs = []
+    ordered_pairs = []
+    for i, f in enumerate(family):
+        for j in range(i, len(family)):
+            g = family[j]
+            if relations.comonotone(i, j):
+                family_pairs.append((f, g, join(f, g)))
+            order = relations.order(i, j)
+            if order < 0:
+                ordered_pairs.append((f, g))
+            elif order > 0:
+                ordered_pairs.append((g, f))
+
+    generated = []
+    for index in range(samples):
+        f, g = generate_pair(pair_seed(seed, index), params)
+        generated.append((f, g, join(f, g)))
+    rng = random.Random(pair_seed(seed, samples))
+    sampled_ordered = []
+    for _ in range(samples):
+        f = random_seqfn(rng, params)
+        g = join(f, random_seqfn(rng, params))
+        sampled_ordered.append((f, g))
+
+    probe_constants = sorted({*grid, Fraction(1, 3), Fraction(2, 3)})
+
+    counts = Counter(
+        {
+            "candidates": 0,
+            "rejected_not_normalized": 0,
+            "rejected_not_maxitive": 0,
+            "monotone_at_this_scale": 0,
+            "candidates_found": 0,
+        }
+    )
+    outcomes = []
+    for name, functional in suites._candidate_zoo(grid):
+        counts["candidates"] += 1
+        record = {"candidate": name}
+
+        bad_constant = next(
+            (c for c in probe_constants if functional(constant(c)) != c), None
+        )
+        if bad_constant is not None:
+            counts["rejected_not_normalized"] += 1
+            record["outcome"] = "rejected_not_normalized"
+            record["constant"] = jsonify(bad_constant)
+            record["value"] = jsonify(functional(constant(bad_constant)))
+            outcomes.append(record)
+            continue
+
+        value = functools.cache(functional)
+        maxitivity_break = None
+        for f, g, joined in family_pairs + generated:
+            if value(joined) != max(value(f), value(g)):
+                maxitivity_break = (f, g)
+                break
+        if maxitivity_break is not None:
+            counts["rejected_not_maxitive"] += 1
+            record["outcome"] = "rejected_not_maxitive"
+            record["f"] = maxitivity_break[0].to_json()
+            record["g"] = maxitivity_break[1].to_json()
+            outcomes.append(record)
+            continue
+
+        monotonicity_break = None
+        for f, g in ordered_pairs + sampled_ordered:
+            if value(f) > value(g):
+                monotonicity_break = (f, g)
+                break
+        if monotonicity_break is None:
+            counts["monotone_at_this_scale"] += 1
+            record["outcome"] = "monotone_at_this_scale"
+        else:
+            counts["candidates_found"] += 1
+            record["outcome"] = "candidate_found"
+            record["lower"] = monotonicity_break[0].to_json()
+            record["upper"] = monotonicity_break[1].to_json()
+        outcomes.append(record)
+
+    counts["family_pairs_screened"] = len(family_pairs)
+    counts["generated_pairs_screened"] = len(generated)
+    counts["ordered_pairs_screened"] = len(ordered_pairs) + len(sampled_ordered)
+
+    return VerificationReport(
+        claim_id="explore-problem1",
+        status=FINDING if counts["candidates_found"] else INCONCLUSIVE,
+        counts=dict(counts),
+        witnesses=outcomes,
+        seed=seed,
+    )

@@ -14,7 +14,7 @@ RAMP0_JSON = {"vP": "0", "prefix": [], "alpha": "1", "beta": "0"}
 RAMP1_JSON = {"vP": "1", "prefix": [], "alpha": "1", "beta": "0"}
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -23,6 +23,7 @@ def run_cli(*args, cwd=None):
         text=True,
         env=env,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -73,6 +74,24 @@ def test_empty_grid_entry_exits_2():
     assert result.returncode == 2
     assert "empty grid entry" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "grid, reason",
+    [
+        ("0,1/2,1/3,1", "strictly increasing"),
+        ("0,1/2,1/2,1", "strictly increasing"),
+        ("1/2,1", "start at 0 and end at 1"),
+        ("0,1/2", "start at 0 and end at 1"),
+    ],
+)
+def test_grid_not_a_chain_exits_2_with_one_line(grid, reason, capsys):
+    assert cli.main(["verify-counterexample", "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert reason in lines[0]
 
 
 def test_unknown_function_key_exits_2(tmp_path):
@@ -151,6 +170,43 @@ def test_sequence_suite_budget_refusal_exits_2(subcommand, tmp_path):
     assert report["status"] == "inconclusive"
     assert report["counts"] == {"required": 5050, "budget": 5049}
     assert report["witnesses"][0]["kind"] == "budget_refusal"
+
+
+OVERSIZED = [
+    # Counts with 9,392, 15,634 and about 4,770 digits.
+    ("finite-census", "--n", "9"),
+    ("integral-properties", "--n", "15"),
+    ("verify-counterexample", "--prefix-max", "5000"),
+    ("explore-problem1", "--prefix-max", "5000"),
+    # Counts that could not be built in memory at all.
+    ("finite-census", "--n", "1000000000000"),
+    ("integral-properties", "--n", "1000000000000"),
+    ("verify-counterexample", "--prefix-max", "1000000000000"),
+    ("finite-census", "--grid", "0,1", "--n", "70"),
+    ("explore-problem1", "--prefix-max", str(10**30)),
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=" ".join)
+def test_oversized_count_is_refused_without_the_count(argv, tmp_path):
+    out = tmp_path / "refused.json"
+    result = run_cli(*argv, "--output", str(out), timeout=60)
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert "more than 10**4300" in lines[0]
+    report = json.loads(out.read_text())
+    assert report["status"] == "inconclusive"
+    assert report["counts"] == {"budget": 10**7, "required_digits_over": 4300}
+    assert report["witnesses"][0]["kind"] == "budget_refusal"
+
+
+def test_count_below_the_digit_cap_is_refused_with_the_exact_count(tmp_path):
+    out = tmp_path / "refused.json"
+    # 2 ** (2 ** 13) has 2,467 digits.
+    result = run_cli("finite-census", "--grid", "0,1", "--n", "13", "--output", str(out))
+    assert result.returncode == 2
+    assert json.loads(out.read_text())["counts"] == {"required": 2**8192, "budget": 10**7}
 
 
 def test_tnorm_axioms_budget_refusal_exits_2(tmp_path):

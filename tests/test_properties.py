@@ -6,6 +6,8 @@ from comaxlab.grid import Chain, GridFn, join
 from comaxlab.integral import tnorm_integral
 from comaxlab.properties import (
     BudgetExceededError,
+    capped_power,
+    check_budget,
     chain_closed_under,
     integral_property_suite,
     is_comonotone_maxitive,
@@ -119,3 +121,26 @@ def test_integral_property_suite_budget_refusal():
     with pytest.raises(BudgetExceededError) as info:
         integral_property_suite(CHAIN3, 4, TNorm.MINIMUM, budget=100)
     assert info.value.required == 3**14
+
+
+def test_capped_power_is_exact_below_the_digit_cap():
+    assert capped_power(10, 4299) == 10**4299
+    assert capped_power(10, 4300) is None
+    assert capped_power(3, 0) == 1
+    # Stops at the cap, for an exponent past any machine integer too.
+    assert capped_power(2, 10**30) is None
+
+
+def test_check_budget_refuses_a_count_past_the_cap_without_it():
+    check_budget(10**4300 - 1, 10**4300, "items")
+    with pytest.raises(BudgetExceededError) as info:
+        check_budget(10**4300, 10**7, "items")
+    assert info.value.required is None
+    assert str(info.value) == "items needs more than 10**4300 items, over the budget of 10000000"
+
+
+def test_integral_property_suite_refuses_a_count_past_the_cap():
+    with pytest.raises(BudgetExceededError) as info:
+        integral_property_suite(CHAIN3, 15, TNorm.MINIMUM)
+    assert info.value.required is None
+    assert "more than 10**4300" in str(info.value)

@@ -118,3 +118,13 @@ def test_sequence_suites_refuse_families_over_budget(suite):
         suite(samples=1, grid=GRID3, prefix_max=6)
     assert refused.value.required == size * (size + 1) // 2 == 21_651_490
     assert refused.value.budget == 10**7
+
+
+@pytest.mark.parametrize("suite", [counterexample_suite, normalized_search])
+def test_sequence_suites_refuse_families_past_the_digit_cap(suite):
+    # About 3 ** 5002 functions, so about 10 ** 4773 pairs.
+    assert family_size(GRID3, 5000) is not None
+    assert family_size(GRID3, 10**12) is None
+    with pytest.raises(BudgetExceededError) as refused:
+        suite(samples=1, grid=GRID3, prefix_max=5000)
+    assert refused.value.required is None

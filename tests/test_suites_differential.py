@@ -1,0 +1,131 @@
+"""``suites.normalized_search`` against the list-based reference in
+``seq_oracles``: the same report bytes for the real candidate zoo and
+for a hand-built zoo that reaches every outcome, and no generated pair
+kept once it has been checked."""
+
+import random
+import weakref
+from fractions import Fraction
+
+import pytest
+
+from comaxlab import suites
+from comaxlab.pairgen import GeneratorParams, pair_seed, random_seqfn
+from comaxlab.seqspace import join
+from comaxlab.suites import normalized_search, structured_family
+
+from seq_oracles import list_normalized_search
+
+F = Fraction
+
+GRIDS = {
+    "0,1": (F(0), F(1)),
+    "0,1/2,1": (F(0), F(1, 2), F(1)),
+    "0,1/3,2/3,1": (F(0), F(1, 3), F(2, 3), F(1)),
+    "0,1/4,1/2,3/4,1": (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)),
+}
+
+# Larger grids get shorter heads: the family grows as g^(prefix_max + 2).
+REAL_ZOO_CASES = [
+    (grid, seed, prefix_max)
+    for grid, prefix_maxes in [
+        ("0,1", (1, 2, 3)),
+        ("0,1/2,1", (1, 2, 3)),
+        ("0,1/3,2/3,1", (1, 2)),
+        ("0,1/4,1/2,3/4,1", (1,)),
+    ]
+    for seed in (0, 1, 2)
+    for prefix_max in prefix_maxes
+]
+
+
+def both(seed, samples, grid, prefix_max):
+    args = dict(seed=seed, samples=samples, grid=GRIDS[grid], prefix_max=prefix_max)
+    return normalized_search(**args).to_json(), list_normalized_search(**args).to_json()
+
+
+@pytest.mark.parametrize("grid, seed, prefix_max", REAL_ZOO_CASES)
+def test_real_zoo_matches_list_reference(grid, seed, prefix_max):
+    streamed, listed = both(seed, 40, grid, prefix_max)
+    assert streamed == listed
+
+
+def first_sampled_upper(seed, samples, prefix_max):
+    """The upper function of the first sampled ordered pair whose lower
+    function has a positive limit, replaying the suite's draws."""
+    params = GeneratorParams(prefix_max=prefix_max)
+    rng = random.Random(pair_seed(seed, samples))
+    for _ in range(samples):
+        f = random_seqfn(rng, params)
+        g = join(f, random_seqfn(rng, params))
+        if f.limit > 0:
+            return g
+    raise AssertionError("no sampled pair with a positive lower limit")
+
+
+def hand_built_zoo(seed, samples, prefix_max):
+    """Candidates that reach all four outcomes.
+
+    ``new-iso`` is the limit, except that a function whose isolated value
+    no family member has is sent to that value: joins of family members
+    keep their isolated values, so it can only break maxitivity on
+    generated pairs.  ``limit-but-one`` is the limit, except 0 at one
+    sampled upper function, so its only monotonicity break is among the
+    sampled pairs.
+    """
+    hidden = first_sampled_upper(seed, samples, prefix_max)
+
+    def zoo(grid):
+        family_isos = {f.iso for f in structured_family(grid, prefix_max)}
+        return [
+            ("constant-half", lambda f: F(1, 2)),
+            ("mean-iso-limit", lambda f: (f.iso + f.limit) / 2),
+            ("new-iso", lambda f: f.limit if f.iso in family_isos else f.iso),
+            ("limit-but-one", lambda f: F(0) if f == hidden else f.limit),
+            ("eval-limit", lambda f: f.limit),
+        ]
+
+    return zoo
+
+
+@pytest.mark.parametrize("grid", ["0,1/2,1", "0,1/3,2/3,1"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hand_built_zoo_matches_list_reference(grid, seed, monkeypatch):
+    samples, prefix_max = 60, 1
+    monkeypatch.setattr(suites, "_candidate_zoo", hand_built_zoo(seed, samples, prefix_max))
+    streamed, listed = both(seed, samples, grid, prefix_max)
+    assert streamed == listed
+
+    report = normalized_search(seed, samples, GRIDS[grid], prefix_max)
+    outcomes = {w["candidate"]: w for w in report.witnesses}
+    assert outcomes["constant-half"]["outcome"] == "rejected_not_normalized"
+    assert outcomes["mean-iso-limit"]["outcome"] == "rejected_not_maxitive"
+    assert outcomes["eval-limit"]["outcome"] == "monotone_at_this_scale"
+    assert report.status == "finding"
+
+    family_json = [f.to_json() for f in structured_family(GRIDS[grid], prefix_max)]
+    new_iso = outcomes["new-iso"]
+    assert new_iso["outcome"] == "rejected_not_maxitive"
+    assert new_iso["f"] not in family_json or new_iso["g"] not in family_json
+    found = outcomes["limit-but-one"]
+    assert found["outcome"] == "candidate_found"
+    assert found["upper"] == first_sampled_upper(seed, samples, prefix_max).to_json()
+    assert found["upper"] not in family_json
+
+
+def test_generated_pairs_are_freed_once_checked(monkeypatch):
+    refs = []
+    held = []
+    real_generate_pair = suites.generate_pair
+
+    def tracking_generate_pair(*args):
+        if len(refs) >= 2:
+            held.append(any(ref() is not None for ref in refs[-2]))
+        pair = real_generate_pair(*args)
+        refs.append([weakref.ref(fn) for fn in pair])
+        return pair
+
+    monkeypatch.setattr(suites, "generate_pair", tracking_generate_pair)
+    normalized_search(seed=0, samples=50, grid=GRIDS["0,1/2,1"], prefix_max=1)
+    assert len(refs) == 50
+    assert not any(held), f"pairs from two calls back still held at {sum(held)} calls"
