@@ -94,6 +94,41 @@ def test_grid_not_a_chain_exits_2_with_one_line(grid, reason, capsys):
     assert reason in lines[0]
 
 
+OUT_OF_RANGE = [
+    ("verify-counterexample", "--seed", "-1", "seed must be nonnegative"),
+    ("verify-counterexample", "--samples", "0", "samples must be positive"),
+    ("verify-counterexample", "--prefix-max", "0", "prefix-max must be positive"),
+    ("verify-counterexample", "--budget", "0", "budget must be positive"),
+    ("verify-counterexample", "--jobs", "0", "jobs must be positive"),
+    ("finite-census", "--seed", "-1", "seed must be nonnegative"),
+    ("finite-census", "--n", "0", "n must be positive"),
+    ("finite-census", "--budget", "0", "budget must be positive"),
+    ("finite-census", "--jobs", "0", "jobs must be positive"),
+    ("integral-properties", "--seed", "-1", "seed must be nonnegative"),
+    ("integral-properties", "--n", "0", "n must be positive"),
+    ("integral-properties", "--budget", "0", "budget must be positive"),
+    ("tnorm-axioms", "--seed", "-1", "seed must be nonnegative"),
+    ("tnorm-axioms", "--budget", "0", "budget must be positive"),
+    ("comonotone-check", "--seed", "-1", "seed must be nonnegative"),
+    ("explore-problem1", "--seed", "-1", "seed must be nonnegative"),
+    ("explore-problem1", "--samples", "0", "samples must be positive"),
+    ("explore-problem1", "--prefix-max", "0", "prefix-max must be positive"),
+    ("explore-problem1", "--budget", "0", "budget must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag, value, message", OUT_OF_RANGE, ids=[" ".join(a[:3]) for a in OUT_OF_RANGE]
+)
+def test_out_of_range_flag_exits_2_with_one_line(subcommand, flag, value, message, capsys):
+    # comonotone-check refuses the flag before it opens a file.
+    files = ["a.json", "b.json"] if subcommand == "comonotone-check" else []
+    assert cli.main([subcommand, *files, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_unknown_function_key_exits_2(tmp_path):
     bad = write_json(tmp_path / "bad.json", {"vP": "1", "prefx": ["0"], "alpha": "1", "beta": "0"})
     ok = write_json(tmp_path / "ok.json", RAMP1_JSON)

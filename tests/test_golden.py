@@ -7,6 +7,7 @@ digests and says so in CHANGES.md.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +65,20 @@ GOLDEN = [
         ("explore-problem1", "--grid", "0,1/3,2/3,1", "--samples", "300", "--seed", "3"),
         "67086d52c9bcadbd8f55c2bb0d0a205d57086432b61197e2a3499457cbc6cb27",
     ),
+    # The 17-point grid k/16 of the acceptance criterion and the bench.
+    (
+        ("tnorm-axioms", "--grid", ",".join(str(Fraction(k, 16)) for k in range(17))),
+        "23cd70686b3f30d2881482d4fb68dea1247442c09ae379e1a41a76641062e378",
+    ),
+    # Seeds these subcommands echo but never read.
+    (
+        ("finite-census", "--seed", "7"),
+        "7de02f2002b8ef65dd6d1c7b62e786246fc4301887bc804e646df01600505f6c",
+    ),
+    (
+        ("tnorm-axioms", "--seed", "3"),
+        "384818c0a9cb86aa27c2936c50c3bc41fe82a8182c1daa19a9c85008bfa123fd",
+    ),
 ]
 
 # Witnesses deep in the tail (seq(61), seq(63)) and a redundant prefix
@@ -75,6 +90,8 @@ FUNCTION_FILES = {
     "fall.json": {"vP": "0", "prefix": ["1/7"], "alpha": "-1/2", "beta": "1"},
 }
 COMONOTONE_CHECK_DIGEST = "e0a8c496c2b7d1fdfe783b276951f4324140e9dfa6992527a8de0b1129507c8f"
+# The seed is echoed but never read.
+COMONOTONE_CHECK_SEED3_DIGEST = "2c5e11d6d05b82155929ed5f364049fb14503466d6a71c5ece553ae3a8e1719a"
 
 
 def sha256(text):
@@ -87,10 +104,20 @@ def test_report_bytes_are_pinned(argv, digest, capsys):
     assert sha256(capsys.readouterr().out) == digest
 
 
-def test_comonotone_check_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def function_files(tmp_path, monkeypatch):
     # The report echoes the file paths, so they are given relative to tmp_path.
     monkeypatch.chdir(tmp_path)
     for name, data in FUNCTION_FILES.items():
         (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
-    assert cli.main(["comonotone-check", *FUNCTION_FILES]) == 0
+    return list(FUNCTION_FILES)
+
+
+def test_comonotone_check_bytes_are_pinned(function_files, capsys):
+    assert cli.main(["comonotone-check", *function_files]) == 0
     assert sha256(capsys.readouterr().out) == COMONOTONE_CHECK_DIGEST
+
+
+def test_comonotone_check_bytes_with_a_seed_are_pinned(function_files, capsys):
+    assert cli.main(["comonotone-check", *function_files, "--seed", "3"]) == 0
+    assert sha256(capsys.readouterr().out) == COMONOTONE_CHECK_SEED3_DIGEST
