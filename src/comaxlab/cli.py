@@ -18,21 +18,32 @@ from typing import Any, Sequence
 from .census import functional_census
 from .grid import Chain
 from .properties import COUNT_DIGITS, BudgetExceededError, check_budget, integral_property_suite
-from .rational import RationalFormatError, parse_grid
-from .report import FAIL, INCONCLUSIVE, PASS, FINDING, SuiteConfig, VerificationReport
+from .rational import RationalFormatError, format_rational, parse_grid
+from .report import FAIL, INCONCLUSIVE, PASS, FINDING, VerificationReport
 from .seq_comonotone import comonotone_witness, defining_product
 from .seqspace import SeqFn
 from .suites import counterexample_suite, normalized_search
 from .tnorms import TNorm, axiom_check_count, check_axioms
 
-SUBCOMMANDS = (
-    "verify-counterexample",
-    "finite-census",
-    "integral-properties",
-    "tnorm-axioms",
-    "comonotone-check",
-    "explore-problem1",
-)
+# The flags each subcommand takes, besides --output, --norm and the
+# files; argparse refuses any other.
+FLAGS = {
+    "verify-counterexample": ("seed", "samples", "prefix_max", "grid", "budget", "jobs"),
+    "finite-census": ("seed", "grid", "n", "budget", "jobs"),
+    "integral-properties": ("seed", "grid", "n", "budget"),
+    "tnorm-axioms": ("seed", "grid", "budget"),
+    "comonotone-check": ("seed",),
+    "explore-problem1": ("seed", "samples", "prefix_max", "grid", "budget"),
+}
+DEFAULTS = {
+    "seed": 0,
+    "samples": 10_000,
+    "prefix_max": 2,
+    "grid": "0,1/2,1",
+    "n": 2,
+    "budget": 10**7,
+    "jobs": 1,
+}
 
 
 class InputError(Exception):
@@ -74,16 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification suites for comonotone maxitivity and t-normed integrals.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, flags in FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=10_000)
-        p.add_argument("--prefix-max", type=int, default=2)
-        p.add_argument("--grid", type=str, default="0,1/2,1")
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--budget", type=int, default=10**7)
-        p.add_argument("--jobs", type=int, default=1)
+        for flag in flags:
+            default = DEFAULTS[flag]
+            p.add_argument(f"--{flag.replace('_', '-')}", type=type(default), default=default)
         p.add_argument("--output", type=str, default=None)
+        p.set_defaults(**{flag: value for flag, value in DEFAULTS.items() if flag not in flags})
         if name == "integral-properties":
             p.add_argument(
                 "--norm",
@@ -95,36 +103,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> SuiteConfig:
+def _chain_from_args(args: argparse.Namespace) -> Chain:
+    """The grid as a Chain, after the integer bounds of every flag."""
     try:
         grid = parse_grid(args.grid)
     except RationalFormatError as exc:
         raise InputError(f"--grid: {exc}") from exc
-    config = SuiteConfig(
-        seed=args.seed,
-        samples=args.samples,
-        prefix_max=args.prefix_max,
-        grid=grid,
-        n=args.n,
-        budget=args.budget,
-        jobs=args.jobs,
-        output_path=args.output,
-    )
+    if args.seed < 0:
+        raise InputError("seed must be nonnegative")
+    for flag in ("samples", "prefix_max", "n", "budget", "jobs"):
+        if getattr(args, flag) < 1:
+            raise InputError(f"{flag.replace('_', '-')} must be positive")
     try:
-        config.validate()
-        Chain(config.grid)
+        return Chain(grid)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return config
 
 
-def _run_tnorm_axioms(config: SuiteConfig) -> VerificationReport:
-    check_budget(axiom_check_count(len(config.grid)), config.budget, "t-norm axiom checks")
+def _run_tnorm_axioms(chain: Chain, budget: int, seed: int) -> VerificationReport:
+    check_budget(axiom_check_count(len(chain)), budget, "t-norm axiom checks")
     counts: dict[str, int] = {}
     witnesses = []
     failed = False
     for norm in TNorm:
-        report = check_axioms(norm, config.grid)
+        report = check_axioms(norm, chain.values)
         failed = failed or report.failed
         for key, value in report.counts.items():
             if key == "grid_size":
@@ -137,11 +139,11 @@ def _run_tnorm_axioms(config: SuiteConfig) -> VerificationReport:
         status=FAIL if failed else PASS,
         counts=counts,
         witnesses=witnesses,
-        seed=config.seed,
+        seed=seed,
     )
 
 
-def _run_comonotone_check(config: SuiteConfig, files: Sequence[str]) -> VerificationReport:
+def _run_comonotone_check(files: Sequence[str], seed: int) -> VerificationReport:
     if len(files) < 2:
         raise InputError("comonotone-check needs at least two function files")
     fns = [validate_function_file(path) for path in files]
@@ -173,56 +175,60 @@ def _run_comonotone_check(config: SuiteConfig, files: Sequence[str]) -> Verifica
             "non_comonotone_pairs": total - comonotone_pairs,
         },
         witnesses=witnesses,
-        seed=config.seed,
+        seed=seed,
     )
 
 
-def _dispatch(subcommand: str, config: SuiteConfig, args: argparse.Namespace) -> VerificationReport:
-    if subcommand == "verify-counterexample":
+def _dispatch(args: argparse.Namespace, chain: Chain) -> VerificationReport:
+    # The suites are looked up as module globals on each call, so a
+    # caller that rebinds one (a test fake, the bench tracer) is honoured.
+    if args.subcommand == "verify-counterexample":
         return counterexample_suite(
-            seed=config.seed,
-            samples=config.samples,
-            grid=config.grid,
-            prefix_max=config.prefix_max,
-            jobs=config.jobs,
-            budget=config.budget,
+            seed=args.seed,
+            samples=args.samples,
+            grid=chain.values,
+            prefix_max=args.prefix_max,
+            jobs=args.jobs,
+            budget=args.budget,
         )
-    if subcommand == "finite-census":
-        return functional_census(Chain(config.grid), config.n, config.budget, jobs=config.jobs)
-    if subcommand == "integral-properties":
+    if args.subcommand == "finite-census":
+        return functional_census(chain, args.n, args.budget, jobs=args.jobs)
+    if args.subcommand == "integral-properties":
         return integral_property_suite(
-            Chain(config.grid),
-            config.n,
+            chain,
+            args.n,
             TNorm(args.norm),
-            budget=config.budget,
-            seed=config.seed,
+            budget=args.budget,
+            seed=args.seed,
         )
-    if subcommand == "tnorm-axioms":
-        return _run_tnorm_axioms(config)
-    if subcommand == "comonotone-check":
-        return _run_comonotone_check(config, args.files)
-    if subcommand == "explore-problem1":
-        return normalized_search(
-            seed=config.seed,
-            samples=config.samples,
-            grid=config.grid,
-            prefix_max=config.prefix_max,
-            budget=config.budget,
-        )
-    raise InputError(f"unknown subcommand {subcommand!r}")
+    if args.subcommand == "tnorm-axioms":
+        return _run_tnorm_axioms(chain, args.budget, args.seed)
+    if args.subcommand == "comonotone-check":
+        return _run_comonotone_check(args.files, args.seed)
+    return normalized_search(
+        seed=args.seed,
+        samples=args.samples,
+        grid=chain.values,
+        prefix_max=args.prefix_max,
+        budget=args.budget,
+    )
 
 
-def _emit(report: VerificationReport, config: SuiteConfig, subcommand: str, extra: dict | None = None) -> bool:
+def _emit(report: VerificationReport, args: argparse.Namespace, chain: Chain) -> bool:
     """Write the report; False, after an error line, if --output cannot be written."""
-    echo = config.echo()
-    echo["subcommand"] = subcommand
-    if extra:
-        echo.update(extra)
+    # Every flag is echoed, at its default where the subcommand does not
+    # take it, except jobs: two runs that differ only in an execution
+    # detail must still produce byte-identical reports.
+    echo = {flag: getattr(args, flag) for flag in DEFAULTS if flag != "jobs"}
+    echo["grid"] = [format_rational(g) for g in chain]
+    echo["subcommand"] = args.subcommand
+    if args.subcommand == "comonotone-check":
+        echo["files"] = list(args.files)
     report.config_echo = echo
     text = report.to_json()
-    if config.output_path:
+    if args.output:
         try:
-            Path(config.output_path).write_text(text, encoding="utf-8")
+            Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
             print(f"error: --output: {exc}", file=sys.stderr)
             return False
@@ -232,17 +238,10 @@ def _emit(report: VerificationReport, config: SuiteConfig, subcommand: str, extr
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    extra = {"files": list(args.files)} if args.subcommand == "comonotone-check" else None
-    try:
-        report = _dispatch(args.subcommand, config, args)
+        chain = _chain_from_args(args)
+        report = _dispatch(args, chain)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -256,13 +255,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             status=INCONCLUSIVE,
             counts=counts,
             witnesses=[{"kind": "budget_refusal", "what": exc.what}],
-            seed=config.seed,
+            seed=args.seed,
         )
-        _emit(refusal, config, args.subcommand, extra)
+        _emit(refusal, args, chain)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if not _emit(report, config, args.subcommand, extra):
+    if not _emit(report, args, chain):
         return 2
     return 1 if report.failed else 0
 

@@ -42,9 +42,6 @@ class Chain:
     def __contains__(self, value: Fraction) -> bool:
         return value in self.values
 
-    def index(self, value: Fraction) -> int:
-        return self.values.index(value)
-
 
 @dataclass(frozen=True)
 class GridFn:

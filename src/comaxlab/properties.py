@@ -50,7 +50,8 @@ class BudgetExceededError(RuntimeError):
 
     def __init__(self, required: int | None, budget: int, what: str):
         needs = f"more than 10**{COUNT_DIGITS}" if required is None else required
-        super().__init__(f"{what} needs {needs} items, over the budget of {budget}")
+        allowed = budget if budget < _COUNT_CAP else f"10**{COUNT_DIGITS} or more"
+        super().__init__(f"{what} needs {needs} items, over the budget of {allowed}")
         self.required = required
         self.budget = budget
         self.what = what

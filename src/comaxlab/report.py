@@ -1,4 +1,4 @@
-"""Machine-readable verification reports and run configuration.
+"""Machine-readable verification reports.
 
 A report is the single source of truth for a suite run.  Two runs with
 the same configuration must serialize to byte-identical JSON, so the
@@ -22,46 +22,6 @@ FINDING = "finding"
 INCONCLUSIVE = "inconclusive"
 
 _STATUSES = (PASS, FAIL, FINDING, INCONCLUSIVE)
-
-
-@dataclass
-class SuiteConfig:
-    """Knobs shared by every suite the CLI can run."""
-
-    seed: int = 0
-    samples: int = 10_000
-    prefix_max: int = 2
-    grid: tuple[Fraction, ...] = (Fraction(0), Fraction(1, 2), Fraction(1))
-    n: int = 2
-    budget: int = 10**7
-    jobs: int = 1
-    output_path: str | None = None
-
-    def validate(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
-        if self.prefix_max < 1:
-            raise ValueError("prefix-max must be positive")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
-
-    def echo(self) -> dict[str, Any]:
-        # jobs and output_path are execution details: two runs that differ
-        # only there must still produce byte-identical reports.
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "prefix_max": self.prefix_max,
-            "grid": [format_rational(g) for g in self.grid],
-            "n": self.n,
-            "budget": self.budget,
-        }
 
 
 @dataclass

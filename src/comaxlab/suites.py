@@ -136,11 +136,12 @@ def family_size(grid: Sequence[Fraction], prefix_max: int) -> int | None:
     return None if constant_tail is None else constant_tail + extra
 
 
-def _check_family_budget(grid: Sequence[Fraction], prefix_max: int, budget: int) -> None:
-    """Refuse, with the exact pair count, a family whose pairs exceed the budget."""
+def _check_family_budget(grid: Sequence[Fraction], prefix_max: int, budget: int) -> int:
+    """The family size; a family whose pairs exceed the budget is refused with the exact count."""
     size = family_size(grid, prefix_max)
     pairs = None if size is None else size * (size + 1) // 2
     check_budget(pairs, budget, "structured family pairs")
+    return size
 
 
 def _order(f: SeqFn, g: SeqFn) -> int:
@@ -261,7 +262,7 @@ def counterexample_suite(
     all five analysis cases must occur.  A family with more than
     ``budget`` pairs is refused before anything runs.
     """
-    _check_family_budget(grid, prefix_max, budget)
+    size = _check_family_budget(grid, prefix_max, budget)
     params = GeneratorParams(prefix_max=prefix_max)
     tally: Counter = Counter()
     violations: list[dict] = []
@@ -289,9 +290,8 @@ def counterexample_suite(
             tally, violations, "named", tally["named_pairs"] - 1,
         )
 
-    family = structured_family(grid, prefix_max)
-    tally["family_functions"] = len(family)
-    total_pairs = len(family) * (len(family) + 1) // 2
+    tally["family_functions"] = size
+    total_pairs = size * (size + 1) // 2
     tally["family_pairs"] = total_pairs
     shards = [
         (tuple(grid), prefix_max, lo, hi) for lo, hi in split_range(total_pairs, jobs)

@@ -26,9 +26,6 @@ class TNorm(enum.Enum):
     PRODUCT = "product"
     LUKASIEWICZ = "lukasiewicz"
 
-    def __call__(self, s: Fraction, t: Fraction) -> Fraction:
-        return apply(self, s, t)
-
 
 def apply(norm: TNorm, s: Fraction, t: Fraction) -> Fraction:
     """Evaluate ``s * t`` for the given norm.  Inputs must lie in [0,1]."""
@@ -76,7 +73,7 @@ def check_axioms(
     """
     for g in grid:
         check_unit_interval(g, "grid point")
-    fn: BinaryOp = op if callable(op) and not isinstance(op, TNorm) else (lambda s, t: apply(op, s, t))
+    fn: BinaryOp = op if callable(op) else (lambda s, t: apply(op, s, t))
     label = name if name is not None else (op.value if isinstance(op, TNorm) else "custom")
 
     by_axiom: dict[str, list[dict]] = {}

@@ -129,6 +129,39 @@ def test_out_of_range_flag_exits_2_with_one_line(subcommand, flag, value, messag
     assert captured.err == f"error: {message}\n"
 
 
+DROPPED = [
+    ("verify-counterexample", "--n", "2"),
+    ("finite-census", "--samples", "10"),
+    ("finite-census", "--prefix-max", "2"),
+    ("integral-properties", "--samples", "10"),
+    ("integral-properties", "--prefix-max", "2"),
+    ("integral-properties", "--jobs", "1"),
+    ("tnorm-axioms", "--samples", "10"),
+    ("tnorm-axioms", "--prefix-max", "2"),
+    ("tnorm-axioms", "--n", "2"),
+    ("tnorm-axioms", "--jobs", "1"),
+    ("comonotone-check", "--samples", "10"),
+    ("comonotone-check", "--prefix-max", "2"),
+    ("comonotone-check", "--grid", "0,1"),
+    ("comonotone-check", "--n", "2"),
+    ("comonotone-check", "--budget", "10"),
+    ("comonotone-check", "--jobs", "1"),
+    ("explore-problem1", "--n", "2"),
+    ("explore-problem1", "--jobs", "1"),
+]
+
+
+@pytest.mark.parametrize("subcommand, flag, value", DROPPED, ids=[" ".join(a[:2]) for a in DROPPED])
+def test_flag_the_subcommand_does_not_read_exits_2(subcommand, flag, value, capsys):
+    files = ["a.json", "b.json"] if subcommand == "comonotone-check" else []
+    with pytest.raises(SystemExit) as info:
+        cli.main([subcommand, *files, flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
 def test_unknown_function_key_exits_2(tmp_path):
     bad = write_json(tmp_path / "bad.json", {"vP": "1", "prefx": ["0"], "alpha": "1", "beta": "0"})
     ok = write_json(tmp_path / "ok.json", RAMP1_JSON)

@@ -5,6 +5,7 @@ cannot hide a submodule the package fails to load.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,7 +47,23 @@ def test_every_traced_name_resolves_after_import_comaxlab():
     assert int(result.stdout) > 0
 
 
+# The flags each subcommand's --help lists: exactly the ones it reads.
+HELP_FLAGS = {
+    "verify-counterexample": {"--seed", "--samples", "--prefix-max", "--grid", "--budget", "--jobs"},
+    "finite-census": {"--seed", "--grid", "--n", "--budget", "--jobs"},
+    "integral-properties": {"--seed", "--grid", "--n", "--budget", "--norm"},
+    "tnorm-axioms": {"--seed", "--grid", "--budget"},
+    "comonotone-check": {"--seed"},
+    "explore-problem1": {"--seed", "--samples", "--prefix-max", "--grid", "--budget"},
+}
+
+
 def test_cli_help_runs_without_warnings():
     result = run_python("-W", "error", "-m", "comaxlab.cli", "--help")
     assert result.returncode == 0, result.stderr
     assert "verify-counterexample" in result.stdout
+    for subcommand, flags in HELP_FLAGS.items():
+        result = run_python("-W", "error", "-m", "comaxlab.cli", subcommand, "--help")
+        assert result.returncode == 0, result.stderr
+        listed = set(re.findall(r"^ +(--[a-z-]+)", result.stdout, re.MULTILINE))
+        assert listed == flags | {"--output"}, subcommand

@@ -139,6 +139,20 @@ def test_check_budget_refuses_a_count_past_the_cap_without_it():
     assert str(info.value) == "items needs more than 10**4300 items, over the budget of 10000000"
 
 
+@pytest.mark.parametrize("required", [None, 10**4302], ids=["none", "past-the-cap"])
+def test_check_budget_refuses_under_a_budget_past_the_cap(required):
+    with pytest.raises(BudgetExceededError) as info:
+        check_budget(required, 10**4301, "items")
+    assert info.value.budget == 10**4301
+    assert str(info.value) == (
+        "items needs more than 10**4300 items, over the budget of 10**4300 or more"
+    )
+
+
+def test_check_budget_passes_a_small_count_under_a_budget_past_the_cap():
+    check_budget(5, 10**4301, "items")
+
+
 def test_integral_property_suite_refuses_a_count_past_the_cap():
     with pytest.raises(BudgetExceededError) as info:
         integral_property_suite(CHAIN3, 15, TNorm.MINIMUM)
