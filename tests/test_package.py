@@ -47,7 +47,7 @@ def test_every_traced_name_resolves_after_import_comaxlab():
     assert int(result.stdout) > 0
 
 
-# The flags each subcommand's --help lists: exactly the ones it reads.
+# The flags each subcommand's --help lists besides --output: its row of the flag table.
 HELP_FLAGS = {
     "verify-counterexample": {"--seed", "--samples", "--prefix-max", "--grid", "--budget", "--jobs"},
     "finite-census": {"--seed", "--grid", "--n", "--budget", "--jobs"},
