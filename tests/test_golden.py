@@ -6,8 +6,11 @@ digests and says so in CHANGES.md.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,10 @@ GOLDEN = [
     (
         ("finite-census",),
         "cdb98c0edb5468965406fa2da4e1b56f17a6500e517ef4c318b9891f326c9931",
+    ),
+    (
+        ("finite-census", "--grid", "0,1", "--n", "4"),
+        "fb8e6a5433dbfe5d0743336ebe28ad75470af2dff60e83c7ae954e7b27cf026e",
     ),
     (
         ("integral-properties", "--n", "2"),
@@ -37,6 +44,10 @@ GOLDEN = [
     (
         ("verify-counterexample", "--grid", "0,1/3,2/3,1", "--samples", "200"),
         "853f1e43b881535320f1505595d96c1ba2c81d6639a28be1934dfe34f4f38f8c",
+    ),
+    (
+        ("verify-counterexample", "--grid", "0,1/2,1", "--samples", "5000"),
+        "3431d7a30922dc5267ea9ecc895bb4642555141346b3682aca8ee903a63fcf13",
     ),
     (
         ("verify-counterexample", "--samples", "500"),
@@ -64,6 +75,31 @@ GOLDEN = [
     (
         ("explore-problem1", "--grid", "0,1/3,2/3,1", "--samples", "300", "--seed", "3"),
         "67086d52c9bcadbd8f55c2bb0d0a205d57086432b61197e2a3499457cbc6cb27",
+    ),
+    (
+        ("integral-properties", "--n", "3", "--norm", "product"),
+        "c2a3f910bef1c18b6957b973a141e754c0827d066a2437772112759aedc56959",
+    ),
+    (
+        ("integral-properties", "--n", "3", "--norm", "lukasiewicz", "--grid", "0,1/3,2/3,1"),
+        "6a4388e37304593f0ad19afc4fe7c27da1c6a73ba9bcc50e6a3c5abfd690b89c",
+    ),
+    # Product leaves the grid, so homogeneity samples off-chain
+    # functions whose denominators differ from the capacities'.
+    (
+        ("integral-properties", "--n", "2", "--norm", "product",
+         "--grid", "0,1/4,1/2,3/4,1", "--seed", "5"),
+        "8f0ddeae4977a1ab4856fc55566fe9b14c02a1acae500c075757a203032eb921",
+    ),
+    # Lukasiewicz does not close the chain 0,3/5,1, so it samples too.
+    (
+        ("integral-properties", "--n", "2", "--norm", "lukasiewicz", "--grid", "0,3/5,1"),
+        "2c17f5c730d20d2673b02b5b3af187da87250235f492c9121c1e048140ff8493",
+    ),
+    # Product leaves this grid inside associativity.
+    (
+        ("tnorm-axioms", "--grid", "0,1/3,1/2,1"),
+        "6c8c1374c089b5f2bf21acc71cae63a0330809d1078d9fa1e941d9eff56f87a9",
     ),
     # The 17-point grid k/16 of the acceptance criterion and the bench.
     (
@@ -102,6 +138,40 @@ def sha256(text):
 def test_report_bytes_are_pinned(argv, digest, capsys):
     assert cli.main(list(argv)) == 0
     assert sha256(capsys.readouterr().out) == digest
+
+
+def _load_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _parsed(argv):
+    """The parsed flags of a CLI run; --jobs is left out, the bytes do not depend on it."""
+    args = vars(cli._build_parser().parse_args(list(argv)))
+    del args["jobs"]
+    return args
+
+
+def test_bench_digests_equal_the_pins(monkeypatch):
+    # The bench pins its CLI steps' bytes as well; a byte change must move both lists.
+    workloads = _load_workloads(monkeypatch)
+    pins = [(_parsed(argv), digest) for argv, digest in GOLDEN]
+    steps = [
+        step
+        for workload in workloads.WORKLOADS.values()
+        for step in (*workload.steps, *([workload.reference] if workload.reference else []))
+        if step.kind == "cli"
+    ]
+    assert len(steps) == 8
+    for step in steps:
+        args = _parsed(step.argv(workloads.DEFAULT_SEED)[2:])
+        pinned = [digest for parsed, digest in pins if parsed == args]
+        assert pinned == [step.digest], step.name
 
 
 @pytest.fixture
