@@ -10,6 +10,7 @@ this package targets (n <= 10).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Any, Iterator
@@ -31,7 +32,7 @@ def _subset_key(subset: frozenset[int]) -> str:
 
 
 class Capacity:
-    """A monotone set function with mu(empty) = 0 and mu(all) = 1."""
+    """Monotone, mu(empty) = 0, mu(all) = 1; ``nums`` is mu times its lcm ``den``, by subset."""
 
     def __init__(self, n: int, mu: dict[frozenset[int], Fraction]):
         if n < 1:
@@ -39,6 +40,8 @@ class Capacity:
         self.n = n
         self._mu = dict(mu)
         self._validate()
+        self.den = math.lcm(*(v.denominator for v in self._mu.values()))
+        self.nums = {s: v.numerator * self.den // v.denominator for s, v in self._mu.items()}
 
     def _validate(self) -> None:
         full = frozenset(range(self.n))

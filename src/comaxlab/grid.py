@@ -9,7 +9,8 @@ the pointwise order are all decided exactly;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -45,13 +46,19 @@ class Chain:
 
 @dataclass(frozen=True)
 class GridFn:
-    """Function on a finite n-point space, stored as its value vector."""
+    """Function on n points: its value vector, and that times its lcm ``den`` as ``nums``."""
 
     values: tuple[Fraction, ...]
+    den: int = field(init=False, repr=False, compare=False)
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for v in self.values:
             check_unit_interval(v, "function value")
+        den = math.lcm(*(v.denominator for v in self.values))
+        nums = tuple(v.numerator * den // v.denominator for v in self.values)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     def __len__(self) -> int:
         return len(self.values)

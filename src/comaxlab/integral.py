@@ -6,6 +6,8 @@ level set {f >= t} only changes at values of f, the sweep reduces to
 the finite threshold set ``values(f) + {0, 1}`` with no loss: between
 consecutive values the level set is fixed and ``t * mu`` is monotone
 in t.  With the minimum norm this is the classical Sugeno integral.
+The sweep runs on integers over ``f.den * cap.den``; only the maximum
+becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -15,26 +17,22 @@ from functools import lru_cache
 
 from .capacity import Capacity
 from .grid import GridFn
-from .rational import ONE, ZERO
-from .tnorms import TNorm, apply
+from .tnorms import TNorm, apply_scaled
 
 
 @lru_cache(maxsize=4096)
-def _levels(values: tuple[Fraction, ...]) -> tuple[tuple[Fraction, frozenset[int]], ...]:
-    """Thresholds ``values + {0, 1}``, ascending, with their level sets (any capacity)."""
-    return tuple(
-        (t, frozenset(i for i, v in enumerate(values) if v >= t))
-        for t in sorted({*values, ZERO, ONE})
-    )
+def _levels(den: int, nums: tuple[int, ...]) -> tuple[tuple[int, frozenset[int]], ...]:
+    """Thresholds ``nums + {0, den}``, ascending, with their level sets (any capacity)."""
+    thresholds = sorted({*nums, 0, den})
+    if thresholds[0] < 0 or thresholds[-1] > den:
+        raise ValueError(f"thresholds must lie in [0, {den}]")
+    return tuple((t, frozenset(i for i, v in enumerate(nums) if v >= t)) for t in thresholds)
 
 
 def tnorm_integral(cap: Capacity, norm: TNorm, f: GridFn) -> Fraction:
     """Exact integral value; with norm = MINIMUM this is the Sugeno integral."""
     if len(f) != cap.n:
         raise ValueError(f"function on {len(f)} points vs capacity on {cap.n}")
-    best = ZERO
-    for t, level in _levels(f.values):
-        value = apply(norm, t, cap(level))
-        if value > best:
-            best = value
-    return best
+    den, mu = cap.den, cap.nums
+    best = max(apply_scaled(norm, t, f.den, mu[level], den) for t, level in _levels(f.den, f.nums))
+    return Fraction(best, f.den * den)

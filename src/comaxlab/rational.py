@@ -1,8 +1,8 @@
 """Exact rational scalars and their wire format.
 
-Every numeric value in this package is exact: a
-:class:`fractions.Fraction`, or, inside the sequence model, integers
-over one common denominator; nothing is ever rounded.  On the wire
+Every numeric value in this package is exact: a :class:`fractions.Fraction`,
+or, inside the sequence model and the finite integral, integers over
+one common denominator; nothing is ever rounded.  On the wire
 rationals travel as strings, ``"p/q"`` in lowest terms with a positive
 denominator, or a bare integer string when the denominator is 1
 (``"0"``, ``"1"``, ``"3/4"``).

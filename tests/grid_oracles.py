@@ -4,8 +4,12 @@ Each oracle walks the pairs (or cases) of the grid in a literal double
 loop and calls the functional on every input as it meets it: no shared
 relations, no index lists, no caching.  The differential tests hold
 the checkers of ``comaxlab.properties`` to these: same verdict, same
-witness.  ``TabulatedFunctional`` and ``enumerate_functionals`` give
-the tests functionals as explicit tables, walked in the census's order;
+witness.  ``fraction_integral`` is the t-normed integral swept on
+Fractions, and ``oracle_check_axioms`` the axiom checker that calls the
+operation anew for every check; the integer integral and the tabled
+checker of ``comaxlab.tnorms`` are held to them.
+``TabulatedFunctional`` and ``enumerate_functionals`` give the tests
+functionals as explicit tables, walked in the census's order;
 ``uniform`` gives them the counting capacity.
 """
 
@@ -27,9 +31,9 @@ from comaxlab.properties import (
     is_normalized,
     is_scale_homogeneous,
 )
-from comaxlab.rational import random_unit_rational
-from comaxlab.report import jsonify
-from comaxlab.tnorms import apply, pointwise_scale
+from comaxlab.rational import ONE, ZERO, check_unit_interval, random_unit_rational
+from comaxlab.report import FAIL, PASS, VerificationReport, jsonify
+from comaxlab.tnorms import TNorm, _witness, apply, pointwise_scale
 
 
 def uniform(n: int) -> Capacity:
@@ -127,3 +131,90 @@ def oracle_scale_homogeneous(functional, norm, chain, n, samples=200, seed=0, ma
             witness = {"c": c, "f": f.to_json(), "F_scaled": lhs, "c_times_F": rhs}
             return False, jsonify(witness)
     return True, None
+
+
+def fraction_integral(cap, norm, f):
+    """The t-normed integral, swept over ``values(f) + {0, 1}`` on Fractions."""
+    if len(f) != cap.n:
+        raise ValueError(f"function on {len(f)} points vs capacity on {cap.n}")
+    best = ZERO
+    for t in sorted({*f.values, ZERO, ONE}):
+        level = frozenset(i for i, v in enumerate(f.values) if v >= t)
+        value = apply(norm, t, cap(level))
+        if value > best:
+            best = value
+    return best
+
+
+def oracle_check_axioms(op, grid, name=None, max_witnesses=10):
+    """The four axiom passes, calling the operation for every value they compare."""
+    for g in grid:
+        check_unit_interval(g, "grid point")
+    fn = op if callable(op) else (lambda s, t: apply(op, s, t))
+    label = name if name is not None else (op.value if isinstance(op, TNorm) else "custom")
+
+    by_axiom = {}
+    counts = {
+        "grid_size": len(grid),
+        "unit_checks": 0,
+        "commutativity_checks": 0,
+        "monotonicity_checks": 0,
+        "associativity_checks": 0,
+        "closure_violations": 0,
+        "violations": 0,
+    }
+
+    def record(axiom, args, left, right):
+        counts["violations"] += 1
+        bucket = by_axiom.setdefault(axiom, [])
+        if len(bucket) < max_witnesses:
+            bucket.append(_witness(axiom, args, left, right))
+
+    def closed(value, args):
+        if not (ZERO <= value <= ONE):
+            counts["closure_violations"] += 1
+            record("closure", args, value, value)
+        return value
+
+    for s in grid:
+        counts["unit_checks"] += 1
+        got = closed(fn(s, ONE), (s, ONE))
+        if got != s:
+            record("unit", (s,), got, s)
+
+    for s in grid:
+        for t in grid:
+            counts["commutativity_checks"] += 1
+            st = closed(fn(s, t), (s, t))
+            ts = fn(t, s)
+            if st != ts:
+                record("commutativity", (s, t), st, ts)
+
+    for s in grid:
+        for s2 in grid:
+            if s > s2:
+                continue
+            for t in grid:
+                counts["monotonicity_checks"] += 1
+                lo, hi = fn(s, t), fn(s2, t)
+                if lo > hi:
+                    record("monotonicity", (s, s2, t), lo, hi)
+
+    for s in grid:
+        for t in grid:
+            for u in grid:
+                counts["associativity_checks"] += 1
+                left = fn(fn(s, t), u)
+                right = fn(s, fn(t, u))
+                if left != right:
+                    record("associativity", (s, t, u), left, right)
+
+    status = PASS if counts["violations"] == 0 else FAIL
+    order = ("closure", "unit", "commutativity", "monotonicity", "associativity")
+    witnesses = [w for axiom in order for w in by_axiom.get(axiom, [])]
+    return VerificationReport(
+        claim_id=f"tnorm-axioms-{label}",
+        status=status,
+        counts=counts,
+        witnesses=witnesses,
+    )

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from comaxlab.grid import Chain, GridFn, all_functions, comonotone, constant, join
+from comaxlab.rational import RationalFormatError
 
 F = Fraction
 
@@ -85,3 +86,51 @@ def test_grid_fn_json_round_trip():
 def test_grid_fn_json_rejects_unknown_keys():
     with pytest.raises(ValueError, match="must be"):
         GridFn.from_json({"values": ["1/2"], "value": ["1"]})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: GridFn((F(1, 2), F(3, 2))), ValueError, "function value 3/2 outside [0,1]"),
+        (lambda: GridFn((F(-1, 2),)), ValueError, "function value -1/2 outside [0,1]"),
+        (
+            lambda: GridFn.from_json({"value": ["1"]}),
+            ValueError,
+            'grid function JSON must be {"values": [...]}',
+        ),
+        (lambda: GridFn.from_json({"values": []}), ValueError, "values: must be a nonempty list"),
+        (lambda: GridFn.from_json({"values": "1"}), ValueError, "values: must be a nonempty list"),
+        (
+            lambda: GridFn.from_json({"values": ["3/2"]}),
+            ValueError,
+            "function value 3/2 outside [0,1]",
+        ),
+        (
+            lambda: GridFn.from_json({"values": ["0.5"]}),
+            RationalFormatError,
+            "not a rational: '0.5'",
+        ),
+    ],
+)
+def test_grid_fn_refusal_messages(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12), min_size=1, max_size=4))
+def test_grid_fn_integer_form_is_the_values_over_their_least_denominator(values):
+    f = GridFn(tuple(values))
+    assert [F(num, f.den) for num in f.nums] == values
+    smaller = (d for d in range(1, f.den) if f.den % d == 0)
+    assert all(any((v * d).denominator != 1 for v in values) for d in smaller)
+
+
+def test_grid_fn_integer_form_stays_out_of_equality_hash_repr_and_codec():
+    # 2/4 and 1/2 are one Fraction; a second build derives the same den and nums.
+    f, g = GridFn((F(2, 4), F(1, 3))), GridFn.from_json({"values": ["1/2", "1/3"]})
+    assert f == g and hash(f) == hash(g)
+    assert (f.den, f.nums) == (6, (3, 2))
+    assert repr(f) == "GridFn(values=(Fraction(1, 2), Fraction(1, 3)))"
+    assert f.to_json() == {"values": ["1/2", "1/3"]}
+    assert {f: 1}[g] == 1

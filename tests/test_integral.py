@@ -1,17 +1,22 @@
 from fractions import Fraction
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from comaxlab.capacity import Capacity, enumerate_capacities, subsets
-from comaxlab.grid import GridFn, constant
-from comaxlab.integral import tnorm_integral
+from comaxlab.grid import Chain, GridFn, all_functions, constant
+from comaxlab.integral import _levels, tnorm_integral
+from comaxlab.properties import _homogeneity_cases
 from comaxlab.tnorms import TNorm, apply
 
-from grid_oracles import uniform
+from grid_oracles import fraction_integral, uniform
 
 F = Fraction
+
+unit12 = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 
 def brute_force_integral(cap, norm, f, steps=64):
@@ -154,3 +159,105 @@ def test_enumerate_capacities_counts():
     # #{d >= max(pair)} gives 27+36+9+24+12+3+8+6+3+1 = 129.
     assert len(three) == 129
     assert all(isinstance(c, Capacity) for c in three[:3])
+
+
+@pytest.mark.parametrize("norm", list(TNorm), ids=lambda t: t.value)
+@pytest.mark.parametrize(
+    "grid, n", [("0,1/2,1", 2), ("0,1/3,2/3,1", 2), ("0,1/2,1", 3)], ids=str
+)
+def test_integral_matches_fraction_oracle_on_every_chain_capacity(grid, n, norm):
+    chain = Chain(tuple(F(v) for v in grid.split(",")))
+    homogeneity_functions, _ = _homogeneity_cases(norm, chain, n, 200, 0, 8)
+    functions = {
+        *all_functions(chain, n),
+        *(constant(F(k, 12), n) for k in range(13)),
+        *homogeneity_functions,
+    }
+    for cap in enumerate_capacities(chain.values, n):
+        for f in functions:
+            got = tnorm_integral(cap, norm, f)
+            assert type(got) is Fraction
+            assert got == fraction_integral(cap, norm, f), (cap.to_json(), f)
+
+
+@st.composite
+def capacities(draw, n):
+    """Monotone by construction: mu(S) is the largest drawn weight of a subset of S."""
+    subs = subsets(n)
+    full = frozenset(range(n))
+    raw = {s: draw(unit12) for s in subs}
+    mu = {s: max((raw[t] for t in subs if t and t <= s), default=F(0)) for s in subs}
+    mu[full] = F(1)
+    return Capacity(n, mu)
+
+
+capacity_and_function = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(capacities(n), st.tuples(*[unit12] * n).map(GridFn))
+)
+
+
+@given(capacity_and_function, st.sampled_from(list(TNorm)))
+@example(((halves_capacity(), GridFn((F(1, 3), F(3, 4))))), TNorm.LUKASIEWICZ)
+@settings(max_examples=200)
+def test_integral_matches_fraction_oracle_across_denominators(cap_f, norm):
+    cap, f = cap_f
+    assert tnorm_integral(cap, norm, f) == fraction_integral(cap, norm, f)
+
+
+@given(capacity_and_function)
+def test_integer_forms_are_the_values_over_their_least_denominator(cap_f):
+    cap, f = cap_f
+    for values, nums, den in (
+        (f.values, f.nums, f.den),
+        (tuple(cap(s) for s in cap.nums), tuple(cap.nums.values()), cap.den),
+    ):
+        assert tuple(F(num, den) for num in nums) == values
+        assert den == math.lcm(*(v.denominator for v in values))
+        smaller = (d for d in range(1, den) if den % d == 0)
+        assert all(any((v * d).denominator != 1 for v in values) for d in smaller)
+
+
+def test_capacity_refusal_messages():
+    e, full1 = frozenset(), frozenset({0})
+    cases = [
+        (lambda: Capacity(0, {}), "capacity needs at least one point"),
+        (lambda: Capacity(1, {e: F(0)}), "capacity table must cover all 2 subsets"),
+        (lambda: Capacity(1, {e: F(0), frozenset({1}): F(1)}), "subset '1' outside the space"),
+        (lambda: Capacity(1, {e: F(0), full1: F(3, 2)}), "mu('0') 3/2 outside [0,1]"),
+        (lambda: Capacity(1, {e: F(1, 2), full1: F(1)}), "mu(empty set) must be 0"),
+        (lambda: Capacity(1, {e: F(0), full1: F(1, 2)}), "mu(full set) must be 1"),
+        (
+            lambda: Capacity.from_json({"n": 3, "mu": violating_mu3()}),
+            "monotonicity violation: mu('0') = 1 > 1/2 = mu('01')",
+        ),
+        (lambda: Capacity.from_json([]), 'capacity JSON must be {"n": ..., "mu": {...}}'),
+        (lambda: Capacity.from_json({"n": 11, "mu": {}}), "n: must be an integer in 1..10"),
+        (
+            lambda: Capacity.from_json({"n": 1, "mu": []}),
+            "mu: must be an object keyed by subset strings",
+        ),
+        (lambda: Capacity.from_json({"n": 1, "mu": {"a": "0"}}), "mu.'a': bad subset key"),
+        (
+            lambda: Capacity.from_json({"n": 2, "mu": {"10": "1"}}),
+            "mu.'10': subset key must list sorted distinct indices",
+        ),
+        (lambda: Capacity.from_json({"n": 2, "mu": {"2": "1"}}), "mu.'2': index outside the space"),
+        (lambda: uniform(11).to_json(), "subset-string encoding supports at most 10 points"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_capacity_integer_form_stays_out_of_equality_and_codec():
+    a = Capacity(2, {s: F(len(s), 2) for s in subsets(2)})
+    b = Capacity.from_json(a.to_json())
+    assert a == b and repr(a) == repr(b) == "Capacity(n=2)"
+    assert (a.den, a.nums) == (2, {s: len(s) for s in subsets(2)})
+    assert a.to_json() == {"n": 2, "mu": {"": "0", "0": "1/2", "1": "1/2", "01": "1"}}
+
+
+def test_levels_refuse_a_threshold_outside_the_denominator():
+    with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 4\]"):
+        _levels(4, (1, 5))
