@@ -32,7 +32,7 @@ def _subset_key(subset: frozenset[int]) -> str:
 
 
 class Capacity:
-    """Monotone, mu(empty) = 0, mu(all) = 1; ``nums`` is mu times its lcm ``den``, by subset."""
+    """A monotone set function, mu(empty) = 0, mu(all) = 1; also ``nums`` over the lcm ``den``."""
 
     def __init__(self, n: int, mu: dict[frozenset[int], Fraction]):
         if n < 1:

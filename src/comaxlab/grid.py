@@ -46,7 +46,7 @@ class Chain:
 
 @dataclass(frozen=True)
 class GridFn:
-    """Function on n points: its value vector, and that times its lcm ``den`` as ``nums``."""
+    """Function on a finite n-point space: its values, also as ``nums`` over their lcm ``den``."""
 
     values: tuple[Fraction, ...]
     den: int = field(init=False, repr=False, compare=False)

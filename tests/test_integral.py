@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import math
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -204,17 +202,12 @@ def test_integral_matches_fraction_oracle_across_denominators(cap_f, norm):
     assert tnorm_integral(cap, norm, f) == fraction_integral(cap, norm, f)
 
 
-@given(capacity_and_function)
-def test_integer_forms_are_the_values_over_their_least_denominator(cap_f):
-    cap, f = cap_f
-    for values, nums, den in (
-        (f.values, f.nums, f.den),
-        (tuple(cap(s) for s in cap.nums), tuple(cap.nums.values()), cap.den),
-    ):
-        assert tuple(F(num, den) for num in nums) == values
-        assert den == math.lcm(*(v.denominator for v in values))
-        smaller = (d for d in range(1, den) if den % d == 0)
-        assert all(any((v * d).denominator != 1 for v in values) for d in smaller)
+@given(st.integers(1, 3).flatmap(capacities))
+def test_capacity_integer_form_is_the_weights_over_their_least_denominator(cap):
+    weights = [cap(s) for s in subsets(cap.n)]
+    assert [F(cap.nums[s], cap.den) for s in subsets(cap.n)] == weights
+    smaller = (d for d in range(1, cap.den) if cap.den % d == 0)
+    assert all(any((w * d).denominator != 1 for w in weights) for d in smaller)
 
 
 def test_capacity_refusal_messages():
