@@ -31,6 +31,15 @@ def _subset_key(subset: frozenset[int]) -> str:
     return "".join(str(i) for i in sorted(subset))
 
 
+def _first_drop(n: int, mu: dict[frozenset[int], Fraction]) -> tuple[frozenset[int], int] | None:
+    """The first ``(subset, point)`` whose extension lowers ``mu``; None means monotone."""
+    for subset, value in mu.items():
+        for i in range(n):
+            if i not in subset and value > mu[subset | {i}]:
+                return subset, i
+    return None
+
+
 class Capacity:
     """A monotone set function, mu(empty) = 0, mu(all) = 1; also ``nums`` over the lcm ``den``."""
 
@@ -56,18 +65,14 @@ class Capacity:
             raise ValueError("mu(empty set) must be 0")
         if self._mu[full] != ONE:
             raise ValueError("mu(full set) must be 1")
-        # Monotone along single-element extensions implies monotone for inclusion.
-        for subset, value in self._mu.items():
-            for i in range(self.n):
-                if i in subset:
-                    continue
-                bigger = self._mu[subset | {i}]
-                if value > bigger:
-                    raise ValueError(
-                        "monotonicity violation: "
-                        f"mu({_subset_key(subset)!r}) = {format_rational(value)} > "
-                        f"{format_rational(bigger)} = mu({_subset_key(subset | {i})!r})"
-                    )
+        if drop := _first_drop(self.n, self._mu):
+            subset, i = drop
+            bigger = subset | {i}
+            raise ValueError(
+                "monotonicity violation: "
+                f"mu({_subset_key(subset)!r}) = {format_rational(self._mu[subset])} > "
+                f"{format_rational(self._mu[bigger])} = mu({_subset_key(bigger)!r})"
+            )
 
     def __call__(self, subset: frozenset[int]) -> Fraction:
         return self._mu[subset]
@@ -123,13 +128,5 @@ def enumerate_capacities(chain_values: tuple[Fraction, ...], n: int) -> Iterator
     for combo in product(chain_values, repeat=len(free)):
         mu = {frozenset(): ZERO, full: ONE}
         mu.update(zip(free, combo))
-        ok = True
-        for subset, value in mu.items():
-            for i in range(n):
-                if i not in subset and value > mu[subset | {i}]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if _first_drop(n, mu) is None:
             yield Capacity(n, mu)

@@ -7,8 +7,10 @@ refuses (with the exact count) rather than run away.
 
 The census classifies every table as comonotonically maxitive and/or
 monotone.  Both properties only compare values, so tables are walked as
-tuples of chain indices against ``grid.relations``; witnesses are
-translated back to real functions for the report.  The table space
+rows of chain indices against ``grid.relations`` and decided by the
+checkers' own scans, ``properties.join_break`` and ``order_break``.
+Witnesses are translated back to real functions for the report, the
+maxitivity break by the checkers' ``join_witness``.  The table space
 splits into contiguous lexicographic ranges, one per job, and the merge
 is by shard order, so the report is independent of parallelism.
 """
@@ -19,8 +21,13 @@ from fractions import Fraction
 
 from .grid import Chain, Relations, relations
 from .parallel import run_shards, split_range
-from .properties import capped_power, check_budget
+from .properties import capped_power, check_budget, join_break, join_witness, order_break
 from .report import FINDING, PASS, VerificationReport, jsonify
+
+
+_COUNTS = (
+    "total", "comonotone_maxitive", "monotone", "maxitive_not_monotone", "monotone_not_maxitive"
+)
 
 
 def table_count(chain: Chain, n: int) -> int | None:
@@ -55,13 +62,7 @@ def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
     m = len(chain_values)
     d = len(structure.domain)
 
-    counts = {
-        "total": 0,
-        "comonotone_maxitive": 0,
-        "monotone": 0,
-        "maxitive_not_monotone": 0,
-        "monotone_not_maxitive": 0,
-    }
+    counts = dict.fromkeys(_COUNTS, 0)
     bad_maxitive: list[dict] = []
     first_monotone_only: dict | None = None
 
@@ -69,28 +70,14 @@ def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
     for _ in range(lo, hi):
         counts["total"] += 1
 
-        maxitive = True
-        maxitivity_break = None
-        for i, j, k in structure.joins:
-            vi, vj = row[i], row[j]
-            if row[k] != (vi if vi >= vj else vj):
-                maxitive = False
-                maxitivity_break = (i, j, k)
-                break
-
-        monotone = True
-        for i, j in structure.order:
-            if row[i] > row[j]:
-                monotone = False
-                break
+        maxitivity_break = join_break(row, structure.joins)
+        maxitive = maxitivity_break is None
+        monotone = order_break(row, structure.order) is None
 
         if maxitive:
             counts["comonotone_maxitive"] += 1
-            for i, j in structure.comonotone_order:
-                if row[i] > row[j]:
-                    raise AssertionError(
-                        "maxitive table not monotone on a comonotone ordered pair"
-                    )
+            if order_break(row, structure.comonotone_order) is not None:
+                raise AssertionError("maxitive table not monotone on a comonotone ordered pair")
         if monotone:
             counts["monotone"] += 1
         if maxitive and not monotone:
@@ -102,16 +89,11 @@ def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
         if monotone and not maxitive:
             counts["monotone_not_maxitive"] += 1
             if first_monotone_only is None:
-                i, j, k = maxitivity_break
+                values = [chain.values[x] for x in row]
                 first_monotone_only = {
                     "kind": "monotone_not_maxitive",
                     "table": _row_json(structure, chain, row),
-                    "pair": {
-                        "f": structure.domain[i].to_json(),
-                        "g": structure.domain[j].to_json(),
-                        "F_join": jsonify(chain.values[row[k]]),
-                        "max_F": jsonify(chain.values[max(row[i], row[j])]),
-                    },
+                    "pair": join_witness(values, structure.domain, *maxitivity_break),
                 }
         _advance_row(row, m)
 
@@ -143,13 +125,7 @@ def functional_census(
     ]
     results = run_shards(_census_shard, shards, jobs)
 
-    counts = {
-        "total": 0,
-        "comonotone_maxitive": 0,
-        "monotone": 0,
-        "maxitive_not_monotone": 0,
-        "monotone_not_maxitive": 0,
-    }
+    counts = dict.fromkeys(_COUNTS, 0)
     witnesses: list[dict] = []
     first_monotone_only: dict | None = None
     for result in results:

@@ -83,11 +83,6 @@ class GridFn:
         return cls(tuple(parse_rational(v) for v in raw))
 
 
-def constant(c: Fraction, n: int) -> GridFn:
-    check_unit_interval(c, "constant")
-    return GridFn((c,) * n)
-
-
 def _check_lengths(f: GridFn, g: GridFn) -> None:
     if len(f) != len(g):
         raise ValueError(f"length mismatch: {len(f)} vs {len(g)}")
@@ -122,11 +117,12 @@ class Relations:
     joins: tuple[tuple[int, int, int], ...]  # comonotone i < j, index of their join
     order: tuple[tuple[int, int], ...]  # domain[i] <= domain[j], i != j
     comonotone_order: tuple[tuple[int, int], ...]  # the comonotone pairs of ``order``
+    constants: tuple[int, ...]  # index of the constant function at each chain value
 
 
 @lru_cache(maxsize=16)
 def relations(chain: Chain, n: int) -> Relations:
-    """Comonotone pairs with their join, and ordered pairs, over the grid.
+    """Comonotone pairs with their join, ordered pairs, and the constants, over the grid.
 
     Pairs are listed in lexicographic ``(i, j)`` order.  Pairs of a
     function with itself are left out: they are comonotone, their join
@@ -139,4 +135,5 @@ def relations(chain: Chain, n: int) -> Relations:
     # The domain is lexicographic over an increasing chain: f <= g, f != g puts f first.
     order = tuple((i, j) for i, j, f, g in pairs if f.leq(g))
     together = {(i, j) for i, j, _ in joins}
-    return Relations(domain, joins, order, tuple(p for p in order if p in together))
+    comonotone_order = tuple(p for p in order if p in together)
+    return Relations(domain, joins, order, comonotone_order, tuple(index[(c,) * n] for c in chain))

@@ -1,12 +1,13 @@
 """Property checkers for functionals on grid functions.
 
-Each checker takes a functional (any callable from GridFn to Fraction)
-and decides one axiom exhaustively over a chain grid, returning the
-verdict together with the first violating input when there is one.
-Each evaluates the functional once per input and scans index lists
-built once per configuration (``grid.relations``, ``_homogeneity_cases``).
+Each checker reads a functional's value table, indexed like the grid
+domain of ``grid.relations``, and decides one axiom exhaustively over a
+chain grid, returning the verdict with the first violating input.  Only
+``join_break`` and ``order_break`` decide maxitivity and monotonicity;
+the census runs them on its rows of chain indices too.
 ``integral_property_suite`` bundles the four checks for the t-normed
-integral across every capacity with values on the chain.
+integral across every chain capacity: it tabulates the integral once on
+the inputs of ``_homogeneity_cases`` (the grid domain first) for all four.
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable
 
 from .capacity import enumerate_capacities
-from .grid import Chain, GridFn, all_functions, constant, relations
+from .grid import Chain, GridFn, relations
 from .integral import tnorm_integral
 from .rational import random_unit_rational
 from .report import FAIL, PASS, VerificationReport, jsonify
 from .tnorms import TNorm, apply, pointwise_scale
-
-Functional = Callable[[GridFn], Fraction]
 
 Witness = dict
 
@@ -65,36 +63,53 @@ def check_budget(required: int | None, budget: int, what: str) -> None:
         raise BudgetExceededError(required, budget, what)
 
 
-def is_normalized(functional: Functional, chain: Chain, n: int) -> bool:
-    """Does the functional send every constant c to c?"""
-    return all(functional(constant(c, n)) == c for c in chain)
+def join_break(values: list, joins: tuple) -> tuple[int, int, int] | None:
+    """The first ``(i, j, k)`` of ``joins`` with ``values[k] != max(values[i], values[j])``."""
+    for i, j, k in joins:
+        vi, vj = values[i], values[j]
+        if values[k] != (vi if vi >= vj else vj):
+            return i, j, k
+    return None
 
 
-def is_comonotone_maxitive(
-    functional: Functional, chain: Chain, n: int
-) -> tuple[bool, Witness | None]:
+def order_break(values: list, pairs: tuple) -> tuple[int, int] | None:
+    """The first ``(i, j)`` of ``pairs`` with ``values[i] > values[j]``."""
+    for i, j in pairs:
+        if values[i] > values[j]:
+            return i, j
+    return None
+
+
+def join_witness(values: list, domain: tuple[GridFn, ...], i: int, j: int, k: int) -> Witness:
+    """The report form of the maxitivity break ``(i, j, k)`` of a table over ``domain``."""
+    f, g = domain[i], domain[j]
+    max_f = max(values[i], values[j])
+    return jsonify({"f": f.to_json(), "g": g.to_json(), "F_join": values[k], "max_F": max_f})
+
+
+def is_normalized(values: list, chain: Chain, n: int) -> bool:
+    """Does the table send every constant c to c?"""
+    return all(values[k] == c for c, k in zip(chain, relations(chain, n).constants))
+
+
+def is_comonotone_maxitive(values: list, chain: Chain, n: int) -> tuple[bool, Witness | None]:
     """Check F(f v g) = max(F(f), F(g)) over every comonotone pair on the grid."""
     rel = relations(chain, n)
-    values = [functional(f) for f in rel.domain]
-    for i, j, k in rel.joins:
-        lhs, rhs = values[k], max(values[i], values[j])
-        if lhs != rhs:
-            f, g = rel.domain[i], rel.domain[j]
-            witness = {"f": f.to_json(), "g": g.to_json(), "F_join": lhs, "max_F": rhs}
-            return False, jsonify(witness)
+    found = join_break(values, rel.joins)
+    if found is not None:
+        return False, join_witness(values, rel.domain, *found)
     return True, None
 
 
-def is_monotone(functional: Functional, chain: Chain, n: int) -> tuple[bool, Witness | None]:
+def is_monotone(values: list, chain: Chain, n: int) -> tuple[bool, Witness | None]:
     """Check f <= g pointwise implies F(f) <= F(g), exhaustively on the grid."""
     rel = relations(chain, n)
-    values = [functional(f) for f in rel.domain]
-    for i, j in rel.order:
-        vf, vg = values[i], values[j]
-        if vf > vg:
-            f, g = rel.domain[i], rel.domain[j]
-            witness = {"f": f.to_json(), "g": g.to_json(), "F_f": vf, "F_g": vg}
-            return False, jsonify(witness)
+    found = order_break(values, rel.order)
+    if found is not None:
+        i, j = found
+        f, g = rel.domain[i], rel.domain[j]
+        witness = {"f": f.to_json(), "g": g.to_json(), "F_f": values[i], "F_g": values[j]}
+        return False, jsonify(witness)
     return True, None
 
 
@@ -102,23 +117,25 @@ def chain_closed_under(norm: TNorm, chain: Chain) -> bool:
     return all(apply(norm, s, t) in chain for s in chain for t in chain)
 
 
+HOMOGENEITY_SAMPLES = 200
+HOMOGENEITY_MAX_DENOMINATOR = 8
+
+
 @lru_cache(maxsize=64)
 def _homogeneity_cases(
-    norm: TNorm, chain: Chain, n: int, samples: int, seed: int, max_denominator: int
+    norm: TNorm, chain: Chain, n: int, seed: int
 ) -> tuple[tuple[GridFn, ...], tuple[tuple[Fraction, int, int], ...]]:
-    """The distinct functions to evaluate, and ``(c, index of f, index of c * f)`` per case."""
+    """Inputs to tabulate, grid domain first, and ``(c, index of f, index of c * f)`` per case."""
+    domain = relations(chain, n).domain
     if chain_closed_under(norm, chain):
-        pairs = [(c, f) for c in chain for f in all_functions(chain, n)]
+        pairs = [(c, f) for c in chain for f in domain]
     else:
         rng = random.Random(seed)
+        draw = partial(random_unit_rational, rng, HOMOGENEITY_MAX_DENOMINATOR)
         pairs = [
-            (
-                random_unit_rational(rng, max_denominator),
-                GridFn(tuple(random_unit_rational(rng, max_denominator) for _ in range(n))),
-            )
-            for _ in range(samples)
+            (draw(), GridFn(tuple(draw() for _ in range(n)))) for _ in range(HOMOGENEITY_SAMPLES)
         ]
-    positions: dict[GridFn, int] = {}
+    positions = {f: i for i, f in enumerate(domain)}
     cases = []
     for c, f in pairs:
         scaled = GridFn(pointwise_scale(norm, c, f.values))
@@ -128,28 +145,21 @@ def _homogeneity_cases(
 
 
 def is_scale_homogeneous(
-    functional: Functional,
-    norm: TNorm,
-    chain: Chain,
-    n: int,
-    samples: int = 200,
-    seed: int = 0,
-    max_denominator: int = 8,
+    values: list, norm: TNorm, chain: Chain, n: int, seed: int = 0
 ) -> tuple[bool, Witness | None]:
     """Check F(c * f) = c * F(f) with the norm acting pointwise on the left.
 
-    When the chain is closed under the norm the check is exhaustive over
-    all scalars and functions on the grid.  Otherwise (the product norm
-    on any chain with interior points) scaled functions leave the grid,
-    so the check samples seeded rational scalars and functions instead;
-    the functional must then accept off-chain inputs.
+    The table is indexed like the inputs of ``_homogeneity_cases``.  When the
+    chain is closed under the norm the check is exhaustive over all scalars
+    and functions on the grid.  Otherwise (the product norm on any chain with
+    interior points) scaled functions leave the grid, so the check samples
+    seeded rational scalars and functions, and the table holds them too.
     """
-    functions, cases = _homogeneity_cases(norm, chain, n, samples, seed, max_denominator)
-    values = [functional(h) for h in functions]
+    inputs, cases = _homogeneity_cases(norm, chain, n, seed)
     for c, i, k in cases:
         lhs, rhs = values[k], apply(norm, c, values[i])
         if lhs != rhs:
-            witness = {"c": c, "f": functions[i].to_json(), "F_scaled": lhs, "c_times_F": rhs}
+            witness = {"c": c, "f": inputs[i].to_json(), "F_scaled": lhs, "c_times_F": rhs}
             return False, jsonify(witness)
     return True, None
 
@@ -180,25 +190,26 @@ def integral_property_suite(
     }
     witnesses: list[dict] = []
 
+    inputs, _ = _homogeneity_cases(norm, chain, n, seed)
     for cap in enumerate_capacities(chain.values, n):
         counts["capacities"] += 1
-        functional = partial(tnorm_integral, cap, norm)
-        if not is_normalized(functional, chain, n):
+        values = [tnorm_integral(cap, norm, f) for f in inputs]
+        if not is_normalized(values, chain, n):
             counts["normalized_failures"] += 1
             witnesses.append({"property": "normalized", "capacity": cap.to_json()})
-        ok, witness = is_comonotone_maxitive(functional, chain, n)
+        ok, witness = is_comonotone_maxitive(values, chain, n)
         if not ok:
             counts["maxitivity_failures"] += 1
             witnesses.append(
                 {"property": "comonotone_maxitivity", "capacity": cap.to_json(), "witness": witness}
             )
-        ok, witness = is_scale_homogeneous(functional, norm, chain, n, seed=seed)
+        ok, witness = is_scale_homogeneous(values, norm, chain, n, seed=seed)
         if not ok:
             counts["homogeneity_failures"] += 1
             witnesses.append(
                 {"property": "scale_homogeneity", "capacity": cap.to_json(), "witness": witness}
             )
-        ok, witness = is_monotone(functional, chain, n)
+        ok, witness = is_monotone(values, chain, n)
         if not ok:
             counts["monotonicity_failures"] += 1
             witnesses.append(

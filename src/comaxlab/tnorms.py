@@ -2,11 +2,12 @@
 
 Only the three canonical continuous norms are built in: minimum,
 product, and Lukasiewicz.  All three map rational pairs to rationals,
-so every identity here is decidable exactly; ``apply_scaled`` is
-``apply`` on integer numerators.  The axiom checker is grid-exhaustive:
-callers pick a finite grid and every required tuple on it is tested,
-with violating tuples reported verbatim.  It evaluates the operation
-once per grid pair; only associativity's outer calls are made anew.
+so every identity here is decidable exactly.  The three formulas live
+in ``apply_scaled``, on integer numerators; ``apply`` reads them.  The
+axiom checker is grid-exhaustive: callers pick a finite grid and every
+required tuple on it is tested, with violating tuples reported
+verbatim.  It evaluates the operation once per grid pair; only
+associativity's outer calls are made anew.
 """
 
 from __future__ import annotations
@@ -33,15 +34,12 @@ def apply(norm: TNorm, s: Fraction, t: Fraction) -> Fraction:
     """Evaluate ``s * t`` for the given norm.  Inputs must lie in [0,1]."""
     check_unit_interval(s, "left operand")
     check_unit_interval(t, "right operand")
-    if norm is TNorm.MINIMUM:
-        return min(s, t)
-    if norm is TNorm.PRODUCT:
-        return s * t
-    return max(ZERO, s + t - ONE)
+    num = apply_scaled(norm, s.numerator, s.denominator, t.numerator, t.denominator)
+    return Fraction(num, s.denominator * t.denominator)
 
 
 def apply_scaled(norm: TNorm, s: int, s_den: int, t: int, t_den: int) -> int:
-    """Unchecked ``apply`` on ``s / s_den`` and ``t / t_den``: the numerator over both."""
+    """The norm of ``s / s_den`` and ``t / t_den``, unchecked: its numerator over both."""
     if norm is TNorm.MINIMUM:
         return min(s * t_den, t * s_den)
     if norm is TNorm.PRODUCT:

@@ -7,10 +7,14 @@ the checkers of ``comaxlab.properties`` to these: same verdict, same
 witness.  ``fraction_integral`` is the t-normed integral swept on
 Fractions, and ``oracle_check_axioms`` the axiom checker that calls the
 operation anew for every check; the integer integral and the tabled
-checker of ``comaxlab.tnorms`` are held to them.
+checker of ``comaxlab.tnorms`` are held to them.  The oracles reach the
+norms through ``fraction_apply``, the three formulas on Fractions, which
+``tnorms.apply`` and ``tnorms.apply_scaled`` are held to in turn.
 ``TabulatedFunctional`` and ``enumerate_functionals`` give the tests
 functionals as explicit tables, walked in the census's order;
-``uniform`` gives them the counting capacity.
+``grid_table`` and ``homogeneity_table`` tabulate a functional the way
+the checkers read it; ``uniform`` gives the tests the counting capacity
+and ``constant`` the constant functions.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from typing import Iterator
 
 from comaxlab.capacity import Capacity, subsets
 from comaxlab.census import table_count
-from comaxlab.grid import Chain, GridFn, all_functions, comonotone, join
+from comaxlab.grid import Chain, GridFn, all_functions, comonotone, join, relations
 from comaxlab.properties import (
     BudgetExceededError,
+    _homogeneity_cases,
     chain_closed_under,
     is_comonotone_maxitive,
     is_normalized,
@@ -33,12 +38,38 @@ from comaxlab.properties import (
 )
 from comaxlab.rational import ONE, ZERO, check_unit_interval, random_unit_rational
 from comaxlab.report import FAIL, PASS, VerificationReport, jsonify
-from comaxlab.tnorms import TNorm, _witness, apply, pointwise_scale
+from comaxlab.tnorms import TNorm, _witness
 
 
 def uniform(n: int) -> Capacity:
     """The capacity mu(A) = |A| / n."""
     return Capacity(n, {s: Fraction(len(s), n) for s in subsets(n)})
+
+
+def constant(c: Fraction, n: int) -> GridFn:
+    """The function with value c at each of n points."""
+    check_unit_interval(c, "constant")
+    return GridFn((c,) * n)
+
+
+def fraction_apply(norm: TNorm, s: Fraction, t: Fraction) -> Fraction:
+    """The norm of s and t by its textbook formula, on Fractions."""
+    if norm is TNorm.MINIMUM:
+        return min(s, t)
+    if norm is TNorm.PRODUCT:
+        return s * t
+    return max(ZERO, s + t - ONE)
+
+
+def grid_table(functional, chain, n):
+    """The functional's values on the grid domain, in ``grid.relations`` order."""
+    return [functional(f) for f in relations(chain, n).domain]
+
+
+def homogeneity_table(functional, norm, chain, n, seed=0):
+    """The functional's values on the homogeneity inputs: the grid domain, then off-grid ones."""
+    inputs, _ = _homogeneity_cases(norm, chain, n, seed)
+    return [functional(f) for f in inputs]
 
 
 @dataclass(frozen=True)
@@ -73,14 +104,15 @@ def enumerate_functionals(
         yield TabulatedFunctional(chain, n, domain, row)
 
 
-def satisfies_all_axioms(functional, norm, chain, n, samples=200, seed=0):
+def satisfies_all_axioms(functional, norm, chain, n, seed=0):
     """Normalized, comonotonically maxitive, and homogeneous for the norm."""
-    if not is_normalized(functional, chain, n):
+    values = homogeneity_table(functional, norm, chain, n, seed)
+    if not is_normalized(values, chain, n):
         return False
-    ok, _ = is_comonotone_maxitive(functional, chain, n)
+    ok, _ = is_comonotone_maxitive(values, chain, n)
     if not ok:
         return False
-    ok, _ = is_scale_homogeneous(functional, norm, chain, n, samples=samples, seed=seed)
+    ok, _ = is_scale_homogeneous(values, norm, chain, n, seed=seed)
     return ok
 
 
@@ -124,9 +156,9 @@ def oracle_scale_homogeneous(functional, norm, chain, n, samples=200, seed=0, ma
             for _ in range(samples)
         )
     for c, f in cases:
-        scaled = GridFn(pointwise_scale(norm, c, f.values))
+        scaled = GridFn(tuple(fraction_apply(norm, c, v) for v in f.values))
         lhs = functional(scaled)
-        rhs = apply(norm, c, functional(f))
+        rhs = fraction_apply(norm, c, functional(f))
         if lhs != rhs:
             witness = {"c": c, "f": f.to_json(), "F_scaled": lhs, "c_times_F": rhs}
             return False, jsonify(witness)
@@ -140,7 +172,7 @@ def fraction_integral(cap, norm, f):
     best = ZERO
     for t in sorted({*f.values, ZERO, ONE}):
         level = frozenset(i for i, v in enumerate(f.values) if v >= t)
-        value = apply(norm, t, cap(level))
+        value = fraction_apply(norm, t, cap(level))
         if value > best:
             best = value
     return best
@@ -150,7 +182,7 @@ def oracle_check_axioms(op, grid, name=None, max_witnesses=10):
     """The four axiom passes, calling the operation for every value they compare."""
     for g in grid:
         check_unit_interval(g, "grid point")
-    fn = op if callable(op) else (lambda s, t: apply(op, s, t))
+    fn = op if callable(op) else (lambda s, t: fraction_apply(op, s, t))
     label = name if name is not None else (op.value if isinstance(op, TNorm) else "custom")
 
     by_axiom = {}

@@ -8,6 +8,8 @@ digests and says so in CHANGES.md.
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -138,6 +140,26 @@ def sha256(text):
 def test_report_bytes_are_pinned(argv, digest, capsys):
     assert cli.main(list(argv)) == 0
     assert sha256(capsys.readouterr().out) == digest
+
+
+def test_traced_integral_step_writes_the_untraced_bytes(tmp_path):
+    # bench/traced.py wraps every property checker and the integral; the report must not change.
+    root = Path(__file__).resolve().parents[1]
+    args = ["integral-properties", "--n", "3", "--norm", "product"]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    trace = tmp_path / "trace.json"
+    plain = subprocess.run(
+        [sys.executable, "-m", "comaxlab.cli", *args],
+        env=env, capture_output=True, timeout=120, check=True,
+    )
+    traced = subprocess.run(
+        [sys.executable, str(root / "bench" / "traced.py"), str(trace), "cli", *args],
+        env=env, capture_output=True, timeout=120, check=True,
+    )
+    assert traced.stdout == plain.stdout
+    stats = json.loads(trace.read_text(encoding="utf-8"))["stats"]
+    assert stats["integral.tnorm_integral"]["calls"] == 36_765
+    assert stats["properties.is_scale_homogeneous"]["calls"] == 129
 
 
 def _load_workloads(monkeypatch):

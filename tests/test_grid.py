@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comaxlab.grid import Chain, GridFn, all_functions, comonotone, constant, join
+from comaxlab.grid import Chain, GridFn, all_functions, comonotone, join
 from comaxlab.rational import RationalFormatError
+
+from grid_oracles import constant
 
 F = Fraction
 

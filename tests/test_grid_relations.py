@@ -14,7 +14,10 @@ from comaxlab.tnorms import TNorm
 
 from grid_oracles import (
     TabulatedFunctional,
+    constant,
     enumerate_functionals,
+    grid_table,
+    homogeneity_table,
     oracle_comonotone_maxitive,
     oracle_monotone,
     oracle_scale_homogeneous,
@@ -44,6 +47,7 @@ def test_relations_match_definitions(chain, n):
     assert list(rel.comonotone_order) == [
         (i, j) for i, j in rel.order if comonotone(fns[i], fns[j])
     ]
+    assert [fns[k] for k in rel.constants] == [constant(c, n) for c in chain]
 
 
 def test_relations_built_once_per_chain_and_n():
@@ -52,10 +56,11 @@ def test_relations_built_once_per_chain_and_n():
 
 
 def assert_checkers_agree(functional, chain, n):
-    assert is_comonotone_maxitive(functional, chain, n) == oracle_comonotone_maxitive(
+    values = grid_table(functional, chain, n)
+    assert is_comonotone_maxitive(values, chain, n) == oracle_comonotone_maxitive(
         functional, chain, n
     )
-    assert is_monotone(functional, chain, n) == oracle_monotone(functional, chain, n)
+    assert is_monotone(values, chain, n) == oracle_monotone(functional, chain, n)
 
 
 def test_checkers_match_oracle_on_every_two_chain_table():
@@ -94,7 +99,8 @@ def test_checkers_match_oracle_on_every_capacity_integral(n, norm):
         # Memoized only to keep the oracle's repeated evaluations cheap.
         functional = cache(partial(tnorm_integral, cap, norm))
         assert_checkers_agree(functional, CHAIN3, n)
-        assert is_scale_homogeneous(functional, norm, CHAIN3, n) == oracle_scale_homogeneous(
+        values = homogeneity_table(functional, norm, CHAIN3, n)
+        assert is_scale_homogeneous(values, norm, CHAIN3, n) == oracle_scale_homogeneous(
             functional, norm, CHAIN3, n
         )
 
@@ -112,5 +118,6 @@ def capped_first(f: GridFn) -> Fraction:
 @pytest.mark.parametrize("seed", [0, 3])
 def test_homogeneity_matches_oracle(functional, norm, seed):
     for chain in (CHAIN3, CHAIN4):
-        got = is_scale_homogeneous(functional, norm, chain, 2, samples=50, seed=seed)
-        assert got == oracle_scale_homogeneous(functional, norm, chain, 2, samples=50, seed=seed)
+        values = homogeneity_table(functional, norm, chain, 2, seed)
+        got = is_scale_homogeneous(values, norm, chain, 2, seed=seed)
+        assert got == oracle_scale_homogeneous(functional, norm, chain, 2, seed=seed)

@@ -5,12 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from comaxlab.capacity import Capacity, enumerate_capacities, subsets
-from comaxlab.grid import Chain, GridFn, all_functions, constant
+from comaxlab.grid import Chain, GridFn, all_functions
 from comaxlab.integral import _levels, tnorm_integral
 from comaxlab.properties import _homogeneity_cases
-from comaxlab.tnorms import TNorm, apply
+from comaxlab.tnorms import TNorm
 
-from grid_oracles import fraction_integral, uniform
+from grid_oracles import constant, fraction_apply, fraction_integral, uniform
 
 F = Fraction
 
@@ -23,7 +23,7 @@ def brute_force_integral(cap, norm, f, steps=64):
     best = F(0)
     for t in sorted(thresholds):
         level = frozenset(i for i, v in enumerate(f.values) if v >= t)
-        best = max(best, apply(norm, t, cap(level)))
+        best = max(best, fraction_apply(norm, t, cap(level)))
     return best
 
 
@@ -165,7 +165,7 @@ def test_enumerate_capacities_counts():
 )
 def test_integral_matches_fraction_oracle_on_every_chain_capacity(grid, n, norm):
     chain = Chain(tuple(F(v) for v in grid.split(",")))
-    homogeneity_functions, _ = _homogeneity_cases(norm, chain, n, 200, 0, 8)
+    homogeneity_functions, _ = _homogeneity_cases(norm, chain, n, 0)
     functions = {
         *all_functions(chain, n),
         *(constant(F(k, 12), n) for k in range(13)),

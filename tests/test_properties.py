@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from comaxlab import properties
 from comaxlab.grid import Chain, GridFn, join
 from comaxlab.integral import tnorm_integral
 from comaxlab.properties import (
     BudgetExceededError,
+    _homogeneity_cases,
     capped_power,
     check_budget,
     chain_closed_under,
@@ -17,7 +19,7 @@ from comaxlab.properties import (
 )
 from comaxlab.tnorms import TNorm
 
-from grid_oracles import satisfies_all_axioms, uniform
+from grid_oracles import grid_table, homogeneity_table, satisfies_all_axioms, uniform
 
 F = Fraction
 
@@ -30,19 +32,19 @@ def first_coord(f: GridFn) -> Fraction:
 
 
 def test_normalized_examples():
-    assert is_normalized(first_coord, CHAIN3, 2)
-    assert not is_normalized(lambda f: F(0), CHAIN3, 2)
+    assert is_normalized(grid_table(first_coord, CHAIN3, 2), CHAIN3, 2)
+    assert not is_normalized(grid_table(lambda f: F(0), CHAIN3, 2), CHAIN3, 2)
     cap = uniform(2)
-    assert is_normalized(lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), CHAIN3, 2)
+    integral = grid_table(lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), CHAIN3, 2)
+    assert is_normalized(integral, CHAIN3, 2)
 
 
 def test_maxitive_examples():
-    ok, _ = is_comonotone_maxitive(first_coord, CHAIN3, 2)
+    ok, _ = is_comonotone_maxitive(grid_table(first_coord, CHAIN3, 2), CHAIN3, 2)
     assert ok
     cap = uniform(2)
-    ok, _ = is_comonotone_maxitive(
-        lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), CHAIN3, 2
-    )
+    integral = grid_table(lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), CHAIN3, 2)
+    ok, _ = is_comonotone_maxitive(integral, CHAIN3, 2)
     assert ok
 
 
@@ -50,7 +52,7 @@ def test_min_functional_maxitive_but_not_join_preserving_everywhere():
     def min_coords(f: GridFn) -> Fraction:
         return min(f[0], f[1])
 
-    ok, _ = is_comonotone_maxitive(min_coords, CHAIN2, 2)
+    ok, _ = is_comonotone_maxitive(grid_table(min_coords, CHAIN2, 2), CHAIN2, 2)
     assert ok
     # The unrestricted identity fails on the one non-comonotone pair.
     f, g = GridFn((F(0), F(1))), GridFn((F(1), F(0)))
@@ -58,13 +60,13 @@ def test_min_functional_maxitive_but_not_join_preserving_everywhere():
 
 
 def test_monotone_examples():
-    ok, _ = is_monotone(first_coord, CHAIN3, 2)
+    ok, _ = is_monotone(grid_table(first_coord, CHAIN3, 2), CHAIN3, 2)
     assert ok
 
     def reversed_first(f: GridFn) -> Fraction:
         return 1 - f[0]
 
-    ok, witness = is_monotone(reversed_first, CHAIN2, 2)
+    ok, witness = is_monotone(grid_table(reversed_first, CHAIN2, 2), CHAIN2, 2)
     assert not ok
     assert witness["f"] == {"values": ["0", "0"]}
     assert witness["g"] == {"values": ["1", "0"]}
@@ -79,22 +81,25 @@ def test_chain_closure():
 
 def test_homogeneity_examples():
     for norm in TNorm:
-        ok, _ = is_scale_homogeneous(first_coord, norm, CHAIN3, 2)
+        values = homogeneity_table(first_coord, norm, CHAIN3, 2)
+        ok, _ = is_scale_homogeneous(values, norm, CHAIN3, 2)
         assert ok
 
 
 def test_integral_homogeneous_for_every_norm():
     cap = uniform(2)
     for norm in TNorm:
-        ok, witness = is_scale_homogeneous(
+        values = homogeneity_table(
             lambda f, _n=norm: tnorm_integral(cap, _n, f), norm, CHAIN3, 2, seed=7
         )
+        ok, witness = is_scale_homogeneous(values, norm, CHAIN3, 2, seed=7)
         assert ok, witness
 
     def square_first(f: GridFn) -> Fraction:
         return f[0] * f[0]
 
-    ok, witness = is_scale_homogeneous(square_first, TNorm.PRODUCT, CHAIN3, 2, seed=1)
+    values = homogeneity_table(square_first, TNorm.PRODUCT, CHAIN3, 2, seed=1)
+    ok, witness = is_scale_homogeneous(values, TNorm.PRODUCT, CHAIN3, 2, seed=1)
     assert not ok
     # Re-verify the reported witness by direct algebra.
     c = Fraction(witness["c"])
@@ -115,6 +120,22 @@ def test_integral_property_suite_passes():
     report = integral_property_suite(CHAIN3, 2, TNorm.MINIMUM)
     assert report.status == "pass"
     assert report.counts["capacities"] == 9
+
+
+@pytest.mark.parametrize("norm, calls", [(TNorm.MINIMUM, 3_483), (TNorm.PRODUCT, 36_765)])
+def test_integral_property_suite_integrates_once_per_input_per_capacity(monkeypatch, norm, calls):
+    made = 0
+
+    def counted(*args):
+        nonlocal made
+        made += 1
+        return tnorm_integral(*args)
+
+    monkeypatch.setattr(properties, "tnorm_integral", counted)
+    report = integral_property_suite(CHAIN3, 3, norm)
+    assert report.status == "pass" and report.counts["capacities"] == 129
+    inputs, _ = _homogeneity_cases(norm, CHAIN3, 3, 0)
+    assert made == 129 * len(inputs) == calls
 
 
 def test_integral_property_suite_budget_refusal():
