@@ -2,29 +2,27 @@
 
 A capacity assigns a rational weight to every subset of ``{0..n-1}``,
 with value 0 on the empty set, 1 on the whole space, and weights that
-never decrease when a set grows.  On the wire subsets are encoded as
-strings of sorted single-digit indices ("" for the empty set, "01" for
-{0,1}), which keeps the format unambiguous for the desk-scale spaces
-this package targets (n <= 10).
+never decrease when a set grows.  Reports write capacities, never read
+them, with subsets as strings of sorted single-digit indices ("" for the
+empty set, "01" for {0,1}), which keeps the format unambiguous for the
+desk-scale spaces this package targets (n <= 10).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Any, Iterator
 
-from .rational import ONE, ZERO, check_unit_interval, format_rational, parse_rational
+from .rational import ONE, ZERO, check_unit_interval, format_rational
 
 _MAX_JSON_POINTS = 10
 
 
 def subsets(n: int) -> list[frozenset[int]]:
     """All subsets of {0..n-1}, ordered by size then lexicographic content."""
-    out = [frozenset(ix for ix in range(n) if mask & (1 << ix)) for mask in range(1 << n)]
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    return [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
 
 
 def _subset_key(subset: frozenset[int]) -> str:
@@ -77,9 +75,6 @@ class Capacity:
     def __call__(self, subset: frozenset[int]) -> Fraction:
         return self._mu[subset]
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Capacity) and self.n == other.n and self._mu == other._mu
-
     def __repr__(self) -> str:
         return f"Capacity(n={self.n})"
 
@@ -90,28 +85,6 @@ class Capacity:
             "n": self.n,
             "mu": {_subset_key(s): format_rational(v) for s, v in self._mu.items()},
         }
-
-    @classmethod
-    def from_json(cls, data: Any) -> Capacity:
-        if not isinstance(data, dict) or set(data) != {"n", "mu"}:
-            raise ValueError('capacity JSON must be {"n": ..., "mu": {...}}')
-        n = data["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or not (1 <= n <= _MAX_JSON_POINTS):
-            raise ValueError("n: must be an integer in 1..10")
-        raw = data["mu"]
-        if not isinstance(raw, dict):
-            raise ValueError("mu: must be an object keyed by subset strings")
-        mu: dict[frozenset[int], Fraction] = {}
-        for key, value in raw.items():
-            if not all(ch in "0123456789" for ch in key):
-                raise ValueError(f"mu.{key!r}: bad subset key")
-            indices = [int(ch) for ch in key]
-            if sorted(indices) != indices or len(set(indices)) != len(indices):
-                raise ValueError(f"mu.{key!r}: subset key must list sorted distinct indices")
-            if any(i >= n for i in indices):
-                raise ValueError(f"mu.{key!r}: index outside the space")
-            mu[frozenset(indices)] = parse_rational(value)
-        return cls(n, mu)
 
 
 def enumerate_capacities(chain_values: tuple[Fraction, ...], n: int) -> Iterator[Capacity]:

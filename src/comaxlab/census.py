@@ -10,14 +10,16 @@ monotone.  Both properties only compare values, so tables are walked as
 rows of chain indices against ``grid.relations`` and decided by the
 checkers' own scans, ``properties.join_break`` and ``order_break``.
 Witnesses are translated back to real functions for the report, the
-maxitivity break by the checkers' ``join_witness``.  The table space
-splits into contiguous lexicographic ranges, one per job, and the merge
-is by shard order, so the report is independent of parallelism.
+maxitivity break by the checkers' ``join_witness``.  The rows come from
+one ``itertools.product`` in lexicographic order; each job walks a
+contiguous ``islice`` of it, and the merge is by shard order, so the
+report is independent of parallelism.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice, product
 
 from .grid import Chain, Relations, relations
 from .parallel import run_shards, split_range
@@ -37,37 +39,18 @@ def table_count(chain: Chain, n: int) -> int | None:
     return None if cells is None else capped_power(m, cells)
 
 
-def _decode_row(index: int, m: int, width: int) -> list[int]:
-    row = [0] * width
-    for pos in range(width - 1, -1, -1):
-        index, row[pos] = divmod(index, m)
-    return row
-
-
-def _advance_row(row: list[int], m: int) -> None:
-    pos = len(row) - 1
-    while pos >= 0:
-        row[pos] += 1
-        if row[pos] < m:
-            return
-        row[pos] = 0
-        pos -= 1
-
-
 def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
     """Classify tables with lexicographic indices in [lo, hi)."""
     chain_values, n, lo, hi = args
     chain = Chain(chain_values)
     structure = relations(chain, n)
-    m = len(chain_values)
-    d = len(structure.domain)
+    rows = product(range(len(chain_values)), repeat=len(structure.domain))
 
     counts = dict.fromkeys(_COUNTS, 0)
     bad_maxitive: list[dict] = []
     first_monotone_only: dict | None = None
 
-    row = _decode_row(lo, m, d)
-    for _ in range(lo, hi):
+    for row in islice(rows, lo, hi):
         counts["total"] += 1
 
         maxitivity_break = join_break(row, structure.joins)
@@ -95,7 +78,6 @@ def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
                     "table": _row_json(structure, chain, row),
                     "pair": join_witness(values, structure.domain, *maxitivity_break),
                 }
-        _advance_row(row, m)
 
     return {
         "counts": counts,
@@ -148,7 +130,7 @@ def functional_census(
     )
 
 
-def _row_json(structure: Relations, chain: Chain, row: list[int]) -> dict:
+def _row_json(structure: Relations, chain: Chain, row: tuple[int, ...]) -> dict:
     return {
         ",".join(jsonify(v) for v in f.values): jsonify(chain.values[ix])
         for f, ix in zip(structure.domain, row)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Any, Iterator
 
-from .rational import ONE, ZERO, check_unit_interval, format_rational, parse_rational
+from .rational import ONE, ZERO, check_unit_interval, format_rational
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,6 @@ class GridFn:
 
     def to_json(self) -> dict[str, Any]:
         return {"values": [format_rational(v) for v in self.values]}
-
-    @classmethod
-    def from_json(cls, data: Any) -> GridFn:
-        if not isinstance(data, dict) or set(data) != {"values"}:
-            raise ValueError('grid function JSON must be {"values": [...]}')
-        raw = data["values"]
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("values: must be a nonempty list")
-        return cls(tuple(parse_rational(v) for v in raw))
 
 
 def _check_lengths(f: GridFn, g: GridFn) -> None:

@@ -24,13 +24,15 @@ two members:
 * **Order.** ``f <= g`` is a compare of the integer vectors.  Both tails
   are affine past ``seq(D)``, so their difference is nonnegative on the
   whole tail iff it is at ``seq(D + 1)`` and at the limit.
+
+Callers walk the pairs ``i <= j`` as ``combinations_with_replacement``.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .seq_comonotone import comonotone_witness
 from .seqspace import SeqFn, scaled_values
@@ -79,22 +81,3 @@ class PairRelations:
             return -1
         return 1 if self.leq(j, i) else 0
 
-
-def upper_pairs(count: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """``(flat, i, j)`` for the pairs ``i <= j < count`` with ``lo <= flat < hi``.
-
-    Pairs are numbered row by row: (0,0), (0,1), ..., (0,count-1), (1,1), ...
-    """
-    i, flat = 0, 0
-    while i < count and flat + (count - i) <= lo:
-        flat += count - i
-        i += 1
-    j = i + (lo - flat)
-    flat = lo
-    while i < count and flat < hi:
-        yield flat, i, j
-        flat += 1
-        j += 1
-        if j == count:
-            i += 1
-            j = i

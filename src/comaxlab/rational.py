@@ -32,17 +32,21 @@ def parse_rational(text: str) -> Fraction:
     whitespace.  Raises RationalFormatError for anything else: floats
     (this package never accepts inexact input), signs other than a
     leading minus, digit separators, inner spaces, non-ASCII digits,
-    and zero denominators.
+    zero denominators, and parts longer than ``int`` converts
+    (``sys.get_int_max_str_digits``).
     """
     if not isinstance(text, str):
         raise RationalFormatError(f"expected a rational string, got {text!r}")
     match = _RATIONAL.fullmatch(text.strip())
     if match is None:
         raise RationalFormatError(f"not a rational: {text!r}")
-    num, den = match.groups()
-    if den is not None and int(den) == 0:
+    try:
+        num, den = int(match[1]), int(match[2] or 1)
+    except ValueError:
+        raise RationalFormatError(f"too many digits in a {len(text)}-character rational") from None
+    if den == 0:
         raise RationalFormatError(f"denominator must be positive in {text!r}")
-    return Fraction(int(num), int(den or 1))
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:

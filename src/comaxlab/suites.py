@@ -18,12 +18,12 @@ import functools
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, islice, product
 from typing import Callable, Sequence
 
 from .classify import Membership, membership, step_value
 from .pairgen import GeneratorParams, generate_pair, pair_seed, random_seqfn
-from .pairs import PairRelations, upper_pairs
+from .pairs import PairRelations
 from .parallel import run_shards, split_range
 from .properties import capped_power, check_budget
 from .rational import ONE, ZERO
@@ -218,7 +218,8 @@ def _family_shard(args: tuple) -> dict:
 
     tally: Counter = Counter()
     violations: list[dict] = []
-    for flat, i, j in upper_pairs(len(family), lo, hi):
+    pairs = combinations_with_replacement(range(len(family)), 2)
+    for flat, (i, j) in enumerate(islice(pairs, lo, hi), lo):
         if not relations.comonotone(i, j):
             continue
         tally["family_comonotone_pairs"] += 1
@@ -410,7 +411,7 @@ def normalized_search(
     relations = PairRelations(family)
     values = [evaluate(f) for f in family]
     family_pairs = ordered_pairs = 0
-    for _, i, j in upper_pairs(len(family), 0, len(family) * (len(family) + 1) // 2):
+    for i, j in combinations_with_replacement(range(len(family)), 2):
         if relations.comonotone(i, j):
             family_pairs += 1
             check_join(family[i], family[j], values[i], values[j])

@@ -123,20 +123,6 @@ def test_census_sampled_cross_check_on_three_chain():
 
 
 def test_census_jobs_deterministic():
-    sequential = functional_census(CHAIN3, 2, jobs=1)
-    parallel = functional_census(CHAIN3, 2, jobs=4)
-    assert sequential.to_dict() == parallel.to_dict()
-
-
-def test_shard_row_walk_matches_product_order():
-    from itertools import product as iproduct
-
-    from comaxlab.census import _advance_row, _decode_row
-
-    m, width = 3, 4
-    rows = list(iproduct(range(m), repeat=width))
-    for start in (0, 1, 17, 80):
-        row = _decode_row(start, m, width)
-        for expected in rows[start:]:
-            assert tuple(row) == expected
-            _advance_row(row, m)
+    sequential = functional_census(CHAIN3, 2, jobs=1).to_dict()
+    for jobs in (2, 3, 5):
+        assert functional_census(CHAIN3, 2, jobs=jobs).to_dict() == sequential, jobs

@@ -76,6 +76,29 @@ def test_empty_grid_entry_exits_2():
     assert result.stdout == ""
 
 
+# A denominator past Python's 4,300-digit limit for converting a string to int.
+LONG_RATIONAL = "1/" + "7" * 5000
+
+
+def test_over_long_grid_entry_exits_2_with_one_short_line(capsys):
+    assert cli.main(["finite-census", "--grid", f"0,{LONG_RATIONAL},1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --grid: "), captured.err
+    assert "too many digits" in lines[0] and len(lines[0]) < 100
+
+
+def test_over_long_function_value_exits_2_with_one_line(tmp_path, capsys):
+    bad = write_json(tmp_path / "bad.json", {**RAMP1_JSON, "vP": LONG_RATIONAL})
+    ok = write_json(tmp_path / "ok.json", RAMP1_JSON)
+    assert cli.main(["comonotone-check", bad, ok]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), captured.err
+
+
 @pytest.mark.parametrize(
     "grid, reason",
     [

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from comaxlab.grid import Chain, GridFn, all_functions, comonotone, join
-from comaxlab.rational import RationalFormatError
 
 from grid_oracles import constant
 
@@ -75,43 +74,12 @@ def test_all_functions_count_and_order():
     assert len(set(fns_list)) == 9
 
 
-def test_grid_fn_json_round_trip():
-    f = GridFn((F(1, 2), F(3, 4)))
-    assert f.to_json() == {"values": ["1/2", "3/4"]}
-    assert GridFn.from_json(f.to_json()) == f
-    with pytest.raises(ValueError):
-        GridFn.from_json({"values": []})
-    with pytest.raises(ValueError):
-        GridFn.from_json({"values": ["3/2"]})
-
-
-def test_grid_fn_json_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="must be"):
-        GridFn.from_json({"values": ["1/2"], "value": ["1"]})
-
-
 @pytest.mark.parametrize(
     "build, error, message",
     [
         (lambda: GridFn((F(1, 2), F(3, 2))), ValueError, "function value 3/2 outside [0,1]"),
         (lambda: GridFn((F(-1, 2),)), ValueError, "function value -1/2 outside [0,1]"),
-        (
-            lambda: GridFn.from_json({"value": ["1"]}),
-            ValueError,
-            'grid function JSON must be {"values": [...]}',
-        ),
-        (lambda: GridFn.from_json({"values": []}), ValueError, "values: must be a nonempty list"),
-        (lambda: GridFn.from_json({"values": "1"}), ValueError, "values: must be a nonempty list"),
-        (
-            lambda: GridFn.from_json({"values": ["3/2"]}),
-            ValueError,
-            "function value 3/2 outside [0,1]",
-        ),
-        (
-            lambda: GridFn.from_json({"values": ["0.5"]}),
-            RationalFormatError,
-            "not a rational: '0.5'",
-        ),
+        (lambda: GridFn((F(3, 2),)), ValueError, "function value 3/2 outside [0,1]"),
     ],
 )
 def test_grid_fn_refusal_messages(build, error, message):
@@ -130,7 +98,7 @@ def test_grid_fn_integer_form_is_the_values_over_their_least_denominator(values)
 
 def test_grid_fn_integer_form_stays_out_of_equality_hash_repr_and_codec():
     # 2/4 and 1/2 are one Fraction; a second build derives the same den and nums.
-    f, g = GridFn((F(2, 4), F(1, 3))), GridFn.from_json({"values": ["1/2", "1/3"]})
+    f, g = GridFn((F(2, 4), F(1, 3))), GridFn((F(1, 2), F(1, 3)))
     assert f == g and hash(f) == hash(g)
     assert (f.den, f.nums) == (6, (3, 2))
     assert repr(f) == "GridFn(values=(Fraction(1, 2), Fraction(1, 3)))"

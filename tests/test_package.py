@@ -1,16 +1,20 @@
-"""Package-level contracts: what ``import comaxlab`` loads, and a clean entry point.
+"""Package-level contracts: what ``import comaxlab`` loads, a clean entry point, no dead code.
 
-Both run in a fresh interpreter, so modules other tests have imported
-cannot hide a submodule the package fails to load.
+The first two run in a fresh interpreter, so modules other tests have
+imported cannot hide a submodule the package fails to load.  The
+dead-code lint reads the source with ``ast`` alone.
 """
 
+import ast
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "comaxlab"
 
 # Run with bench/ on the path: every traced name must resolve after the
 # package import alone, except the entry point, which the traced runner
@@ -67,3 +71,63 @@ def test_cli_help_runs_without_warnings():
         assert result.returncode == 0, result.stderr
         listed = set(re.findall(r"^ +(--[a-z-]+)", result.stdout, re.MULTILINE))
         assert listed == flags | {"--output"}, subcommand
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _names_used(tree: ast.AST) -> Counter:
+    """Every identifier read in ``tree``: names, attributes and imported names."""
+    used: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_package_has_no_unused_import_or_unreferenced_definition():
+    """A lint for dead code, on the syntax tree alone.
+
+    Every module of the package but ``__init__.py`` reads each name it
+    imports.  Every top-level function and class is referenced from
+    ``src/`` or ``bench/`` outside its own definition.  References are
+    matched by name, and tests do not count.
+    """
+    modules = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    unused_imports = []
+    for name, tree in modules.items():
+        if name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                imported = {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+                unused_imports += [f"{name}: {i}" for i in sorted(imported - read)]
+    assert not unused_imports
+
+    used: Counter = Counter()
+    for tree in modules.values():
+        used += _names_used(tree)
+    for path in (ROOT / "bench").glob("*.py"):
+        if not path.name.startswith("test_"):
+            used += _names_used(_parse(path))
+    definitions = [
+        (name, node)
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    unreferenced = [
+        f"{name}: {node.name}"
+        for name, node in definitions
+        if used[node.name] <= _names_used(node)[node.name]
+    ]
+    assert not unreferenced
+    assert len(definitions) > 100

@@ -1,13 +1,11 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comaxlab.pairgen import GeneratorParams, random_seqfn
-from comaxlab.pairs import PairRelations, upper_pairs
-from comaxlab.parallel import split_range
+from comaxlab.pairs import PairRelations
 from comaxlab.seq_comonotone import comonotone_witness
 from comaxlab.seqspace import leq
 from comaxlab.suites import structured_family
@@ -43,15 +41,3 @@ def test_random_lists_match_reference(seed, size):
     rng = random.Random(seed)
     params = GeneratorParams(prefix_max=4, max_denominator=12)
     assert_matches_reference([random_seqfn(rng, params) for _ in range(size)])
-
-
-@pytest.mark.parametrize("count", range(7))
-@pytest.mark.parametrize("parts", [1, 2, 3, 5])
-def test_upper_pairs_shards_cover_the_triangle_in_order(count, parts):
-    expected = [(i, j) for i in range(count) for j in range(i, count)]
-    got = [
-        item
-        for lo, hi in split_range(len(expected), parts)
-        for item in upper_pairs(count, lo, hi)
-    ]
-    assert got == [(flat, i, j) for flat, (i, j) in enumerate(expected)]

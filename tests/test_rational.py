@@ -20,7 +20,19 @@ def test_parse_plain_and_fraction():
     assert parse_rational(" 7/8 ") == Fraction(7, 8)
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "1/0", "1/-2", "a/b", "1//2"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "",
+        "1.5",
+        "1/0",
+        "1/-2",
+        "a/b",
+        "1//2",
+        # One digit past Python's limit for converting a string to int.
+        pytest.param("1" * 4301, id="4301-digit integer"),
+    ],
+)
 def test_parse_rejects(bad):
     with pytest.raises(RationalFormatError):
         parse_rational(bad)

@@ -64,9 +64,10 @@ def test_counterexample_suite_passes_and_hits_every_branch():
 
 
 def test_counterexample_suite_deterministic_across_jobs():
-    a = counterexample_suite(seed=5, samples=64, grid=GRID3, prefix_max=1, jobs=1)
-    b = counterexample_suite(seed=5, samples=64, grid=GRID3, prefix_max=1, jobs=3)
-    assert a.to_dict() == b.to_dict()
+    sequential = counterexample_suite(seed=5, samples=64, grid=GRID3, prefix_max=1).to_dict()
+    for jobs in (2, 3, 5):
+        report = counterexample_suite(seed=5, samples=64, grid=GRID3, prefix_max=1, jobs=jobs)
+        assert report.to_dict() == sequential, jobs
 
 
 def test_counterexample_suite_seed_changes_nothing_about_verdict():
