@@ -122,21 +122,15 @@ def _chain_from_args(args: argparse.Namespace) -> Chain:
 
 def _run_tnorm_axioms(chain: Chain, budget: int, seed: int) -> VerificationReport:
     check_budget(axiom_check_count(len(chain)), budget, "t-norm axiom checks")
-    counts: dict[str, int] = {}
+    counts = {"grid_size": len(chain)}
     witnesses = []
-    failed = False
     for norm in TNorm:
-        report = check_axioms(norm, chain.values)
-        failed = failed or report.failed
-        for key, value in report.counts.items():
-            if key == "grid_size":
-                counts[key] = value
-            else:
-                counts[f"{norm.value}_{key}"] = value
-        witnesses.extend({"norm": norm.value, **w} for w in report.witnesses)
+        norm_counts, norm_witnesses = check_axioms(norm, chain.values)
+        counts.update((f"{norm.value}_{key}", value) for key, value in norm_counts.items())
+        witnesses.extend({"norm": norm.value, **w} for w in norm_witnesses)
     return VerificationReport(
         claim_id="tnorm-axioms",
-        status=FAIL if failed else PASS,
+        status=FAIL if witnesses else PASS,
         counts=counts,
         witnesses=witnesses,
         seed=seed,
@@ -214,6 +208,13 @@ def _dispatch(args: argparse.Namespace, chain: Chain) -> VerificationReport:
     )
 
 
+def _error(message: str) -> None:
+    """Print one ``error:`` line; a message over 200 characters keeps its head and its length."""
+    if len(message) > 200:
+        message = f"{message[:200]}... ({len(message)} characters)"
+    print(f"error: {message}", file=sys.stderr)
+
+
 def _emit(report: VerificationReport, args: argparse.Namespace, chain: Chain) -> bool:
     """Write the report; False, after an error line, if --output cannot be written."""
     # Every flag is echoed, at its default where the subcommand does not
@@ -230,7 +231,7 @@ def _emit(report: VerificationReport, args: argparse.Namespace, chain: Chain) ->
         try:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
-            print(f"error: --output: {exc}", file=sys.stderr)
+            _error(f"--output: {exc}")
             return False
     else:
         sys.stdout.write(text)
@@ -243,7 +244,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         chain = _chain_from_args(args)
         report = _dispatch(args, chain)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     except BudgetExceededError as exc:
         if exc.required is None:
@@ -258,7 +259,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
         )
         _emit(refusal, args, chain)
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
 
     if not _emit(report, args, chain):

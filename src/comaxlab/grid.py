@@ -4,7 +4,8 @@ A Chain is the desk-scale stand-in for [0,1]: a strictly increasing
 tuple of rationals running from 0 to 1.  A GridFn is simply the value
 vector of a function on ``{0..n-1}``.  Comonotonicity, the join and
 the pointwise order are all decided exactly;
-``relations`` indexes them over a whole grid, cached per ``(chain, n)``.
+``relations`` indexes them over a whole grid; each suite or shard builds
+it once and hands it to the checkers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Any, Iterator
 
@@ -111,7 +111,6 @@ class Relations:
     constants: tuple[int, ...]  # index of the constant function at each chain value
 
 
-@lru_cache(maxsize=16)
 def relations(chain: Chain, n: int) -> Relations:
     """Comonotone pairs with their join, ordered pairs, and the constants, over the grid.
 

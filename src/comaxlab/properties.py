@@ -1,27 +1,31 @@
 """Property checkers for functionals on grid functions.
 
-Each checker reads a functional's value table, indexed like the grid
-domain of ``grid.relations``, and decides one axiom exhaustively over a
-chain grid, returning the verdict with the first violating input.  Only
-``join_break`` and ``order_break`` decide maxitivity and monotonicity;
-the census runs them on its rows of chain indices too.
-``integral_property_suite`` bundles the four checks for the t-normed
-integral across every chain capacity: it tabulates the integral once on
-the inputs of ``_homogeneity_cases`` (the grid domain first) for all four.
+Each checker reads a functional's value table, indexed like the domain
+of the ``grid.Relations`` it is handed, and decides one axiom
+exhaustively over a chain grid, returning the verdict with the first
+violating input.  Only ``join_break`` and ``order_break`` decide
+maxitivity and monotonicity; the census runs them on its rows of chain
+indices too.  ``integral_property_suite`` bundles the four checks for
+the t-normed integral across every chain capacity: it builds the
+relations and the homogeneity cases once, tabulates the integral once
+per capacity on the inputs of ``_homogeneity_cases`` (the grid domain
+first), hands all four checkers what they read, and counts each
+property's failures as its witnesses.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from .capacity import enumerate_capacities
-from .grid import Chain, GridFn, relations
+from .grid import Chain, GridFn, Relations, relations
 from .integral import tnorm_integral
 from .rational import random_unit_rational
 from .report import FAIL, PASS, VerificationReport, jsonify
-from .tnorms import TNorm, apply, pointwise_scale
+from .tnorms import TNorm, apply
 
 Witness = dict
 
@@ -87,23 +91,21 @@ def join_witness(values: list, domain: tuple[GridFn, ...], i: int, j: int, k: in
     return jsonify({"f": f.to_json(), "g": g.to_json(), "F_join": values[k], "max_F": max_f})
 
 
-def is_normalized(values: list, chain: Chain, n: int) -> bool:
-    """Does the table send every constant c to c?"""
-    return all(values[k] == c for c, k in zip(chain, relations(chain, n).constants))
+def is_normalized(values: list, rel: Relations) -> bool:
+    """Does the table send every constant function to its value?"""
+    return all(values[k] == rel.domain[k][0] for k in rel.constants)
 
 
-def is_comonotone_maxitive(values: list, chain: Chain, n: int) -> tuple[bool, Witness | None]:
+def is_comonotone_maxitive(values: list, rel: Relations) -> tuple[bool, Witness | None]:
     """Check F(f v g) = max(F(f), F(g)) over every comonotone pair on the grid."""
-    rel = relations(chain, n)
     found = join_break(values, rel.joins)
     if found is not None:
         return False, join_witness(values, rel.domain, *found)
     return True, None
 
 
-def is_monotone(values: list, chain: Chain, n: int) -> tuple[bool, Witness | None]:
+def is_monotone(values: list, rel: Relations) -> tuple[bool, Witness | None]:
     """Check f <= g pointwise implies F(f) <= F(g), exhaustively on the grid."""
-    rel = relations(chain, n)
     found = order_break(values, rel.order)
     if found is not None:
         i, j = found
@@ -121,41 +123,40 @@ HOMOGENEITY_SAMPLES = 200
 HOMOGENEITY_MAX_DENOMINATOR = 8
 
 
-@lru_cache(maxsize=64)
 def _homogeneity_cases(
-    norm: TNorm, chain: Chain, n: int, seed: int
+    norm: TNorm, chain: Chain, domain: tuple[GridFn, ...], seed: int
 ) -> tuple[tuple[GridFn, ...], tuple[tuple[Fraction, int, int], ...]]:
-    """Inputs to tabulate, grid domain first, and ``(c, index of f, index of c * f)`` per case."""
-    domain = relations(chain, n).domain
+    """Inputs to tabulate, ``domain`` first, and ``(c, index of f, index of c * f)`` per case."""
     if chain_closed_under(norm, chain):
         pairs = [(c, f) for c in chain for f in domain]
     else:
         rng = random.Random(seed)
         draw = partial(random_unit_rational, rng, HOMOGENEITY_MAX_DENOMINATOR)
+        n = len(domain[0])
         pairs = [
             (draw(), GridFn(tuple(draw() for _ in range(n)))) for _ in range(HOMOGENEITY_SAMPLES)
         ]
     positions = {f: i for i, f in enumerate(domain)}
     cases = []
     for c, f in pairs:
-        scaled = GridFn(pointwise_scale(norm, c, f.values))
+        scaled = GridFn(tuple(apply(norm, c, v) for v in f.values))
         i = positions.setdefault(f, len(positions))
         cases.append((c, i, positions.setdefault(scaled, len(positions))))
     return tuple(positions), tuple(cases)
 
 
 def is_scale_homogeneous(
-    values: list, norm: TNorm, chain: Chain, n: int, seed: int = 0
+    values: list, norm: TNorm, inputs: tuple[GridFn, ...], cases: tuple
 ) -> tuple[bool, Witness | None]:
     """Check F(c * f) = c * F(f) with the norm acting pointwise on the left.
 
-    The table is indexed like the inputs of ``_homogeneity_cases``.  When the
-    chain is closed under the norm the check is exhaustive over all scalars
-    and functions on the grid.  Otherwise (the product norm on any chain with
-    interior points) scaled functions leave the grid, so the check samples
-    seeded rational scalars and functions, and the table holds them too.
+    The table is indexed like ``inputs``; ``inputs`` and ``cases`` come
+    from ``_homogeneity_cases``.  When the chain is closed under the norm
+    the check is exhaustive over all scalars and functions on the grid.
+    Otherwise (the product norm on any chain with interior points) scaled
+    functions leave the grid, so the check samples seeded rational
+    scalars and functions, and the table holds them too.
     """
-    inputs, cases = _homogeneity_cases(norm, chain, n, seed)
     for c, i, k in cases:
         lhs, rhs = values[k], apply(norm, c, values[i])
         if lhs != rhs:
@@ -176,51 +177,37 @@ def integral_property_suite(
     Capacities range over all monotone set functions with values on the
     chain.  The number of raw value assignments is |chain|^(2^n - 2);
     if that exceeds the budget the suite refuses (see ``check_budget``).
+    The report fails exactly when some capacity has a witness.
     """
     slots = capped_power(2, n)
     required = None if slots is None else capped_power(len(chain), slots - 2)
     check_budget(required, budget, "capacity enumeration")
 
-    counts = {
-        "capacities": 0,
-        "normalized_failures": 0,
-        "maxitivity_failures": 0,
-        "homogeneity_failures": 0,
-        "monotonicity_failures": 0,
-    }
+    rel = relations(chain, n)
+    inputs, cases = _homogeneity_cases(norm, chain, rel.domain, seed)
+    capacities = 0
     witnesses: list[dict] = []
-
-    inputs, _ = _homogeneity_cases(norm, chain, n, seed)
     for cap in enumerate_capacities(chain.values, n):
-        counts["capacities"] += 1
+        capacities += 1
         values = [tnorm_integral(cap, norm, f) for f in inputs]
-        if not is_normalized(values, chain, n):
-            counts["normalized_failures"] += 1
-            witnesses.append({"property": "normalized", "capacity": cap.to_json()})
-        ok, witness = is_comonotone_maxitive(values, chain, n)
-        if not ok:
-            counts["maxitivity_failures"] += 1
-            witnesses.append(
-                {"property": "comonotone_maxitivity", "capacity": cap.to_json(), "witness": witness}
-            )
-        ok, witness = is_scale_homogeneous(values, norm, chain, n, seed=seed)
-        if not ok:
-            counts["homogeneity_failures"] += 1
-            witnesses.append(
-                {"property": "scale_homogeneity", "capacity": cap.to_json(), "witness": witness}
-            )
-        ok, witness = is_monotone(values, chain, n)
-        if not ok:
-            counts["monotonicity_failures"] += 1
-            witnesses.append(
-                {"property": "monotonicity", "capacity": cap.to_json(), "witness": witness}
-            )
+        checks = {
+            "normalized": (is_normalized(values, rel), None),
+            "comonotone_maxitivity": is_comonotone_maxitive(values, rel),
+            "scale_homogeneity": is_scale_homogeneous(values, norm, inputs, cases),
+            "monotonicity": is_monotone(values, rel),
+        }
+        for prop, (ok, witness) in checks.items():
+            if not ok:
+                failure = {"property": prop, "capacity": cap.to_json()}
+                witnesses.append(failure if witness is None else {**failure, "witness": witness})
 
-    failures = sum(v for k, v in counts.items() if k.endswith("_failures"))
+    # Each failure count is named for the last word of its property: "maxitivity_failures".
+    failed = Counter(w["property"].rpartition("_")[2] for w in witnesses)
+    words = ("normalized", "maxitivity", "homogeneity", "monotonicity")
     return VerificationReport(
         claim_id=f"integral-properties-{norm.value}-n{n}",
-        status=PASS if failures == 0 else FAIL,
-        counts=counts,
+        status=FAIL if witnesses else PASS,
+        counts={"capacities": capacities, **{f"{w}_failures": failed[w] for w in words}},
         witnesses=witnesses,
         seed=seed,
     )

@@ -7,7 +7,8 @@ in ``apply_scaled``, on integer numerators; ``apply`` reads them.  The
 axiom checker is grid-exhaustive: callers pick a finite grid and every
 required tuple on it is tested, with violating tuples reported
 verbatim.  It evaluates the operation once per grid pair; only
-associativity's outer calls are made anew.
+associativity's outer calls are made anew.  It returns its counts and
+witnesses; the ``tnorm-axioms`` subcommand builds the one report.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from fractions import Fraction
 from typing import Callable
 
 from .rational import ONE, ZERO, check_unit_interval, format_rational
-from .report import FAIL, PASS, VerificationReport
 
 BinaryOp = Callable[[Fraction, Fraction], Fraction]
 
@@ -47,11 +47,6 @@ def apply_scaled(norm: TNorm, s: int, s_den: int, t: int, t_den: int) -> int:
     return max(0, s * t_den + t * s_den - s_den * t_den)
 
 
-def pointwise_scale(norm: TNorm, c: Fraction, values: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Apply ``c * .`` to every entry of a value vector."""
-    return tuple(apply(norm, c, v) for v in values)
-
-
 def _witness(axiom: str, args: tuple[Fraction, ...], left: Fraction, right: Fraction) -> dict:
     return {
         "axiom": axiom,
@@ -68,12 +63,9 @@ def axiom_check_count(g: int) -> int:
 
 
 def check_axioms(
-    op: TNorm | BinaryOp,
-    grid: tuple[Fraction, ...],
-    name: str | None = None,
-    max_witnesses: int = 10,
-) -> VerificationReport:
-    """Exhaustively test the t-norm axioms on a finite grid.
+    op: TNorm | BinaryOp, grid: tuple[Fraction, ...], max_witnesses: int = 10
+) -> tuple[dict[str, int], list[dict]]:
+    """Exhaustively test the t-norm axioms on a finite grid: the counts and the witnesses.
 
     ``op`` may be a built-in TNorm or any rational binary operation
     (so near-misses can be probed for the tuple that breaks them).
@@ -83,11 +75,9 @@ def check_axioms(
     for g in grid:
         check_unit_interval(g, "grid point")
     fn: BinaryOp = op if callable(op) else (lambda s, t: apply(op, s, t))
-    label = name if name is not None else (op.value if isinstance(op, TNorm) else "custom")
 
     by_axiom: dict[str, list[dict]] = {}
     counts = {
-        "grid_size": len(grid),
         "unit_checks": 0,
         "commutativity_checks": 0,
         "monotonicity_checks": 0,
@@ -142,12 +132,5 @@ def check_axioms(
                 if left != right:
                     record("associativity", (s, t, u), left, right)
 
-    status = PASS if counts["violations"] == 0 else FAIL
     order = ("closure", "unit", "commutativity", "monotonicity", "associativity")
-    witnesses = [w for axiom in order for w in by_axiom.get(axiom, [])]
-    return VerificationReport(
-        claim_id=f"tnorm-axioms-{label}",
-        status=status,
-        counts=counts,
-        witnesses=witnesses,
-    )
+    return counts, [w for axiom in order for w in by_axiom.get(axiom, [])]

@@ -13,8 +13,9 @@ norms through ``fraction_apply``, the three formulas on Fractions, which
 ``TabulatedFunctional`` and ``enumerate_functionals`` give the tests
 functionals as explicit tables, walked in the census's order;
 ``grid_table`` and ``homogeneity_table`` tabulate a functional the way
-the checkers read it; ``uniform`` gives the tests the counting capacity
-and ``constant`` the constant functions.
+the checkers read it, on the relations or the homogeneity cases a suite
+would build and hand them; ``uniform`` gives the tests the counting
+capacity and ``constant`` the constant functions.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from comaxlab.properties import (
     is_scale_homogeneous,
 )
 from comaxlab.rational import ONE, ZERO, check_unit_interval, random_unit_rational
-from comaxlab.report import FAIL, PASS, VerificationReport, jsonify
+from comaxlab.report import jsonify
 from comaxlab.tnorms import TNorm, _witness
 
 
@@ -61,15 +62,18 @@ def fraction_apply(norm: TNorm, s: Fraction, t: Fraction) -> Fraction:
     return max(ZERO, s + t - ONE)
 
 
-def grid_table(functional, chain, n):
-    """The functional's values on the grid domain, in ``grid.relations`` order."""
-    return [functional(f) for f in relations(chain, n).domain]
+def grid_table(functional, rel):
+    """The functional's values on the domain of the relations ``rel``, in its order."""
+    return [functional(f) for f in rel.domain]
 
 
 def homogeneity_table(functional, norm, chain, n, seed=0):
-    """The functional's values on the homogeneity inputs: the grid domain, then off-grid ones."""
-    inputs, _ = _homogeneity_cases(norm, chain, n, seed)
-    return [functional(f) for f in inputs]
+    """The functional's values on the homogeneity inputs, then the inputs and the cases.
+
+    The inputs are the grid domain, then the off-grid functions of the cases.
+    """
+    inputs, cases = _homogeneity_cases(norm, chain, relations(chain, n).domain, seed)
+    return [functional(f) for f in inputs], inputs, cases
 
 
 @dataclass(frozen=True)
@@ -106,13 +110,14 @@ def enumerate_functionals(
 
 def satisfies_all_axioms(functional, norm, chain, n, seed=0):
     """Normalized, comonotonically maxitive, and homogeneous for the norm."""
-    values = homogeneity_table(functional, norm, chain, n, seed)
-    if not is_normalized(values, chain, n):
+    rel = relations(chain, n)
+    values, inputs, cases = homogeneity_table(functional, norm, chain, n, seed)
+    if not is_normalized(values, rel):
         return False
-    ok, _ = is_comonotone_maxitive(values, chain, n)
+    ok, _ = is_comonotone_maxitive(values, rel)
     if not ok:
         return False
-    ok, _ = is_scale_homogeneous(values, norm, chain, n, seed=seed)
+    ok, _ = is_scale_homogeneous(values, norm, inputs, cases)
     return ok
 
 
@@ -178,16 +183,14 @@ def fraction_integral(cap, norm, f):
     return best
 
 
-def oracle_check_axioms(op, grid, name=None, max_witnesses=10):
+def oracle_check_axioms(op, grid, max_witnesses=10):
     """The four axiom passes, calling the operation for every value they compare."""
     for g in grid:
         check_unit_interval(g, "grid point")
     fn = op if callable(op) else (lambda s, t: fraction_apply(op, s, t))
-    label = name if name is not None else (op.value if isinstance(op, TNorm) else "custom")
 
     by_axiom = {}
     counts = {
-        "grid_size": len(grid),
         "unit_checks": 0,
         "commutativity_checks": 0,
         "monotonicity_checks": 0,
@@ -241,12 +244,5 @@ def oracle_check_axioms(op, grid, name=None, max_witnesses=10):
                 if left != right:
                     record("associativity", (s, t, u), left, right)
 
-    status = PASS if counts["violations"] == 0 else FAIL
     order = ("closure", "unit", "commutativity", "monotonicity", "associativity")
-    witnesses = [w for axiom in order for w in by_axiom.get(axiom, [])]
-    return VerificationReport(
-        claim_id=f"tnorm-axioms-{label}",
-        status=status,
-        counts=counts,
-        witnesses=witnesses,
-    )
+    return counts, [w for axiom in order for w in by_axiom.get(axiom, [])]

@@ -165,9 +165,9 @@ def test_criterion_5_integral_axiom_bundle_all_capacities():
 
 
 def test_criterion_6_tnorm_axioms_on_sixteenths():
-    reports = {norm: check_axioms(norm, SIXTEENTHS) for norm in TNorm}
-    violations = {n.value: r.counts["violations"] for n, r in reports.items()}
-    ok = all(r.status == "pass" for r in reports.values()) and not any(
+    results = {norm: check_axioms(norm, SIXTEENTHS) for norm in TNorm}
+    violations = {n.value: counts["violations"] for n, (counts, _) in results.items()}
+    ok = not any(witnesses for _, witnesses in results.values()) and not any(
         violations.values()
     )
     verdict(6, ok, f"17-point grid, violations per norm: {violations}")

@@ -99,6 +99,50 @@ def test_over_long_function_value_exits_2_with_one_line(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), captured.err
 
 
+def assert_one_cut_error_line(err, head, length):
+    """One ``error:`` line: the message's first 200 characters and the message's length."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {head}"), err[:300]
+    assert len(lines[0]) == len("error: ") + 200 + len(f"... ({length} characters)")
+    assert lines[0].endswith(f"... ({length} characters)")
+
+
+def test_long_malformed_grid_gives_one_cut_error_line(capsys):
+    entry = "1/" + "7" * 3000 + "x"
+    assert cli.main(["finite-census", "--grid", f"0,{entry},1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"--grid: not a rational: {entry!r}"
+    assert_one_cut_error_line(captured.err, message[:200], len(message))
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [("1" + "0" * 3999, "1000"), ([0] * 3000, "[0, 0")],
+    ids=["4000-digit-integer", "list-of-3000-zeros"],
+)
+def test_long_function_value_gives_one_cut_error_line(tmp_path, capsys, value, shown):
+    bad = write_json(tmp_path / "bad.json", {**RAMP1_JSON, "vP": value})
+    ok = write_json(tmp_path / "ok.json", RAMP1_JSON)
+    assert cli.main(["comonotone-check", bad, ok]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = captured.err.splitlines()[0]
+    assert shown in line
+    length = int(line.rpartition("(")[2].split()[0])
+    assert length > len(str(value))
+    assert_one_cut_error_line(captured.err, f"{bad}: ", length)
+
+
+def test_large_refused_count_gives_one_cut_error_line_and_the_exact_count(tmp_path, capsys):
+    out = tmp_path / "refused.json"
+    assert cli.main(["finite-census", "--n", "8", "--output", str(out)]) == 2
+    required = 3 ** 3**8
+    message = f"functional enumeration needs {required} items, over the budget of 10000000"
+    assert_one_cut_error_line(capsys.readouterr().err, message[:200], len(message))
+    assert json.loads(out.read_text())["counts"] == {"required": required, "budget": 10**7}
+
+
 @pytest.mark.parametrize(
     "grid, reason",
     [

@@ -50,22 +50,16 @@ def test_relations_match_definitions(chain, n):
     assert [fns[k] for k in rel.constants] == [constant(c, n) for c in chain]
 
 
-def test_relations_built_once_per_chain_and_n():
-    assert relations(CHAIN3, 2) is relations(Chain((F(0), F(1, 2), F(1))), 2)
-    assert relations(CHAIN3, 2) is not relations(CHAIN3, 3)
-
-
-def assert_checkers_agree(functional, chain, n):
-    values = grid_table(functional, chain, n)
-    assert is_comonotone_maxitive(values, chain, n) == oracle_comonotone_maxitive(
-        functional, chain, n
-    )
-    assert is_monotone(values, chain, n) == oracle_monotone(functional, chain, n)
+def assert_checkers_agree(functional, chain, n, rel):
+    values = grid_table(functional, rel)
+    assert is_comonotone_maxitive(values, rel) == oracle_comonotone_maxitive(functional, chain, n)
+    assert is_monotone(values, rel) == oracle_monotone(functional, chain, n)
 
 
 def test_checkers_match_oracle_on_every_two_chain_table():
+    rel = relations(CHAIN2, 2)
     for table in enumerate_functionals(CHAIN2, 2):
-        assert_checkers_agree(table, CHAIN2, 2)
+        assert_checkers_agree(table, CHAIN2, 2, rel)
 
 
 def seeded_tables(chain, n, seed, count):
@@ -88,19 +82,21 @@ def seeded_tables(chain, n, seed, count):
 
 @pytest.mark.parametrize("n, seed, count", [(2, 11, 60), (3, 12, 15)])
 def test_checkers_match_oracle_on_seeded_three_chain_tables(n, seed, count):
+    rel = relations(CHAIN3, n)
     for table in seeded_tables(CHAIN3, n, seed, count):
-        assert_checkers_agree(table, CHAIN3, n)
+        assert_checkers_agree(table, CHAIN3, n, rel)
 
 
 @pytest.mark.parametrize("norm", list(TNorm))
 @pytest.mark.parametrize("n", [2, 3])
 def test_checkers_match_oracle_on_every_capacity_integral(n, norm):
+    rel = relations(CHAIN3, n)
     for cap in enumerate_capacities(CHAIN3.values, n):
         # Memoized only to keep the oracle's repeated evaluations cheap.
         functional = cache(partial(tnorm_integral, cap, norm))
-        assert_checkers_agree(functional, CHAIN3, n)
-        values = homogeneity_table(functional, norm, CHAIN3, n)
-        assert is_scale_homogeneous(values, norm, CHAIN3, n) == oracle_scale_homogeneous(
+        assert_checkers_agree(functional, CHAIN3, n, rel)
+        values, inputs, cases = homogeneity_table(functional, norm, CHAIN3, n)
+        assert is_scale_homogeneous(values, norm, inputs, cases) == oracle_scale_homogeneous(
             functional, norm, CHAIN3, n
         )
 
@@ -118,6 +114,6 @@ def capped_first(f: GridFn) -> Fraction:
 @pytest.mark.parametrize("seed", [0, 3])
 def test_homogeneity_matches_oracle(functional, norm, seed):
     for chain in (CHAIN3, CHAIN4):
-        values = homogeneity_table(functional, norm, chain, 2, seed)
-        got = is_scale_homogeneous(values, norm, chain, 2, seed=seed)
+        values, inputs, cases = homogeneity_table(functional, norm, chain, 2, seed)
+        got = is_scale_homogeneous(values, norm, inputs, cases)
         assert got == oracle_scale_homogeneous(functional, norm, chain, 2, seed=seed)

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from comaxlab.capacity import Capacity, enumerate_capacities, subsets
-from comaxlab.grid import Chain, GridFn, all_functions
+from comaxlab.grid import Chain, GridFn, all_functions, relations
 from comaxlab.integral import _levels, tnorm_integral
 from comaxlab.properties import _homogeneity_cases
 from comaxlab.tnorms import TNorm
@@ -133,7 +133,7 @@ def test_enumerate_capacities_counts():
 )
 def test_integral_matches_fraction_oracle_on_every_chain_capacity(grid, n, norm):
     chain = Chain(tuple(F(v) for v in grid.split(",")))
-    homogeneity_functions, _ = _homogeneity_cases(norm, chain, n, 0)
+    homogeneity_functions, _ = _homogeneity_cases(norm, chain, relations(chain, n).domain, 0)
     functions = {
         *all_functions(chain, n),
         *(constant(F(k, 12), n) for k in range(13)),

@@ -131,3 +131,35 @@ def test_package_has_no_unused_import_or_unreferenced_definition():
     ]
     assert not unreferenced
     assert len(definitions) > 100
+
+
+def _attributes_read(tree: ast.AST) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def test_every_method_is_referenced_by_attribute():
+    """The dead-code lint for methods and properties.
+
+    Every method or property of a class in the package, dunders aside,
+    is read as an attribute (``x.name``) from ``src/`` or ``bench/``
+    outside its own body.  Tests do not count.
+    """
+    package = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    bench = [_parse(p) for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")]
+    read = sum((_attributes_read(tree) for tree in package + bench), Counter())
+    methods = [
+        (cls.name, node)
+        for tree in package
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    unreferenced = [
+        f"{cls}.{node.name}"
+        for cls, node in methods
+        if read[node.name] <= _attributes_read(node)[node.name]
+    ]
+    assert not unreferenced
+    assert len(methods) > 20

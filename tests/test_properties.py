@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from comaxlab import properties
-from comaxlab.grid import Chain, GridFn, join
+from comaxlab.grid import Chain, GridFn, join, relations
 from comaxlab.integral import tnorm_integral
 from comaxlab.properties import (
     BudgetExceededError,
@@ -25,6 +25,8 @@ F = Fraction
 
 CHAIN2 = Chain((F(0), F(1)))
 CHAIN3 = Chain((F(0), F(1, 2), F(1)))
+REL2 = relations(CHAIN2, 2)
+REL3 = relations(CHAIN3, 2)
 
 
 def first_coord(f: GridFn) -> Fraction:
@@ -32,19 +34,19 @@ def first_coord(f: GridFn) -> Fraction:
 
 
 def test_normalized_examples():
-    assert is_normalized(grid_table(first_coord, CHAIN3, 2), CHAIN3, 2)
-    assert not is_normalized(grid_table(lambda f: F(0), CHAIN3, 2), CHAIN3, 2)
+    assert is_normalized(grid_table(first_coord, REL3), REL3)
+    assert not is_normalized(grid_table(lambda f: F(0), REL3), REL3)
     cap = uniform(2)
-    integral = grid_table(lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), CHAIN3, 2)
-    assert is_normalized(integral, CHAIN3, 2)
+    integral = grid_table(lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), REL3)
+    assert is_normalized(integral, REL3)
 
 
 def test_maxitive_examples():
-    ok, _ = is_comonotone_maxitive(grid_table(first_coord, CHAIN3, 2), CHAIN3, 2)
+    ok, _ = is_comonotone_maxitive(grid_table(first_coord, REL3), REL3)
     assert ok
     cap = uniform(2)
-    integral = grid_table(lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), CHAIN3, 2)
-    ok, _ = is_comonotone_maxitive(integral, CHAIN3, 2)
+    integral = grid_table(lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), REL3)
+    ok, _ = is_comonotone_maxitive(integral, REL3)
     assert ok
 
 
@@ -52,7 +54,7 @@ def test_min_functional_maxitive_but_not_join_preserving_everywhere():
     def min_coords(f: GridFn) -> Fraction:
         return min(f[0], f[1])
 
-    ok, _ = is_comonotone_maxitive(grid_table(min_coords, CHAIN2, 2), CHAIN2, 2)
+    ok, _ = is_comonotone_maxitive(grid_table(min_coords, REL2), REL2)
     assert ok
     # The unrestricted identity fails on the one non-comonotone pair.
     f, g = GridFn((F(0), F(1))), GridFn((F(1), F(0)))
@@ -60,13 +62,13 @@ def test_min_functional_maxitive_but_not_join_preserving_everywhere():
 
 
 def test_monotone_examples():
-    ok, _ = is_monotone(grid_table(first_coord, CHAIN3, 2), CHAIN3, 2)
+    ok, _ = is_monotone(grid_table(first_coord, REL3), REL3)
     assert ok
 
     def reversed_first(f: GridFn) -> Fraction:
         return 1 - f[0]
 
-    ok, witness = is_monotone(grid_table(reversed_first, CHAIN2, 2), CHAIN2, 2)
+    ok, witness = is_monotone(grid_table(reversed_first, REL2), REL2)
     assert not ok
     assert witness["f"] == {"values": ["0", "0"]}
     assert witness["g"] == {"values": ["1", "0"]}
@@ -81,25 +83,25 @@ def test_chain_closure():
 
 def test_homogeneity_examples():
     for norm in TNorm:
-        values = homogeneity_table(first_coord, norm, CHAIN3, 2)
-        ok, _ = is_scale_homogeneous(values, norm, CHAIN3, 2)
+        values, inputs, cases = homogeneity_table(first_coord, norm, CHAIN3, 2)
+        ok, _ = is_scale_homogeneous(values, norm, inputs, cases)
         assert ok
 
 
 def test_integral_homogeneous_for_every_norm():
     cap = uniform(2)
     for norm in TNorm:
-        values = homogeneity_table(
+        values, inputs, cases = homogeneity_table(
             lambda f, _n=norm: tnorm_integral(cap, _n, f), norm, CHAIN3, 2, seed=7
         )
-        ok, witness = is_scale_homogeneous(values, norm, CHAIN3, 2, seed=7)
+        ok, witness = is_scale_homogeneous(values, norm, inputs, cases)
         assert ok, witness
 
     def square_first(f: GridFn) -> Fraction:
         return f[0] * f[0]
 
-    values = homogeneity_table(square_first, TNorm.PRODUCT, CHAIN3, 2, seed=1)
-    ok, witness = is_scale_homogeneous(values, TNorm.PRODUCT, CHAIN3, 2, seed=1)
+    values, inputs, cases = homogeneity_table(square_first, TNorm.PRODUCT, CHAIN3, 2, seed=1)
+    ok, witness = is_scale_homogeneous(values, TNorm.PRODUCT, inputs, cases)
     assert not ok
     # Re-verify the reported witness by direct algebra.
     c = Fraction(witness["c"])
@@ -134,7 +136,7 @@ def test_integral_property_suite_integrates_once_per_input_per_capacity(monkeypa
     monkeypatch.setattr(properties, "tnorm_integral", counted)
     report = integral_property_suite(CHAIN3, 3, norm)
     assert report.status == "pass" and report.counts["capacities"] == 129
-    inputs, _ = _homogeneity_cases(norm, CHAIN3, 3, 0)
+    inputs, _ = _homogeneity_cases(norm, CHAIN3, relations(CHAIN3, 3).domain, 0)
     assert made == 129 * len(inputs) == calls
 
 

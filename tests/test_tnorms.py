@@ -53,16 +53,16 @@ def test_minimum_dominates(s, t):
 
 def test_axioms_pass_on_small_grid():
     grid = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
-    report = check_axioms(TNorm.MINIMUM, grid)
-    assert report.status == "pass"
-    assert report.counts["violations"] == 0
+    counts, witnesses = check_axioms(TNorm.MINIMUM, grid)
+    assert witnesses == []
+    assert counts["violations"] == 0
 
 
 def test_axioms_exhaustive_on_sixteenths():
     for norm in TNorm:
-        report = check_axioms(norm, SIXTEENTHS)
-        assert report.status == "pass", report.witnesses
-        assert report.counts["associativity_checks"] == 17**3
+        counts, witnesses = check_axioms(norm, SIXTEENTHS)
+        assert witnesses == []
+        assert counts["associativity_checks"] == 17**3
 
 
 def shifted_cutoff(s, t):
@@ -104,11 +104,10 @@ def _op_id(op):
 @pytest.mark.parametrize("grid", list(AXIOM_GRIDS.values()), ids=list(AXIOM_GRIDS))
 def test_check_axioms_matches_the_literal_oracle(grid, op):
     for max_witnesses in (10, 2):
-        report = check_axioms(op, grid, max_witnesses=max_witnesses)
-        oracle = oracle_check_axioms(op, grid, max_witnesses=max_witnesses)
-        assert report.to_json() == oracle.to_json()
+        counts, witnesses = check_axioms(op, grid, max_witnesses=max_witnesses)
+        assert (counts, witnesses) == oracle_check_axioms(op, grid, max_witnesses=max_witnesses)
     if grid is SIXTEENTHS and op in BROKEN:
-        assert BROKEN[op] in {w["axiom"] for w in report.witnesses}
+        assert BROKEN[op] in {w["axiom"] for w in witnesses}
 
 
 @pytest.mark.parametrize("grid", list(AXIOM_GRIDS.values()), ids=list(AXIOM_GRIDS))
@@ -135,9 +134,9 @@ def test_apply_scaled_is_apply_on_numerators(s, t):
 
 
 def test_shifted_cutoff_op_fails_with_witness_triple():
-    report = check_axioms(shifted_cutoff, SIXTEENTHS, name="shifted-cutoff")
-    assert report.status == "fail"
-    triples = [w for w in report.witnesses if w["axiom"] == "associativity"]
+    counts, witnesses = check_axioms(shifted_cutoff, SIXTEENTHS)
+    assert counts["violations"] > 0
+    triples = [w for w in witnesses if w["axiom"] == "associativity"]
     assert triples, "expected an associativity witness triple"
     s, t, u = (Fraction(a) for a in triples[0]["args"])
     assert shifted_cutoff(shifted_cutoff(s, t), u) != shifted_cutoff(s, shifted_cutoff(t, u))
@@ -146,6 +145,6 @@ def test_shifted_cutoff_op_fails_with_witness_triple():
 @pytest.mark.parametrize("size", [2, 3, 5, 17])
 def test_axiom_check_count_is_exact(size):
     grid = tuple(F(k, size - 1) for k in range(size))
-    counts = check_axioms(TNorm.PRODUCT, grid).counts
+    counts, _ = check_axioms(TNorm.PRODUCT, grid)
     checks = sum(v for k, v in counts.items() if k.endswith("_checks"))
     assert axiom_check_count(size) == checks
