@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Any, Iterator
 
-from .rational import ONE, ZERO, check_unit_interval, format_rational
+from .rational import ONE, ZERO, check_unit_interval
 
 _MAX_JSON_POINTS = 10
 
@@ -68,8 +68,8 @@ class Capacity:
             bigger = subset | {i}
             raise ValueError(
                 "monotonicity violation: "
-                f"mu({_subset_key(subset)!r}) = {format_rational(self._mu[subset])} > "
-                f"{format_rational(self._mu[bigger])} = mu({_subset_key(bigger)!r})"
+                f"mu({_subset_key(subset)!r}) = {self._mu[subset]} > "
+                f"{self._mu[bigger]} = mu({_subset_key(bigger)!r})"
             )
 
     def __call__(self, subset: frozenset[int]) -> Fraction:
@@ -83,7 +83,7 @@ class Capacity:
             raise ValueError("subset-string encoding supports at most 10 points")
         return {
             "n": self.n,
-            "mu": {_subset_key(s): format_rational(v) for s, v in self._mu.items()},
+            "mu": {_subset_key(s): str(v) for s, v in self._mu.items()},
         }
 
 

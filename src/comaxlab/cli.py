@@ -13,12 +13,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from .census import functional_census
 from .grid import Chain
 from .properties import COUNT_DIGITS, BudgetExceededError, check_budget, integral_property_suite
-from .rational import RationalFormatError, format_rational, parse_grid
+from .rational import RationalFormatError, parse_grid
 from .report import FAIL, INCONCLUSIVE, PASS, FINDING, VerificationReport
 from .seq_comonotone import comonotone_witness, defining_product
 from .seqspace import SeqFn
@@ -79,8 +79,17 @@ def validate_function_file(path: str) -> SeqFn:
         raise InputError(f"{path}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print the usage and one ``error:`` line through ``_error``, then exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        _error(message)
+        self.exit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="comaxlab",
         description="Exact verification suites for comonotone maxitivity and t-normed integrals.",
     )
@@ -155,7 +164,7 @@ def _run_comonotone_check(files: Sequence[str], seed: int) -> VerificationReport
                     "kind": "not_comonotone",
                     "files": [files[i], files[j]],
                     "points": [str(x1), str(x2)],
-                    "product": str(defining_product(fns[i], fns[j], x1, x2)),
+                    "product": defining_product(fns[i], fns[j], x1, x2),
                 }
             )
     total = len(fns) * (len(fns) - 1) // 2
@@ -221,7 +230,7 @@ def _emit(report: VerificationReport, args: argparse.Namespace, chain: Chain) ->
     # take it, except jobs: two runs that differ only in an execution
     # detail must still produce byte-identical reports.
     echo = {flag: getattr(args, flag) for flag in DEFAULTS if flag != "jobs"}
-    echo["grid"] = [format_rational(g) for g in chain]
+    echo["grid"] = chain.values
     echo["subcommand"] = args.subcommand
     if args.subcommand == "comonotone-check":
         echo["files"] = list(args.files)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Any, Iterator
 
-from .rational import ONE, ZERO, check_unit_interval, format_rational
+from .rational import ONE, ZERO, check_unit_interval
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class GridFn:
         return all(a <= b for a, b in zip(self.values, other.values))
 
     def to_json(self) -> dict[str, Any]:
-        return {"values": [format_rational(v) for v in self.values]}
+        return {"values": [str(v) for v in self.values]}
 
 
 def _check_lengths(f: GridFn, g: GridFn) -> None:

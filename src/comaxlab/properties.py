@@ -24,7 +24,7 @@ from .capacity import enumerate_capacities
 from .grid import Chain, GridFn, Relations, relations
 from .integral import tnorm_integral
 from .rational import random_unit_rational
-from .report import FAIL, PASS, VerificationReport, jsonify
+from .report import FAIL, PASS, VerificationReport
 from .tnorms import TNorm, apply
 
 Witness = dict
@@ -88,7 +88,7 @@ def join_witness(values: list, domain: tuple[GridFn, ...], i: int, j: int, k: in
     """The report form of the maxitivity break ``(i, j, k)`` of a table over ``domain``."""
     f, g = domain[i], domain[j]
     max_f = max(values[i], values[j])
-    return jsonify({"f": f.to_json(), "g": g.to_json(), "F_join": values[k], "max_F": max_f})
+    return {"f": f.to_json(), "g": g.to_json(), "F_join": values[k], "max_F": max_f}
 
 
 def is_normalized(values: list, rel: Relations) -> bool:
@@ -110,8 +110,7 @@ def is_monotone(values: list, rel: Relations) -> tuple[bool, Witness | None]:
     if found is not None:
         i, j = found
         f, g = rel.domain[i], rel.domain[j]
-        witness = {"f": f.to_json(), "g": g.to_json(), "F_f": values[i], "F_g": values[j]}
-        return False, jsonify(witness)
+        return False, {"f": f.to_json(), "g": g.to_json(), "F_f": values[i], "F_g": values[j]}
     return True, None
 
 
@@ -160,8 +159,7 @@ def is_scale_homogeneous(
     for c, i, k in cases:
         lhs, rhs = values[k], apply(norm, c, values[i])
         if lhs != rhs:
-            witness = {"c": c, "f": inputs[i].to_json(), "F_scaled": lhs, "c_times_F": rhs}
-            return False, jsonify(witness)
+            return False, {"c": c, "f": inputs[i].to_json(), "F_scaled": lhs, "c_times_F": rhs}
     return True, None
 
 

@@ -1,11 +1,13 @@
-"""Exact rational scalars and their wire format.
+"""Exact rational scalars: parsing their wire format and the unit-interval check.
 
 Every numeric value in this package is exact: a :class:`fractions.Fraction`,
 or, inside the sequence model and the finite integral, integers over
 one common denominator; nothing is ever rounded.  On the wire
 rationals travel as strings, ``"p/q"`` in lowest terms with a positive
 denominator, or a bare integer string when the denominator is 1
-(``"0"``, ``"1"``, ``"3/4"``).
+(``"0"``, ``"1"``, ``"3/4"``), exactly ``str`` of a Fraction.  This
+module reads that format; only the report serializer and the codecs
+write it.
 """
 
 from __future__ import annotations
@@ -49,13 +51,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``"p/q"`` (or ``"p"`` when q == 1)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def parse_grid(text: str) -> tuple[Fraction, ...]:
     """Parse a comma-separated list of rationals, e.g. ``"0,1/2,1"``.
 
@@ -74,11 +69,13 @@ def random_unit_rational(rng: random.Random, max_denominator: int) -> Fraction:
     return Fraction(rng.randint(0, den), den)
 
 
-def check_unit_interval(value: Fraction, where: str = "value") -> Fraction:
-    """Return ``value`` unchanged, raising ValueError unless 0 <= value <= 1.
+def check_unit(num: int, den: int, where: str) -> None:
+    """Raise ValueError unless 0 <= num/den <= 1 (den is positive)."""
+    if not 0 <= num <= den:
+        raise ValueError(f"{where} {Fraction(num, den)} outside [0,1]")
 
-    Decided on the numerator alone: a Fraction's denominator is positive.
-    """
-    if not 0 <= value.numerator <= value.denominator:
-        raise ValueError(f"{where} {format_rational(value)} outside [0,1]")
+
+def check_unit_interval(value: Fraction, where: str = "value") -> Fraction:
+    """Return ``value`` unchanged, raising ValueError unless 0 <= value <= 1."""
+    check_unit(value.numerator, value.denominator, where)
     return value

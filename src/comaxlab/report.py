@@ -3,8 +3,9 @@
 A report is the single source of truth for a suite run.  Two runs with
 the same configuration must serialize to byte-identical JSON, so the
 format is pinned: UTF-8, sorted keys, two-space indentation, rationals
-as ``"p/q"`` strings, trailing newline.  Reports never carry wall-clock
-data or host information.
+as ``"p/q"`` strings, trailing newline.  Suites hand over plain
+Fractions; only ``to_json`` writes them, and it refuses any other value
+``json`` cannot write.  Reports never carry wall-clock or host data.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
-
-from .rational import format_rational
 
 PASS = "pass"
 FAIL = "fail"
@@ -28,8 +27,8 @@ _STATUSES = (PASS, FAIL, FINDING, INCONCLUSIVE)
 class VerificationReport:
     """Outcome of one verification suite.
 
-    ``counts`` holds integer tallies, ``witnesses`` holds JSON-ready
-    dictionaries describing violations or noteworthy findings.  A report
+    ``counts`` holds integer tallies, ``witnesses`` holds dictionaries of
+    JSON values and Fractions describing violations or findings.  A report
     whose status is ``fail`` must exhibit at least one witness.
     """
 
@@ -61,19 +60,11 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, default=_rational) + "\n"
 
 
-def jsonify(value: Any) -> Any:
-    """Recursively rewrite Fractions (and tuples) into report-safe JSON values."""
+def _rational(value: Any) -> str:
+    """Write a Fraction as ``"p/q"`` (``"p"`` when q == 1); refuse anything else."""
     if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
-        return value
-    if value is None:
-        return None
-    if isinstance(value, dict):
-        return {str(k): jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
+        return str(value)
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")

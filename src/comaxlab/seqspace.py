@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .rational import check_unit_interval, format_rational, parse_rational
+from .rational import check_unit, check_unit_interval, parse_rational
 
 
 class PointKind(enum.Enum):
@@ -82,12 +82,12 @@ class SeqFn:
         den, s, i = self.den, self.slope_num, self.intercept_num
         if den < 1:
             raise ValueError(f"denominator {den} must be positive")
-        _check_unit(self.iso_num, den, "value at the isolated point")
+        check_unit(self.iso_num, den, "value at the isolated point")
         for k, num in enumerate(self.head_nums, start=1):
-            _check_unit(num, den, f"head value at seq({k})")
+            check_unit(num, den, f"head value at seq({k})")
         n = len(self.head_nums)
-        _check_unit(s * n + i * (n + 1), den * (n + 1), f"tail value at seq({n + 1})")
-        _check_unit(s + i, den, "limit value")
+        check_unit(s * n + i * (n + 1), den * (n + 1), f"tail value at seq({n + 1})")
+        check_unit(s + i, den, "limit value")
         if math.gcd(den, self.iso_num, s, i, *self.head_nums) != 1:
             raise ValueError("denominator is not reduced")
         if n and self.head_nums[-1] * n == s * (n - 1) + i * n:
@@ -133,10 +133,10 @@ class SeqFn:
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "vP": format_rational(self.iso),
-            "prefix": [format_rational(v) for v in self.head],
-            "alpha": format_rational(self.slope),
-            "beta": format_rational(self.intercept),
+            "vP": str(self.iso),
+            "prefix": [str(v) for v in self.head],
+            "alpha": str(self.slope),
+            "beta": str(self.intercept),
         }
 
     @classmethod
@@ -158,12 +158,6 @@ class SeqFn:
             parse_rational(data["alpha"]),
             parse_rational(data["beta"]),
         )
-
-
-def _check_unit(num: int, den: int, where: str) -> None:
-    """Raise ValueError unless 0 <= num/den <= 1 (den is positive)."""
-    if not 0 <= num <= den:
-        raise ValueError(f"{where} {format_rational(Fraction(num, den))} outside [0,1]")
 
 
 def _reduced(den: int, iso: int, head: list[int], slope: int, intercept: int) -> SeqFn:

@@ -27,7 +27,7 @@ from .pairs import PairRelations
 from .parallel import run_shards, split_range
 from .properties import capped_power, check_budget
 from .rational import ONE, ZERO
-from .report import FAIL, FINDING, INCONCLUSIVE, PASS, VerificationReport, jsonify
+from .report import FAIL, FINDING, INCONCLUSIVE, PASS, VerificationReport
 from .seq_comonotone import comonotone_witness
 from .seqspace import SeqFn, constant, join, leq, make, ramp, seq
 
@@ -182,34 +182,30 @@ def _check_pair(
     expected = max(nu_f, nu_g)
     if nu_join != expected:
         violations.append(
-            jsonify(
-                {
-                    "kind": "maxitivity",
-                    "source": source,
-                    "index": index,
-                    "f": f.to_json(),
-                    "g": g.to_json(),
-                    "step_join": nu_join,
-                    "max_steps": expected,
-                }
-            )
+            {
+                "kind": "maxitivity",
+                "source": source,
+                "index": index,
+                "f": f.to_json(),
+                "g": g.to_json(),
+                "step_join": nu_join,
+                "max_steps": expected,
+            }
         )
     if order:
         lower, upper, nu_lo, nu_hi = (f, g, nu_f, nu_g) if order < 0 else (g, f, nu_g, nu_f)
         tally["ordered_comonotone_checks"] += 1
         if nu_lo > nu_hi:
             violations.append(
-                jsonify(
-                    {
-                        "kind": "restricted_monotonicity",
-                        "source": source,
-                        "index": index,
-                        "lower": lower.to_json(),
-                        "upper": upper.to_json(),
-                        "step_lower": nu_lo,
-                        "step_upper": nu_hi,
-                    }
-                )
+                {
+                    "kind": "restricted_monotonicity",
+                    "source": source,
+                    "index": index,
+                    "lower": lower.to_json(),
+                    "upper": upper.to_json(),
+                    "step_lower": nu_lo,
+                    "step_upper": nu_hi,
+                }
             )
 
 
@@ -297,7 +293,7 @@ def counterexample_suite(
     for tag, f, g in named_witness_pairs():
         if comonotone_witness(f, g) is not None:
             violations.append(
-                jsonify({"kind": "named_pair_not_comonotone", "branch": tag, "f": f.to_json()})
+                {"kind": "named_pair_not_comonotone", "branch": tag, "f": f.to_json()}
             )
             continue
         _check_new_pair(f, g, tally, violations, "named", tally["named_pairs"])
@@ -380,8 +376,8 @@ def normalized_search(
         if bad is None:
             screened.append((record, functional))
         else:
-            value = jsonify(functional(constant(bad)))
-            record.update(outcome="rejected_not_normalized", constant=jsonify(bad), value=value)
+            value = functional(constant(bad))
+            record.update(outcome="rejected_not_normalized", constant=bad, value=value)
 
     functionals = [functional for _, functional in screened]
     maxitivity_breaks: dict[int, dict] = {}

@@ -6,9 +6,10 @@ so every identity here is decidable exactly.  The three formulas live
 in ``apply_scaled``, on integer numerators; ``apply`` reads them.  The
 axiom checker is grid-exhaustive: callers pick a finite grid and every
 required tuple on it is tested, with violating tuples reported
-verbatim.  It evaluates the operation once per grid pair; only
-associativity's outer calls are made anew.  It returns its counts and
-witnesses; the ``tnorm-axioms`` subcommand builds the one report.
+verbatim as Fractions, which only the report serializer writes out.
+It evaluates the operation once per grid pair; only associativity's
+outer calls are made anew.  It returns its counts and witnesses; the
+``tnorm-axioms`` subcommand builds the one report.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import enum
 from fractions import Fraction
 from typing import Callable
 
-from .rational import ONE, ZERO, check_unit_interval, format_rational
+from .rational import ONE, ZERO, check_unit_interval
 
 BinaryOp = Callable[[Fraction, Fraction], Fraction]
 
@@ -45,15 +46,6 @@ def apply_scaled(norm: TNorm, s: int, s_den: int, t: int, t_den: int) -> int:
     if norm is TNorm.PRODUCT:
         return s * t
     return max(0, s * t_den + t * s_den - s_den * t_den)
-
-
-def _witness(axiom: str, args: tuple[Fraction, ...], left: Fraction, right: Fraction) -> dict:
-    return {
-        "axiom": axiom,
-        "args": [format_rational(a) for a in args],
-        "left": format_rational(left),
-        "right": format_rational(right),
-    }
 
 
 def axiom_check_count(g: int) -> int:
@@ -90,7 +82,7 @@ def check_axioms(
         counts["violations"] += 1
         bucket = by_axiom.setdefault(axiom, [])
         if len(bucket) < max_witnesses:
-            bucket.append(_witness(axiom, args, left, right))
+            bucket.append({"axiom": axiom, "args": args, "left": left, "right": right})
 
     def closed(value: Fraction, args: tuple[Fraction, ...]) -> Fraction:
         if not (ZERO <= value <= ONE):

@@ -38,8 +38,7 @@ from comaxlab.properties import (
     is_scale_homogeneous,
 )
 from comaxlab.rational import ONE, ZERO, check_unit_interval, random_unit_rational
-from comaxlab.report import jsonify
-from comaxlab.tnorms import TNorm, _witness
+from comaxlab.tnorms import TNorm
 
 
 def uniform(n: int) -> Capacity:
@@ -130,8 +129,7 @@ def oracle_comonotone_maxitive(functional, chain, n):
             lhs = functional(join(f, g))
             rhs = max(functional(f), functional(g))
             if lhs != rhs:
-                witness = {"f": f.to_json(), "g": g.to_json(), "F_join": lhs, "max_F": rhs}
-                return False, jsonify(witness)
+                return False, {"f": f.to_json(), "g": g.to_json(), "F_join": lhs, "max_F": rhs}
     return True, None
 
 
@@ -143,8 +141,7 @@ def oracle_monotone(functional, chain, n):
                 continue
             vf, vg = functional(f), functional(g)
             if vf > vg:
-                witness = {"f": f.to_json(), "g": g.to_json(), "F_f": vf, "F_g": vg}
-                return False, jsonify(witness)
+                return False, {"f": f.to_json(), "g": g.to_json(), "F_f": vf, "F_g": vg}
     return True, None
 
 
@@ -165,8 +162,7 @@ def oracle_scale_homogeneous(functional, norm, chain, n, samples=200, seed=0, ma
         lhs = functional(scaled)
         rhs = fraction_apply(norm, c, functional(f))
         if lhs != rhs:
-            witness = {"c": c, "f": f.to_json(), "F_scaled": lhs, "c_times_F": rhs}
-            return False, jsonify(witness)
+            return False, {"c": c, "f": f.to_json(), "F_scaled": lhs, "c_times_F": rhs}
     return True, None
 
 
@@ -203,7 +199,7 @@ def oracle_check_axioms(op, grid, max_witnesses=10):
         counts["violations"] += 1
         bucket = by_axiom.setdefault(axiom, [])
         if len(bucket) < max_witnesses:
-            bucket.append(_witness(axiom, args, left, right))
+            bucket.append({"axiom": axiom, "args": args, "left": left, "right": right})
 
     def closed(value, args):
         if not (ZERO <= value <= ONE):

@@ -46,8 +46,8 @@ from fractions import Fraction
 from comaxlab import suites
 from comaxlab.pairgen import GeneratorParams, MonotoneMap, generate_pair, pair_seed, random_seqfn
 from comaxlab.pairs import PairRelations
-from comaxlab.rational import format_rational, random_unit_rational
-from comaxlab.report import FINDING, INCONCLUSIVE, VerificationReport, jsonify
+from comaxlab.rational import random_unit_rational
+from comaxlab.report import FINDING, INCONCLUSIVE, VerificationReport
 from comaxlab.seq_comonotone import comonotone_witness
 from comaxlab.seqspace import constant, join, points_upto, seq
 
@@ -144,10 +144,10 @@ def fields(f):
 def fields_json(fields_):
     iso, head, slope, intercept = fields_
     return {
-        "vP": format_rational(iso),
-        "prefix": [format_rational(v) for v in head],
-        "alpha": format_rational(slope),
-        "beta": format_rational(intercept),
+        "vP": str(iso),
+        "prefix": [str(v) for v in head],
+        "alpha": str(slope),
+        "beta": str(intercept),
     }
 
 
@@ -324,8 +324,8 @@ def list_normalized_search(seed, samples, grid, prefix_max, budget=10**7):
         if bad_constant is not None:
             counts["rejected_not_normalized"] += 1
             record["outcome"] = "rejected_not_normalized"
-            record["constant"] = jsonify(bad_constant)
-            record["value"] = jsonify(functional(constant(bad_constant)))
+            record["constant"] = bad_constant
+            record["value"] = functional(constant(bad_constant))
             outcomes.append(record)
             continue
 

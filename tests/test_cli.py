@@ -229,6 +229,30 @@ def test_flag_the_subcommand_does_not_read_exits_2(subcommand, flag, value, caps
     assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
+NINES = "9" * 3000
+LONG_USAGE_ERRORS = [
+    (["finite-census", "--n", f"{NINES}x"], f"argument --n: invalid int value: '{NINES}x'"),
+    (["finite-census", "--bogus", NINES], f"unrecognized arguments: --bogus {NINES}"),
+    (["a" * 3000], "argument subcommand: invalid choice: '" + "a" * 3000 + "'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", LONG_USAGE_ERRORS, ids=["invalid-int", "unrecognized-flag", "long-subcommand"]
+)
+def test_long_usage_error_gives_the_usage_and_one_cut_error_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: comaxlab") and len(captured.err) < 600
+    line = captured.err.splitlines()[-1]
+    length = int(line.rpartition("(")[2].split()[0])
+    assert length >= len(message)
+    assert_one_cut_error_line(line, message[:200], length)
+
+
 def test_unknown_function_key_exits_2(tmp_path):
     bad = write_json(tmp_path / "bad.json", {"vP": "1", "prefx": ["0"], "alpha": "1", "beta": "0"})
     ok = write_json(tmp_path / "ok.json", RAMP1_JSON)

@@ -9,7 +9,6 @@ of witnesses of its kind.
 """
 
 import hashlib
-import json
 from collections import Counter
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from comaxlab.integral import tnorm_integral
 from comaxlab.rational import ONE, ZERO
 from comaxlab.seqspace import ramp
 from comaxlab.tnorms import TNorm, apply
+from test_golden import exact_report
 
 F = Fraction
 
@@ -57,7 +57,7 @@ def broken_apply(norm, s, t):
 def failing_report(argv, capsys):
     assert cli.main(list(argv)) == 1
     text = capsys.readouterr().out
-    report = json.loads(text)
+    report = exact_report(text)
     assert report["status"] == "fail"
     return hashlib.sha256(text.encode("utf-8")).hexdigest(), report
 

@@ -136,10 +136,21 @@ def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _inexact(text):
+    raise AssertionError(f"inexact value {text} in a report")
+
+
+def exact_report(text):
+    """The parsed report; a float, NaN or infinity anywhere in it fails the test."""
+    return json.loads(text, parse_float=_inexact, parse_constant=_inexact)
+
+
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_report_bytes_are_pinned(argv, digest, capsys):
     assert cli.main(list(argv)) == 0
-    assert sha256(capsys.readouterr().out) == digest
+    text = capsys.readouterr().out
+    exact_report(text)
+    assert sha256(text) == digest
 
 
 def test_traced_integral_step_writes_the_untraced_bytes(tmp_path):
@@ -207,9 +218,13 @@ def function_files(tmp_path, monkeypatch):
 
 def test_comonotone_check_bytes_are_pinned(function_files, capsys):
     assert cli.main(["comonotone-check", *function_files]) == 0
-    assert sha256(capsys.readouterr().out) == COMONOTONE_CHECK_DIGEST
+    text = capsys.readouterr().out
+    exact_report(text)
+    assert sha256(text) == COMONOTONE_CHECK_DIGEST
 
 
 def test_comonotone_check_bytes_with_a_seed_are_pinned(function_files, capsys):
     assert cli.main(["comonotone-check", *function_files, "--seed", "3"]) == 0
-    assert sha256(capsys.readouterr().out) == COMONOTONE_CHECK_SEED3_DIGEST
+    text = capsys.readouterr().out
+    exact_report(text)
+    assert sha256(text) == COMONOTONE_CHECK_SEED3_DIGEST

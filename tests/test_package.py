@@ -163,3 +163,27 @@ def test_every_method_is_referenced_by_attribute():
     ]
     assert not unreferenced
     assert len(methods) > 20
+
+
+def test_every_module_level_name_is_read():
+    """The dead-code lint for module-level assignments.
+
+    Every name a top-level assignment in the package binds (constants
+    and type aliases; ``__version__`` aside) is read from ``src/`` or
+    ``bench/`` outside its own statement.  Tests do not count.
+    """
+    package = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    bench = [_parse(p) for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")]
+    used = sum((_names_used(tree) for tree in package + bench), Counter())
+    assigned = [
+        (target.id, node)
+        for tree in package
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in ast.walk(node)
+        if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+        and target.id != "__version__"
+    ]
+    unread = [name for name, node in assigned if used[name] <= _names_used(node)[name]]
+    assert not unread
+    assert len(assigned) > 30

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from comaxlab.rational import (
     RationalFormatError,
     check_unit_interval,
-    format_rational,
     parse_grid,
     parse_rational,
 )
@@ -52,15 +51,9 @@ def test_parse_rejects_forms_int_would_accept(bad):
         parse_rational(bad)
 
 
-def test_format_lowest_terms():
-    assert format_rational(Fraction(2, 4)) == "1/2"
-    assert format_rational(Fraction(0)) == "0"
-    assert format_rational(Fraction(4, 2)) == "2"
-
-
 @given(st.fractions(min_value=-10, max_value=10, max_denominator=1000))
 def test_round_trip(x):
-    assert parse_rational(format_rational(x)) == x
+    assert parse_rational(str(x)) == x
 
 
 def test_parse_grid():
