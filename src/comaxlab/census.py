@@ -30,13 +30,13 @@ from .report import FINDING, PASS, VerificationReport
 _COUNTS = (
     "total", "comonotone_maxitive", "monotone", "maxitive_not_monotone", "monotone_not_maxitive"
 )
+WITNESS_CAP = 5  # maxitive-but-not-monotone tables kept, per shard and after the merge
 
 
-def table_count(chain: Chain, n: int) -> int | None:
-    """``m ** (m ** n)`` tables for m chain values, or None past ``10**COUNT_DIGITS``."""
+def table_count(chain: Chain, n: int) -> int:
+    """``m ** (m ** n)`` tables for m chain values, saturating at ``10**COUNT_DIGITS``."""
     m = len(chain)
-    cells = capped_power(m, n)
-    return None if cells is None else capped_power(m, cells)
+    return capped_power(m, capped_power(m, n))
 
 
 def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
@@ -65,7 +65,7 @@ def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
             counts["monotone"] += 1
         if maxitive and not monotone:
             counts["maxitive_not_monotone"] += 1
-            if len(bad_maxitive) < 5:
+            if len(bad_maxitive) < WITNESS_CAP:
                 bad_maxitive.append(
                     {"kind": "maxitive_not_monotone", "table": _row_json(structure, chain, row)}
                 )
@@ -113,9 +113,7 @@ def functional_census(
     for result in results:
         for key, value in result["counts"].items():
             counts[key] += value
-        for item in result["bad_maxitive"]:
-            if len(witnesses) < 5:
-                witnesses.append(item)
+        witnesses += result["bad_maxitive"][: WITNESS_CAP - len(witnesses)]
         if first_monotone_only is None and result["first_monotone_only"] is not None:
             first_monotone_only = result["first_monotone_only"]
     if first_monotone_only is not None:

@@ -46,19 +46,27 @@ class Chain:
 
 @dataclass(frozen=True)
 class GridFn:
-    """Function on a finite n-point space: its values, also as ``nums`` over their lcm ``den``."""
+    """Function on a finite n-point space: its values, and its level sets over their lcm ``den``.
+
+    ``levels`` pairs each threshold of ``values + {0, 1}``, ascending and
+    as a numerator over ``den``, with the points where the function
+    reaches it; ``integral.tnorm_integral`` sweeps them.
+    """
 
     values: tuple[Fraction, ...]
     den: int = field(init=False, repr=False, compare=False)
-    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    levels: tuple[tuple[int, frozenset[int]], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for v in self.values:
             check_unit_interval(v, "function value")
         den = math.lcm(*(v.denominator for v in self.values))
-        nums = tuple(v.numerator * den // v.denominator for v in self.values)
+        nums = [v.numerator * den // v.denominator for v in self.values]
+        levels = tuple(
+            (t, frozenset(i for i, v in enumerate(nums) if v >= t)) for t in sorted({*nums, 0, den})
+        )
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "levels", levels)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -7,28 +7,17 @@ the finite threshold set ``values(f) + {0, 1}`` with no loss: between
 consecutive values the level set is fixed and ``t * mu`` is monotone
 in t.  With the minimum norm this is the classical Sugeno integral.
 The sweep runs on integers over ``f.den * cap.den``; only the maximum
-becomes a Fraction.
+becomes a Fraction.  Each ``GridFn`` derives its thresholds and their
+level sets once, when it is built, so every capacity reads the same ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .capacity import Capacity
 from .grid import GridFn
 from .tnorms import TNorm, apply_scaled
-
-
-# A real memo: every capacity integrates the same inputs, so ``integral-properties
-# --n 3 --norm product`` makes 285 misses and 36,480 hits.
-@lru_cache(maxsize=4096)
-def _levels(den: int, nums: tuple[int, ...]) -> tuple[tuple[int, frozenset[int]], ...]:
-    """Thresholds ``nums + {0, den}``, ascending, with their level sets (any capacity)."""
-    thresholds = sorted({*nums, 0, den})
-    if thresholds[0] < 0 or thresholds[-1] > den:
-        raise ValueError(f"thresholds must lie in [0, {den}]")
-    return tuple((t, frozenset(i for i, v in enumerate(nums) if v >= t)) for t in thresholds)
 
 
 def tnorm_integral(cap: Capacity, norm: TNorm, f: GridFn) -> Fraction:
@@ -36,5 +25,5 @@ def tnorm_integral(cap: Capacity, norm: TNorm, f: GridFn) -> Fraction:
     if len(f) != cap.n:
         raise ValueError(f"function on {len(f)} points vs capacity on {cap.n}")
     den, mu = cap.den, cap.nums
-    best = max(apply_scaled(norm, t, f.den, mu[level], den) for t, level in _levels(f.den, f.nums))
+    best = max(apply_scaled(norm, t, f.den, mu[level], den) for t, level in f.levels)
     return Fraction(best, f.den * den)

@@ -38,7 +38,7 @@ class GeneratorParams:
     max_denominator: int = 6
     max_breakpoints: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.prefix_max < 0 or self.max_denominator < 1 or self.max_breakpoints < 0:
             raise ValueError("generator parameters must be nonnegative (denominator >= 1)")
 
@@ -163,7 +163,6 @@ def pair_seed(seed: int, index: int) -> int:
 
 def generate_pair(seed: int, params: GeneratorParams = GeneratorParams()) -> tuple[SeqFn, SeqFn]:
     """Deterministic comonotone pair for the given seed."""
-    params.validate()
     rng = random.Random(seed)
     base = random_seqfn(rng, params)
     f = compose(random_monotone_map(rng, params), base)
@@ -180,6 +179,5 @@ def generate_pair(seed: int, params: GeneratorParams = GeneratorParams()) -> tup
 
 def random_pair(seed: int, params: GeneratorParams = GeneratorParams()) -> tuple[SeqFn, SeqFn]:
     """Two independent random functions (usually not comonotone)."""
-    params.validate()
     rng = random.Random(seed)
     return random_seqfn(rng, params), random_seqfn(rng, params)

@@ -34,16 +34,18 @@ COUNT_DIGITS = 4300
 _COUNT_CAP = 10**COUNT_DIGITS
 
 
-def capped_power(base: int, exponent: int) -> int | None:
-    """``base ** exponent`` for ``base >= 2``, or None once it reaches ``10**COUNT_DIGITS``.
+def capped_power(base: int, exponent: int) -> int:
+    """``base ** exponent`` for ``base >= 2``, saturating at ``10**COUNT_DIGITS``.
 
-    The exact product stops at the cap: Python will not print a longer integer.
+    The exact product stops at the cap: Python will not print a longer
+    integer.  A count built from a saturated power is only known to be
+    at least the cap, and ``check_budget`` refuses it without the count.
     """
     power = 1
     for _ in range(exponent):
         power *= base
         if power >= _COUNT_CAP:
-            return None
+            return _COUNT_CAP
     return power
 
 
@@ -59,11 +61,11 @@ class BudgetExceededError(RuntimeError):
         self.what = what
 
 
-def check_budget(required: int | None, budget: int, what: str) -> None:
-    """Refuse a count over the budget; one that is None or past the cap, without the count."""
-    if required is not None and required >= _COUNT_CAP:
-        required = None
-    if required is None or required > budget:
+def check_budget(required: int, budget: int, what: str) -> None:
+    """Refuse a count over the budget; one at or past the cap, without the count."""
+    if required >= _COUNT_CAP:
+        raise BudgetExceededError(None, budget, what)
+    if required > budget:
         raise BudgetExceededError(required, budget, what)
 
 
@@ -177,8 +179,7 @@ def integral_property_suite(
     if that exceeds the budget the suite refuses (see ``check_budget``).
     The report fails exactly when some capacity has a witness.
     """
-    slots = capped_power(2, n)
-    required = None if slots is None else capped_power(len(chain), slots - 2)
+    required = capped_power(len(chain), capped_power(2, n) - 2)
     check_budget(required, budget, "capacity enumeration")
 
     rel = relations(chain, n)

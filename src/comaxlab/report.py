@@ -4,8 +4,9 @@ A report is the single source of truth for a suite run.  Two runs with
 the same configuration must serialize to byte-identical JSON, so the
 format is pinned: UTF-8, sorted keys, two-space indentation, rationals
 as ``"p/q"`` strings, trailing newline.  Suites hand over plain
-Fractions; only ``to_json`` writes them, and it refuses any other value
-``json`` cannot write.  Reports never carry wall-clock or host data.
+Fractions; only ``to_json`` writes them, and it refuses floats and any
+other value ``json`` cannot write exactly.  Reports never carry
+wall-clock or host data.
 """
 
 from __future__ import annotations
@@ -60,11 +61,21 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, default=_rational) + "\n"
+        return json.dumps(_exact(self.to_dict()), sort_keys=True, indent=2) + "\n"
 
 
-def _rational(value: Any) -> str:
-    """Write a Fraction as ``"p/q"`` (``"p"`` when q == 1); refuse anything else."""
+def _exact(value: Any) -> Any:
+    """``value`` with each Fraction as ``"p/q"`` (``"p"`` when q == 1), keys too.
+
+    Refuses a float (``nan`` and ``inf`` included) and anything else
+    ``json`` would not write exactly: a report holds no inexact number.
+    """
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, dict):
+        return {_exact(k): _exact(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    if value is None or isinstance(value, (str, int)):
+        return value
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")

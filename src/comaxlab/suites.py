@@ -119,7 +119,7 @@ def structured_family(grid: Sequence[Fraction], prefix_max: int) -> list[SeqFn]:
     return sorted(fns, key=lambda f: (f.iso, f.head, f.slope, f.intercept))
 
 
-def family_size(grid: Sequence[Fraction], prefix_max: int) -> int | None:
+def family_size(grid: Sequence[Fraction], prefix_max: int) -> int:
     """``len(structured_family(grid, prefix_max))``, without building the family.
 
     With g distinct grid values and P = ``prefix_max``: a constant-tail
@@ -128,7 +128,7 @@ def family_size(grid: Sequence[Fraction], prefix_max: int) -> int | None:
     g * g * (1 + sum over h of g^(h-1) * (g-1)) = g^(P+2) members; the
     sloped empty-head members are g * g * (g-1) (isolated value, first
     value, a different limit); the named witness functions add those not
-    already among them.  None when g^(P+2) reaches ``10**COUNT_DIGITS``.
+    already among them.  g^(P+2) saturates at ``10**COUNT_DIGITS``.
     """
     values = set(grid)
     g = len(values)
@@ -141,15 +141,13 @@ def family_size(grid: Sequence[Fraction], prefix_max: int) -> int | None:
 
     named = {fn for _, f, h in named_witness_pairs() for fn in (f, h)}
     extra = g * g * (g - 1) + sum(not generated(fn) for fn in named)
-    constant_tail = capped_power(g, prefix_max + 2)
-    return None if constant_tail is None else constant_tail + extra
+    return capped_power(g, prefix_max + 2) + extra
 
 
 def _check_family_budget(grid: Sequence[Fraction], prefix_max: int, budget: int) -> int:
     """The family size; a family whose pairs exceed the budget is refused with the exact count."""
     size = family_size(grid, prefix_max)
-    pairs = None if size is None else size * (size + 1) // 2
-    check_budget(pairs, budget, "structured family pairs")
+    check_budget(size * (size + 1) // 2, budget, "structured family pairs")
     return size
 
 

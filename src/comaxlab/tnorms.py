@@ -4,23 +4,23 @@ Only the three canonical continuous norms are built in: minimum,
 product, and Lukasiewicz.  All three map rational pairs to rationals,
 so every identity here is decidable exactly.  The three formulas live
 in ``apply_scaled``, on integer numerators; ``apply`` reads them.  The
-axiom checker is grid-exhaustive: callers pick a finite grid and every
-required tuple on it is tested, with violating tuples reported
-verbatim as Fractions, which only the report serializer writes out.
-It evaluates the operation once per grid pair; only associativity's
-outer calls are made anew.  It returns its counts and witnesses; the
-``tnorm-axioms`` subcommand builds the one report.
+axiom checker takes a built-in norm and is grid-exhaustive: callers
+pick a finite grid and every required tuple on it is tested, with up
+to ``WITNESS_CAP`` violating tuples per axiom reported verbatim as
+Fractions, which only the report serializer writes out.  It evaluates
+the norm once per grid pair; only associativity's outer calls are made
+anew.  It returns its counts and witnesses; the ``tnorm-axioms``
+subcommand builds the one report.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Callable
 
 from .rational import ONE, ZERO, check_unit_interval
 
-BinaryOp = Callable[[Fraction, Fraction], Fraction]
+WITNESS_CAP = 10  # witnesses kept per axiom; every violation is still counted
 
 
 class TNorm(enum.Enum):
@@ -54,19 +54,14 @@ def axiom_check_count(g: int) -> int:
     return g + g * g + g * g * (g + 1) // 2 + g**3
 
 
-def check_axioms(
-    op: TNorm | BinaryOp, grid: tuple[Fraction, ...], max_witnesses: int = 10
-) -> tuple[dict[str, int], list[dict]]:
+def check_axioms(norm: TNorm, grid: tuple[Fraction, ...]) -> tuple[dict[str, int], list[dict]]:
     """Exhaustively test the t-norm axioms on a finite grid: the counts and the witnesses.
 
-    ``op`` may be a built-in TNorm or any rational binary operation
-    (so near-misses can be probed for the tuple that breaks them).
     Checks unit on singles, commutativity on pairs, monotonicity and
     associativity on triples, and closure of every computed value.
     """
     for g in grid:
         check_unit_interval(g, "grid point")
-    fn: BinaryOp = op if callable(op) else (lambda s, t: apply(op, s, t))
 
     by_axiom: dict[str, list[dict]] = {}
     counts = {
@@ -81,7 +76,7 @@ def check_axioms(
     def record(axiom: str, args: tuple[Fraction, ...], left: Fraction, right: Fraction) -> None:
         counts["violations"] += 1
         bucket = by_axiom.setdefault(axiom, [])
-        if len(bucket) < max_witnesses:
+        if len(bucket) < WITNESS_CAP:
             bucket.append({"axiom": axiom, "args": args, "left": left, "right": right})
 
     def closed(value: Fraction, args: tuple[Fraction, ...]) -> Fraction:
@@ -92,12 +87,12 @@ def check_axioms(
 
     for s in grid:
         counts["unit_checks"] += 1
-        got = closed(fn(s, ONE), (s, ONE))
+        got = closed(apply(norm, s, ONE), (s, ONE))
         if got != s:
             record("unit", (s,), got, s)
 
-    # rows[i][j] = fn(grid[i], grid[j]), once per pair; zip(*rows) gives the columns.
-    rows = [[fn(s, t) for t in grid] for s in grid]
+    # rows[i][j] = apply(norm, grid[i], grid[j]), once per pair; zip(*rows) gives the columns.
+    rows = [[apply(norm, s, t) for t in grid] for s in grid]
 
     for s, row, column in zip(grid, rows, zip(*rows)):
         for t, st, ts in zip(grid, row, column):
@@ -119,8 +114,8 @@ def check_axioms(
         for t, st, tu_row in zip(grid, row, rows):
             for u, tu in zip(grid, tu_row):
                 counts["associativity_checks"] += 1
-                left = fn(st, u)
-                right = fn(s, tu)
+                left = apply(norm, st, u)
+                right = apply(norm, s, tu)
                 if left != right:
                     record("associativity", (s, t, u), left, right)
 

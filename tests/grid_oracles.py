@@ -179,8 +179,12 @@ def fraction_integral(cap, norm, f):
     return best
 
 
-def oracle_check_axioms(op, grid, max_witnesses=10):
-    """The four axiom passes, calling the operation for every value they compare."""
+def oracle_check_axioms(op, grid):
+    """The four axiom passes, calling the operation for every value they compare.
+
+    ``op`` is a built-in TNorm or any rational binary operation; each
+    axiom keeps its first 10 witnesses.
+    """
     for g in grid:
         check_unit_interval(g, "grid point")
     fn = op if callable(op) else (lambda s, t: fraction_apply(op, s, t))
@@ -198,7 +202,7 @@ def oracle_check_axioms(op, grid, max_witnesses=10):
     def record(axiom, args, left, right):
         counts["violations"] += 1
         bucket = by_axiom.setdefault(axiom, [])
-        if len(bucket) < max_witnesses:
+        if len(bucket) < 10:
             bucket.append({"axiom": axiom, "args": args, "left": left, "right": right})
 
     def closed(value, args):

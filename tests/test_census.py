@@ -24,8 +24,8 @@ def test_table_counts():
     assert table_count(CHAIN3, 3) == 3**27
     # 2 ** 8192 has 2,467 digits; 3 ** 19683 has 9,392, past the cap.
     assert table_count(CHAIN2, 13) == 2**8192
-    assert table_count(CHAIN3, 9) is None
-    assert table_count(CHAIN2, 70) is None  # 2 ** 70 cells
+    assert table_count(CHAIN3, 9) == 10**4300
+    assert table_count(CHAIN2, 70) == 10**4300  # 2 ** 70 cells
 
 
 def test_enumeration_is_exhaustive_and_unique():

@@ -91,16 +91,20 @@ def test_grid_fn_refusal_messages(build, error, message):
 @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12), min_size=1, max_size=4))
 def test_grid_fn_integer_form_is_the_values_over_their_least_denominator(values):
     f = GridFn(tuple(values))
-    assert [F(num, f.den) for num in f.nums] == values
+    thresholds = sorted({F(0), F(1), *values})
+    assert [F(t, f.den) for t, _ in f.levels] == thresholds
+    for t, level in zip(thresholds, (level for _, level in f.levels)):
+        assert level == {i for i, v in enumerate(values) if v >= t}
     smaller = (d for d in range(1, f.den) if f.den % d == 0)
     assert all(any((v * d).denominator != 1 for v in values) for d in smaller)
 
 
 def test_grid_fn_integer_form_stays_out_of_equality_hash_repr_and_codec():
-    # 2/4 and 1/2 are one Fraction; a second build derives the same den and nums.
+    # 2/4 and 1/2 are one Fraction; a second build derives the same den and levels.
     f, g = GridFn((F(2, 4), F(1, 3))), GridFn((F(1, 2), F(1, 3)))
     assert f == g and hash(f) == hash(g)
-    assert (f.den, f.nums) == (6, (3, 2))
+    assert (f.den, f.levels) == (6, ((0, {0, 1}), (2, {0, 1}), (3, {0}), (6, set())))
+    assert (g.den, g.levels) == (f.den, f.levels)
     assert repr(f) == "GridFn(values=(Fraction(1, 2), Fraction(1, 3)))"
     assert f.to_json() == {"values": ["1/2", "1/3"]}
     assert {f: 1}[g] == 1

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from comaxlab.capacity import Capacity, enumerate_capacities, subsets
 from comaxlab.grid import Chain, GridFn, all_functions, relations
-from comaxlab.integral import _levels, tnorm_integral
+from comaxlab.integral import tnorm_integral
 from comaxlab.properties import _homogeneity_cases
 from comaxlab.tnorms import TNorm
 
@@ -205,7 +205,3 @@ def test_capacity_integer_form_stays_out_of_equality_and_codec():
     assert (a.den, a.nums) == (2, {s: len(s) for s in subsets(2)})
     assert a.to_json() == {"n": 2, "mu": {"": "0", "0": "1/2", "1": "1/2", "01": "1"}}
 
-
-def test_levels_refuse_a_threshold_outside_the_denominator():
-    with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 4\]"):
-        _levels(4, (1, 5))

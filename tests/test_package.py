@@ -133,6 +133,32 @@ def test_package_has_no_unused_import_or_unreferenced_definition():
     assert len(definitions) > 100
 
 
+def _callee(node: ast.expr) -> str | None:
+    """The name a decorator refers to: ``lru_cache`` for ``@functools.lru_cache(4096)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_module_level_function_is_cached():
+    """No process-wide memo: a suite builds its tables and hands them over.
+
+    A top-level function of the package may not be decorated with
+    ``functools.cache`` or ``lru_cache``.  A cache local to one call
+    (``functools.cache(step_value)`` in a shard) is fine.
+    """
+    cached = [
+        f"{path.name}: {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _parse(path).body
+        if isinstance(node, ast.FunctionDef)
+        and any(_callee(d) in {"cache", "lru_cache"} for d in node.decorator_list)
+    ]
+    assert not cached
+
+
 def _attributes_read(tree: ast.AST) -> Counter:
     return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
 

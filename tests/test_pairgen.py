@@ -40,6 +40,18 @@ def test_monotone_map_validation():
     assert MonotoneMap(2, ((0, 0), (1, 2), (2, 2))).knots == ((0, 0), (1, 2), (2, 2))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"prefix_max": -1}, {"max_denominator": 0}, {"max_breakpoints": -1}],
+    ids=["prefix_max", "max_denominator", "max_breakpoints"],
+)
+def test_generator_params_are_refused_at_construction(fields):
+    with pytest.raises(ValueError) as exc:
+        GeneratorParams(**fields)
+    assert str(exc.value) == "generator parameters must be nonnegative (denominator >= 1)"
+    assert GeneratorParams(prefix_max=0, max_denominator=1, max_breakpoints=0).prefix_max == 0
+
+
 def test_identity_composition_returns_same_function():
     h = make(F(1, 2), [F(0)], F(1, 2), F(1, 4))
     assert compose(IDENTITY_MAP, h) == h

@@ -48,3 +48,20 @@ def test_a_value_json_cannot_write_is_refused(value):
     report = VerificationReport(claim_id="c", status=PASS, witnesses=[{"x": value}])
     with pytest.raises(TypeError, match="cannot serialize"):
         report.to_json()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"counts": {"x": 0.5}},
+        {"counts": {"y": float("nan")}},
+        {"config_echo": {"bound": float("inf")}},
+        {"witnesses": [{"pair": [F(1, 2), {"deep": (F(0), 0.25)}]}]},
+        {"witnesses": [{0.5: "key"}]},
+    ],
+    ids=["count", "nan", "inf", "nested-in-a-witness", "key"],
+)
+def test_a_float_anywhere_is_refused(fields):
+    report = VerificationReport(claim_id="c", status=PASS, **fields)
+    with pytest.raises(TypeError, match="cannot serialize float"):
+        report.to_json()
