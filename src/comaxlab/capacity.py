@@ -2,17 +2,17 @@
 
 A capacity assigns a rational weight to every subset of ``{0..n-1}``,
 with value 0 on the empty set, 1 on the whole space, and weights that
-never decrease when a set grows.  Reports write capacities, never read
-them, with subsets as strings of sorted single-digit indices ("" for the
-empty set, "01" for {0,1}), which keeps the format unambiguous for the
-desk-scale spaces this package targets (n <= 10).
+never decrease when a set grows; ``enumerate_capacities`` backtracks
+through only those.  Reports write capacities, never read them, with
+subsets as strings of sorted single-digit indices ("" for the empty set,
+"01" for {0,1}), which keeps the format unambiguous up to n = 10 points.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Any, Iterator
 
 from .rational import ONE, ZERO, check_unit_interval
@@ -92,14 +92,21 @@ def enumerate_capacities(chain_values: tuple[Fraction, ...], n: int) -> Iterator
 
     Enumeration is deterministic: free subsets (everything but the empty
     and full set) are ordered by size then content, and their values run
-    through the chain lexicographically.  Non-monotone assignments are
-    skipped.
+    through the chain lexicographically, from the largest value on their
+    immediate subsets up to 1, so backtracking meets only monotone ones.
     """
-    all_subs = subsets(n)
-    full = frozenset(range(n))
-    free = [s for s in all_subs if s and s != full]
-    for combo in product(chain_values, repeat=len(free)):
-        mu = {frozenset(): ZERO, full: ONE}
-        mu.update(zip(free, combo))
-        if _first_drop(n, mu) is None:
+    free = subsets(n)[1:-1]
+    mu = {frozenset(): ZERO, frozenset(range(n)): ONE}
+
+    def assign(k: int) -> Iterator[Capacity]:
+        if k == len(free):
             yield Capacity(n, mu)
+            return
+        subset = free[k]
+        low = max(mu[subset - {i}] for i in subset)
+        for value in chain_values:
+            if low <= value <= ONE:
+                mu[subset] = value
+                yield from assign(k + 1)
+
+    yield from assign(0)

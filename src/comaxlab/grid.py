@@ -2,10 +2,11 @@
 
 A Chain is the desk-scale stand-in for [0,1]: a strictly increasing
 tuple of rationals running from 0 to 1.  A GridFn is simply the value
-vector of a function on ``{0..n-1}``.  Comonotonicity, the join and
-the pointwise order are all decided exactly;
-``relations`` indexes them over a whole grid; each suite or shard builds
-it once and hands it to the checkers.
+vector of a function on ``{0..n-1}``, kept for the integral's inputs and
+the report.  ``relations`` indexes comonotonicity, the join and the
+pointwise order over a whole grid, deciding them on rows of chain
+indices, which the increasing chain orders as it orders its values;
+each suite or shard builds it once and hands it to the checkers.
 """
 
 from __future__ import annotations
@@ -74,33 +75,23 @@ class GridFn:
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
 
-    def leq(self, other: GridFn) -> bool:
-        _check_lengths(self, other)
-        return all(a <= b for a, b in zip(self.values, other.values))
-
     def to_json(self) -> dict[str, Any]:
         return {"values": [str(v) for v in self.values]}
 
 
-def _check_lengths(f: GridFn, g: GridFn) -> None:
-    if len(f) != len(g):
-        raise ValueError(f"length mismatch: {len(f)} vs {len(g)}")
-
-
-def comonotone(f: GridFn, g: GridFn) -> bool:
-    """True iff f and g never order two points oppositely."""
-    _check_lengths(f, g)
-    n = len(f)
+def comonotone(a: tuple, b: tuple) -> bool:
+    """True iff the rows a and b never order two points oppositely."""
+    n = len(a)
     for i in range(n):
         for j in range(i + 1, n):
-            if (f[i] - f[j]) * (g[i] - g[j]) < 0:
+            if (a[i] - a[j]) * (b[i] - b[j]) < 0:
                 return False
     return True
 
 
-def join(f: GridFn, g: GridFn) -> GridFn:
-    _check_lengths(f, g)
-    return GridFn(tuple(max(a, b) for a, b in zip(f.values, g.values)))
+def join(a: tuple, b: tuple) -> tuple:
+    """The pointwise maximum of the rows a and b."""
+    return tuple(map(max, a, b))
 
 
 def all_functions(chain: Chain, n: int) -> list[GridFn]:
@@ -127,11 +118,12 @@ def relations(chain: Chain, n: int) -> Relations:
     is the function, and they are ordered, so no check can fail on them.
     """
     domain = tuple(all_functions(chain, n))
-    index = {f.values: i for i, f in enumerate(domain)}
-    pairs = [(i, j, domain[i], domain[j]) for i, j in combinations(range(len(domain)), 2)]
-    joins = tuple((i, j, index[join(f, g).values]) for i, j, f, g in pairs if comonotone(f, g))
+    index = {row: i for i, row in enumerate(product(range(len(chain)), repeat=n))}
+    pairs = [(i, j, a, b) for (a, i), (b, j) in combinations(index.items(), 2)]
+    joins = tuple((i, j, index[join(a, b)]) for i, j, a, b in pairs if comonotone(a, b))
     # The domain is lexicographic over an increasing chain: f <= g, f != g puts f first.
-    order = tuple((i, j) for i, j, f, g in pairs if f.leq(g))
+    order = tuple((i, j) for i, j, a, b in pairs if all(x <= y for x, y in zip(a, b)))
     together = {(i, j) for i, j, _ in joins}
     comonotone_order = tuple(p for p in order if p in together)
-    return Relations(domain, joins, order, comonotone_order, tuple(index[(c,) * n] for c in chain))
+    constants = tuple(index[(k,) * n] for k in range(len(chain)))
+    return Relations(domain, joins, order, comonotone_order, constants)

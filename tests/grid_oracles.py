@@ -10,6 +10,10 @@ operation anew for every check; the integer integral and the tabled
 checker of ``comaxlab.tnorms`` are held to them.  The oracles reach the
 norms through ``fraction_apply``, the three formulas on Fractions, which
 ``tnorms.apply`` and ``tnorms.apply_scaled`` are held to in turn.
+``comonotone``, ``join`` and ``leq`` decide the pair relations on
+``GridFn`` values by their definitions, for the oracles and the test of
+``grid.relations``; ``walk_capacities`` is the product-and-filter
+walk that ``capacity.enumerate_capacities`` prunes.
 ``TabulatedFunctional`` and ``enumerate_functionals`` give the tests
 functionals as explicit tables, walked in the census's order;
 ``grid_table`` and ``homogeneity_table`` tabulate a functional the way
@@ -28,7 +32,7 @@ from typing import Iterator
 
 from comaxlab.capacity import Capacity, subsets
 from comaxlab.census import table_count
-from comaxlab.grid import Chain, GridFn, all_functions, comonotone, join, relations
+from comaxlab.grid import Chain, GridFn, all_functions, relations
 from comaxlab.properties import (
     BudgetExceededError,
     _homogeneity_cases,
@@ -39,6 +43,41 @@ from comaxlab.properties import (
 )
 from comaxlab.rational import ONE, ZERO, check_unit_interval, random_unit_rational
 from comaxlab.tnorms import TNorm
+
+
+def comonotone(f: GridFn, g: GridFn) -> bool:
+    """No two points that f puts strictly one way round and g strictly the other."""
+    for i in range(len(f)):
+        for j in range(len(f)):
+            if f[i] < f[j] and g[i] > g[j]:
+                return False
+    return True
+
+
+def join(f: GridFn, g: GridFn) -> GridFn:
+    """The pointwise maximum, point by point."""
+    return GridFn(tuple(max(f[i], g[i]) for i in range(len(f))))
+
+
+def leq(f: GridFn, g: GridFn) -> bool:
+    """f lies below g at every point."""
+    return all(f[i] <= g[i] for i in range(len(f)))
+
+
+def walk_capacities(chain_values, n):
+    """Every capacity with values in the set: each raw assignment, kept if monotone.
+
+    The literal walk over ``product(chain_values, repeat=2^n - 2)`` that
+    ``enumerate_capacities`` prunes, checking every pair of nested
+    subsets; it yields in the same order.
+    """
+    full = frozenset(range(n))
+    free = [s for s in subsets(n) if s and s != full]
+    for combo in product(chain_values, repeat=len(free)):
+        mu = {frozenset(): ZERO, full: ONE}
+        mu.update(zip(free, combo))
+        if all(mu[s] <= mu[t] for s in mu for t in mu if s <= t):
+            yield Capacity(n, mu)
 
 
 def uniform(n: int) -> Capacity:
@@ -137,7 +176,7 @@ def oracle_monotone(functional, chain, n):
     fns = all_functions(chain, n)
     for f in fns:
         for g in fns:
-            if not f.leq(g):
+            if not leq(f, g):
                 continue
             vf, vg = functional(f), functional(g)
             if vf > vg:

@@ -171,6 +171,9 @@ def test_traced_integral_step_writes_the_untraced_bytes(tmp_path):
     stats = json.loads(trace.read_text(encoding="utf-8"))["stats"]
     assert stats["integral.tnorm_integral"]["calls"] == 36_765
     assert stats["properties.is_scale_homogeneous"]["calls"] == 129
+    # One comonotone test per pair of the 27 grid functions, one join per comonotone pair.
+    assert stats["grid.comonotone"]["calls"] == 351
+    assert stats["grid.join"]["calls"] == 183
 
 
 def _load_workloads(monkeypatch):

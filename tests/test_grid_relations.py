@@ -7,17 +7,20 @@ from functools import cache, partial
 import pytest
 
 from comaxlab.capacity import enumerate_capacities
-from comaxlab.grid import Chain, GridFn, all_functions, comonotone, join, relations
+from comaxlab.grid import Chain, GridFn, all_functions, relations
 from comaxlab.integral import tnorm_integral
 from comaxlab.properties import is_comonotone_maxitive, is_monotone, is_scale_homogeneous
 from comaxlab.tnorms import TNorm
 
 from grid_oracles import (
     TabulatedFunctional,
+    comonotone,
     constant,
     enumerate_functionals,
     grid_table,
     homogeneity_table,
+    join,
+    leq,
     oracle_comonotone_maxitive,
     oracle_monotone,
     oracle_scale_homogeneous,
@@ -30,7 +33,10 @@ CHAIN3 = Chain((F(0), F(1, 2), F(1)))
 CHAIN4 = Chain((F(0), F(1, 3), F(2, 3), F(1)))
 
 
-@pytest.mark.parametrize("chain, n", [(CHAIN2, 1), (CHAIN2, 4), (CHAIN3, 2), (CHAIN4, 2), (CHAIN3, 3)])
+@pytest.mark.parametrize(
+    "chain, n",
+    [(CHAIN2, 1), (CHAIN2, 4), (CHAIN3, 2), (CHAIN4, 2), (CHAIN3, 3), (CHAIN4, 3), (CHAIN2, 5)],
+)
 def test_relations_match_definitions(chain, n):
     rel = relations(chain, n)
     fns = all_functions(chain, n)
@@ -42,12 +48,25 @@ def test_relations_match_definitions(chain, n):
         if i < j and comonotone(f, g)
     ]
     assert list(rel.order) == [
-        (i, j) for i, f in enumerate(fns) for j, g in enumerate(fns) if i != j and f.leq(g)
+        (i, j) for i, f in enumerate(fns) for j, g in enumerate(fns) if i != j and leq(f, g)
     ]
     assert list(rel.comonotone_order) == [
         (i, j) for i, j in rel.order if comonotone(fns[i], fns[j])
     ]
     assert [fns[k] for k in rel.constants] == [constant(c, n) for c in chain]
+
+
+def test_relations_build_no_grid_fn_beyond_the_domain(monkeypatch):
+    built = []
+    post_init = GridFn.__post_init__
+
+    def counted(f):
+        built.append(f)
+        post_init(f)
+
+    monkeypatch.setattr(GridFn, "__post_init__", counted)
+    rel = relations(CHAIN4, 3)
+    assert len(built) == len(rel.domain) == 4**3
 
 
 def assert_checkers_agree(functional, chain, n, rel):

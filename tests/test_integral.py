@@ -10,7 +10,7 @@ from comaxlab.integral import tnorm_integral
 from comaxlab.properties import _homogeneity_cases
 from comaxlab.tnorms import TNorm
 
-from grid_oracles import constant, fraction_apply, fraction_integral, uniform
+from grid_oracles import constant, fraction_apply, fraction_integral, uniform, walk_capacities
 
 F = Fraction
 
@@ -125,6 +125,26 @@ def test_enumerate_capacities_counts():
     # #{d >= max(pair)} gives 27+36+9+24+12+3+8+6+3+1 = 129.
     assert len(three) == 129
     assert all(isinstance(c, Capacity) for c in three[:3])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_backtracking_yields_the_monotone_rows_of_the_product_walk(m, n):
+    values = tuple(F(k, m - 1) for k in range(m))
+    got = [cap.to_json() for cap in enumerate_capacities(values, n)]
+    assert got == [cap.to_json() for cap in walk_capacities(values, n)]
+
+
+def test_backtracking_keeps_the_walks_order_and_range_on_unsorted_values():
+    # Values out of order, or outside [0,1], are walked and refused as the product walk does.
+    for values in [(F(1, 2), F(0), F(1)), (F(-1, 2), F(0), F(3, 2), F(1))]:
+        got = [cap.to_json() for cap in enumerate_capacities(values, 3)]
+        assert got == [cap.to_json() for cap in walk_capacities(values, 3)]
+
+
+def test_enumerate_capacities_count_at_four_points():
+    # 7,246 of the 3**14 raw assignments on 0,1/2,1 are monotone.
+    assert sum(1 for _ in enumerate_capacities((F(0), F(1, 2), F(1)), 4)) == 7_246
 
 
 @pytest.mark.parametrize("norm", list(TNorm), ids=lambda t: t.value)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from comaxlab import properties
-from comaxlab.grid import Chain, GridFn, join, relations
+from comaxlab.grid import Chain, GridFn, relations
 from comaxlab.integral import tnorm_integral
 from comaxlab.properties import (
     BudgetExceededError,
@@ -19,7 +19,7 @@ from comaxlab.properties import (
 )
 from comaxlab.tnorms import TNorm
 
-from grid_oracles import grid_table, homogeneity_table, satisfies_all_axioms, uniform
+from grid_oracles import grid_table, homogeneity_table, join, satisfies_all_axioms, uniform
 
 F = Fraction
 
