@@ -2,9 +2,10 @@
 
 Every subcommand runs one suite and serializes one JSON report; stdout
 (or the --output file) receives exactly the report, so scripts can
-assert on the file instead of scraping text.  Exit codes: 0 when no
-check failed, 1 when the report status is ``fail``, 2 for malformed
-input, bad flags, or a refused enumeration budget.
+assert on the file instead of scraping text.  Every report, a budget
+refusal too, gets its ``seed`` and ``config_echo`` from the flags here.
+Exit codes: 0 when no check failed, 1 when the report status is
+``fail``, 2 for malformed input, bad flags, or a refused enumeration budget.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any, NoReturn, Sequence
 
 from .census import functional_census
 from .grid import Chain
-from .properties import COUNT_DIGITS, BudgetExceededError, check_budget, integral_property_suite
+from .properties import BudgetExceededError, check_budget, integral_property_suite
 from .rational import RationalFormatError, parse_grid
 from .report import FAIL, INCONCLUSIVE, PASS, FINDING, VerificationReport
 from .seq_comonotone import comonotone_witness, defining_product
@@ -129,7 +130,7 @@ def _chain_from_args(args: argparse.Namespace) -> Chain:
         raise InputError(str(exc)) from exc
 
 
-def _run_tnorm_axioms(chain: Chain, budget: int, seed: int) -> VerificationReport:
+def _run_tnorm_axioms(chain: Chain, budget: int) -> VerificationReport:
     check_budget(axiom_check_count(len(chain)), budget, "t-norm axiom checks")
     counts = {"grid_size": len(chain)}
     witnesses = []
@@ -142,11 +143,10 @@ def _run_tnorm_axioms(chain: Chain, budget: int, seed: int) -> VerificationRepor
         status=FAIL if witnesses else PASS,
         counts=counts,
         witnesses=witnesses,
-        seed=seed,
     )
 
 
-def _run_comonotone_check(files: Sequence[str], seed: int) -> VerificationReport:
+def _run_comonotone_check(files: Sequence[str]) -> VerificationReport:
     if len(files) < 2:
         raise InputError("comonotone-check needs at least two function files")
     fns = [validate_function_file(path) for path in files]
@@ -178,7 +178,6 @@ def _run_comonotone_check(files: Sequence[str], seed: int) -> VerificationReport
             "non_comonotone_pairs": total - comonotone_pairs,
         },
         witnesses=witnesses,
-        seed=seed,
     )
 
 
@@ -205,9 +204,9 @@ def _dispatch(args: argparse.Namespace, chain: Chain) -> VerificationReport:
             seed=args.seed,
         )
     if args.subcommand == "tnorm-axioms":
-        return _run_tnorm_axioms(chain, args.budget, args.seed)
+        return _run_tnorm_axioms(chain, args.budget)
     if args.subcommand == "comonotone-check":
-        return _run_comonotone_check(args.files, args.seed)
+        return _run_comonotone_check(args.files)
     return normalized_search(
         seed=args.seed,
         samples=args.samples,
@@ -235,6 +234,7 @@ def _emit(report: VerificationReport, args: argparse.Namespace, chain: Chain) ->
     if args.subcommand == "comonotone-check":
         echo["files"] = list(args.files)
     report.config_echo = echo
+    report.seed = args.seed
     text = report.to_json()
     if args.output:
         try:
@@ -256,16 +256,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         _error(str(exc))
         return 2
     except BudgetExceededError as exc:
-        if exc.required is None:
-            counts = {"required_digits_over": COUNT_DIGITS, "budget": exc.budget}
-        else:
-            counts = {"required": exc.required, "budget": exc.budget}
         refusal = VerificationReport(
             claim_id=args.subcommand,
             status=INCONCLUSIVE,
-            counts=counts,
+            counts=exc.counts,
             witnesses=[{"kind": "budget_refusal", "what": exc.what}],
-            seed=args.seed,
         )
         _emit(refusal, args, chain)
         _error(str(exc))

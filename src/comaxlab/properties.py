@@ -50,7 +50,7 @@ def capped_power(base: int, exponent: int) -> int:
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the caller's budget; carries the count, None past the cap."""
+    """An enumeration over budget; the count (None past the cap) and the refusal report's counts."""
 
     def __init__(self, required: int | None, budget: int, what: str):
         needs = f"more than 10**{COUNT_DIGITS}" if required is None else required
@@ -59,6 +59,10 @@ class BudgetExceededError(RuntimeError):
         self.required = required
         self.budget = budget
         self.what = what
+        if required is None:
+            self.counts = {"required_digits_over": COUNT_DIGITS, "budget": budget}
+        else:
+            self.counts = {"required": required, "budget": budget}
 
 
 def check_budget(required: int, budget: int, what: str) -> None:

@@ -144,11 +144,12 @@ def family_size(grid: Sequence[Fraction], prefix_max: int) -> int:
     return capped_power(g, prefix_max + 2) + extra
 
 
-def _check_family_budget(grid: Sequence[Fraction], prefix_max: int, budget: int) -> int:
-    """The family size; a family whose pairs exceed the budget is refused with the exact count."""
+def _check_family_budget(grid: Sequence[Fraction], prefix_max: int, budget: int) -> tuple[int, int]:
+    """The family size and pair count; a family whose pairs exceed the budget is refused."""
     size = family_size(grid, prefix_max)
-    check_budget(size * (size + 1) // 2, budget, "structured family pairs")
-    return size
+    pairs = size * (size + 1) // 2
+    check_budget(pairs, budget, "structured family pairs")
+    return size, pairs
 
 
 def _order(f: SeqFn, g: SeqFn) -> int:
@@ -272,7 +273,7 @@ def counterexample_suite(
     violation counts are the violations of each kind.  A family with
     more than ``budget`` pairs is refused before anything runs.
     """
-    size = _check_family_budget(grid, prefix_max, budget)
+    size, total_pairs = _check_family_budget(grid, prefix_max, budget)
     params = GeneratorParams(prefix_max=prefix_max)
     tally = Counter(dict.fromkeys(REPORTED_COUNTS, 0))
     violations: list[dict] = []
@@ -297,7 +298,6 @@ def counterexample_suite(
         _check_new_pair(f, g, tally, violations, "named", tally["named_pairs"])
 
     tally["family_functions"] = size
-    total_pairs = size * (size + 1) // 2
     tally["family_pairs"] = total_pairs
     shards = [
         (tuple(grid), prefix_max, lo, hi) for lo, hi in split_range(total_pairs, jobs)

@@ -1,7 +1,10 @@
+import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from comaxlab import census
 from comaxlab.census import functional_census, table_count
 from comaxlab.grid import Chain, GridFn
 from comaxlab.properties import BudgetExceededError
@@ -126,3 +129,82 @@ def test_census_jobs_deterministic():
     sequential = functional_census(CHAIN3, 2, jobs=1).to_dict()
     for jobs in (2, 3, 5):
         assert functional_census(CHAIN3, 2, jobs=jobs).to_dict() == sequential, jobs
+
+
+# The census of CHAIN3, n = 2 once the first ordered pair that is not
+# comonotone is ordered both ways: 71 maxitive tables are then not
+# monotone.  Taken before any change to the merge of shard witnesses.
+FORCED_FINDING_DIGEST = "65f586888b53bddbf39125ea40c11fb7d21aedf2ecb9c5f156bb987b240eaba5"
+
+
+@pytest.fixture
+def reversed_non_comonotone_pair(monkeypatch):
+    """Order the first non-comonotone ordered pair both ways in every shard's relations."""
+    real = census.relations
+
+    def patched(chain, n):
+        rel = real(chain, n)
+        together = {(i, j) for i, j, _ in rel.joins}
+        i, j = next(pair for pair in rel.order if pair not in together)
+        return replace(rel, order=(*rel.order, (j, i)))
+
+    monkeypatch.setattr(census, "relations", patched)
+
+
+@pytest.mark.parametrize("jobs, sources", [(1, [5]), (3, [5]), (200, [3, 2]), (1000, [2, 1, 2])])
+def test_census_finding_merges_capped_witnesses_across_shards(
+    jobs, sources, reversed_non_comonotone_pair, pool_sizes, monkeypatch
+):
+    # The inline pool keeps every shard in this process, under the patch.
+    kept = []
+    shard = census._census_shard
+
+    def recording(args):
+        result = shard(args)
+        kept.append(len(result["bad_maxitive"]))
+        return result
+
+    monkeypatch.setattr(census, "_census_shard", recording)
+    report = functional_census(CHAIN3, 2, jobs=jobs)
+    assert report.status == "finding"
+    assert report.counts == {
+        "total": 19_683,
+        "comonotone_maxitive": 99,
+        "monotone": 36,
+        "maxitive_not_monotone": 71,
+        "monotone_not_maxitive": 8,
+    }
+    assert len(report.witnesses) == 6
+    assert [w["kind"] for w in report.witnesses] == ["maxitive_not_monotone"] * 5 + [
+        "monotone_not_maxitive"
+    ]
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == FORCED_FINDING_DIGEST
+    # How many of the five kept tables each shard gives, in shard order.
+    taken = []
+    for count in kept:
+        take = min(count, census.WITNESS_CAP - sum(taken))
+        if take:
+            taken.append(take)
+    assert taken == sources
+
+
+def test_census_refuses_a_maxitive_table_not_monotone_on_a_comonotone_ordered_pair(
+    monkeypatch,
+):
+    # Maxitivity forces monotonicity along comonotone ordered pairs; a
+    # join table that breaks that can only come from broken relations.
+    real = census.relations
+
+    def patched(chain, n):
+        rel = real(chain, n)
+        lower, upper = rel.comonotone_order[0]
+        joins = tuple(
+            (i, j, lower if (i, j) == (lower, upper) else k) for i, j, k in rel.joins
+        )
+        return replace(rel, joins=joins)
+
+    monkeypatch.setattr(census, "relations", patched)
+    with pytest.raises(
+        AssertionError, match="^maxitive table not monotone on a comonotone ordered pair$"
+    ):
+        functional_census(CHAIN3, 2)

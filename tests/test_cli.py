@@ -381,6 +381,28 @@ def test_tnorm_axioms_budget_refusal_exits_2(tmp_path):
     assert run_cli("tnorm-axioms", "--grid", "0,1/4,1/2,3/4,1", "--budget", "230").returncode == 0
 
 
+# One run of each subcommand, and one refusal, with the exit code each gives.
+SEEDED = [
+    (("verify-counterexample", "--grid", "0,1", "--prefix-max", "1", "--samples", "20"), 0),
+    (("finite-census", "--grid", "0,1"), 0),
+    (("integral-properties", "--grid", "0,1"), 0),
+    (("tnorm-axioms", "--grid", "0,1"), 0),
+    (("comonotone-check", "ramp0.json", "ramp1.json"), 0),
+    (("explore-problem1", "--grid", "0,1", "--prefix-max", "1", "--samples", "20"), 0),
+    (("finite-census", "--n", "9"), 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", SEEDED, ids=[" ".join(a) for a, _ in SEEDED])
+def test_every_report_carries_the_run_seed(argv, code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "ramp0.json", RAMP0_JSON)
+    write_json(tmp_path / "ramp1.json", RAMP1_JSON)
+    assert cli.main([*argv, "--seed", "7", "--output", "report.json"]) == code
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["seed"] == report["config_echo"]["seed"] == 7
+
+
 def test_tnorm_axioms_subcommand():
     result = run_cli("tnorm-axioms", "--grid", "0,1/4,1/2,3/4,1")
     assert result.returncode == 0

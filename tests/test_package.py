@@ -213,3 +213,31 @@ def test_every_module_level_name_is_read():
     unread = [name for name, node in assigned if used[name] <= _names_used(node)[name]]
     assert not unread
     assert len(assigned) > 30
+
+
+def test_every_class_field_is_read_by_attribute():
+    """The dead-code lint for class-level annotated fields (dataclass fields).
+
+    Every such field of a class in the package is read (loaded, not
+    only assigned) as an attribute (``x.field``) from ``src/`` or
+    ``bench/``.  References are matched by name, and tests do not count.
+    """
+    package = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    bench = [_parse(p) for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")]
+    read = Counter(
+        node.attr
+        for tree in package + bench
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+    fields = [
+        f"{cls.name}.{node.target.id}"
+        for tree in package
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    unread = [field for field in fields if not read[field.partition(".")[2]]]
+    assert not unread
+    assert len(fields) >= 30

@@ -1,8 +1,5 @@
 import os
 
-import pytest
-
-from comaxlab import parallel
 from comaxlab.parallel import run_shards, split_range
 
 
@@ -30,28 +27,6 @@ def test_run_shards_sequential_equals_parallel():
     parallel = run_shards(square_sum, shards, jobs=4)
     assert sequential == parallel
     assert sum(sequential) == sum(i * i for i in range(1000))
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Swap in an inline pool that starts no process; return the sizes asked of it."""
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", InlinePool)
-    return sizes
 
 
 def test_pool_is_capped_at_the_usable_cpus(monkeypatch, pool_sizes):

@@ -162,6 +162,13 @@ def test_check_budget_refuses_a_count_past_the_cap_without_it():
     assert str(info.value) == "items needs more than 10**4300 items, over the budget of 10000000"
 
 
+def test_budget_error_counts_are_the_refusal_report_counts():
+    assert BudgetExceededError(230, 229, "items").counts == {"required": 230, "budget": 229}
+    with pytest.raises(BudgetExceededError) as info:
+        check_budget(10**4300, 10**7, "items")
+    assert info.value.counts == {"required_digits_over": 4300, "budget": 10**7}
+
+
 @pytest.mark.parametrize("required", [10**4300, 10**4302], ids=["at-the-cap", "past-the-cap"])
 def test_check_budget_refuses_under_a_budget_past_the_cap(required):
     with pytest.raises(BudgetExceededError) as info:
