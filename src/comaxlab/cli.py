@@ -5,7 +5,9 @@ Every subcommand runs one suite and serializes one JSON report; stdout
 assert on the file instead of scraping text.  Every report, a budget
 refusal too, gets its ``seed`` and ``config_echo`` from the flags here.
 Exit codes: 0 when no check failed, 1 when the report status is
-``fail``, 2 for malformed input, bad flags, or a refused enumeration budget.
+``fail``, 2 for malformed input, bad flags, an unwritable --output, or a
+refused enumeration budget.  Every exit-2 path but argparse's usage
+error raises one ``InputError``, which ``main`` prints as one line.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
+from math import comb
 from pathlib import Path
 from typing import Any, NoReturn, Sequence
 
@@ -48,7 +52,7 @@ DEFAULTS = {
 
 
 class InputError(Exception):
-    """Malformed file or flag content; maps to exit code 2."""
+    """Malformed file or flag content, a refusal, or an unwritable --output; exit code 2."""
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -151,13 +155,9 @@ def _run_comonotone_check(files: Sequence[str]) -> VerificationReport:
         raise InputError("comonotone-check needs at least two function files")
     fns = [validate_function_file(path) for path in files]
     witnesses = []
-    comonotone_pairs = 0
-    for i in range(len(fns)):
-        for j in range(i + 1, len(fns)):
-            witness = comonotone_witness(fns[i], fns[j])
-            if witness is None:
-                comonotone_pairs += 1
-                continue
+    for i, j in combinations(range(len(fns)), 2):
+        witness = comonotone_witness(fns[i], fns[j])
+        if witness is not None:
             x1, x2 = witness
             witnesses.append(
                 {
@@ -167,15 +167,15 @@ def _run_comonotone_check(files: Sequence[str]) -> VerificationReport:
                     "product": defining_product(fns[i], fns[j], x1, x2),
                 }
             )
-    total = len(fns) * (len(fns) - 1) // 2
+    pairs = comb(len(fns), 2)
     return VerificationReport(
         claim_id="comonotone-check",
         status=PASS if not witnesses else FINDING,
         counts={
             "functions": len(fns),
-            "pairs": total,
-            "comonotone_pairs": comonotone_pairs,
-            "non_comonotone_pairs": total - comonotone_pairs,
+            "pairs": pairs,
+            "comonotone_pairs": pairs - len(witnesses),
+            "non_comonotone_pairs": len(witnesses),
         },
         witnesses=witnesses,
     )
@@ -223,8 +223,8 @@ def _error(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _emit(report: VerificationReport, args: argparse.Namespace, chain: Chain) -> bool:
-    """Write the report; False, after an error line, if --output cannot be written."""
+def _emit(report: VerificationReport, args: argparse.Namespace, chain: Chain) -> None:
+    """Write the report to --output or stdout; an unwritable --output is an InputError."""
     # Every flag is echoed, at its default where the subcommand does not
     # take it, except jobs: two runs that differ only in an execution
     # detail must still produce byte-identical reports.
@@ -240,35 +240,31 @@ def _emit(report: VerificationReport, args: argparse.Namespace, chain: Chain) ->
         try:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
-            _error(f"--output: {exc}")
-            return False
+            raise InputError(f"--output: {exc}") from exc
     else:
         sys.stdout.write(text)
-    return True
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         chain = _chain_from_args(args)
-        report = _dispatch(args, chain)
+        try:
+            report = _dispatch(args, chain)
+        except BudgetExceededError as exc:
+            refusal = VerificationReport(
+                claim_id=args.subcommand,
+                status=INCONCLUSIVE,
+                counts=exc.counts,
+                witnesses=[{"kind": "budget_refusal", "what": exc.what}],
+            )
+            _emit(refusal, args, chain)
+            raise InputError(str(exc)) from exc
+        _emit(report, args, chain)
     except InputError as exc:
         _error(str(exc))
         return 2
-    except BudgetExceededError as exc:
-        refusal = VerificationReport(
-            claim_id=args.subcommand,
-            status=INCONCLUSIVE,
-            counts=exc.counts,
-            witnesses=[{"kind": "budget_refusal", "what": exc.what}],
-        )
-        _emit(refusal, args, chain)
-        _error(str(exc))
-        return 2
-
-    if not _emit(report, args, chain):
-        return 2
-    return 1 if report.failed else 0
+    return 1 if report.status == FAIL else 0
 
 
 if __name__ == "__main__":

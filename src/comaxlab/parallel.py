@@ -4,6 +4,7 @@ Suites split their work into contiguous shards whose boundaries depend
 only on the configuration, run each shard independently, and merge the
 results in shard order.  Because the merge never looks at completion
 order, a run with jobs=4 produces exactly the same report as jobs=1.
+At one job, one shard or one usable CPU, no pool is started.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ R = TypeVar("R")
 
 
 def run_shards(worker: Callable[[A], R], shard_args: Sequence[A], jobs: int) -> list[R]:
-    """Map worker over shards, in parallel when jobs > 1, preserving order.
+    """Map worker over shards, preserving order.
 
-    The pool never holds more workers than this process may run on CPUs
-    at once; the shards (and so the results) still follow ``jobs``.
+    At most min(jobs, shards, usable CPUs) workers run them; at one or
+    fewer, they run in this process and no pool is started.
     """
-    if jobs <= 1 or len(shard_args) <= 1:
-        return [worker(args) for args in shard_args]
     workers = min(jobs, len(shard_args), _usable_cpus())
+    if workers <= 1:
+        return [worker(args) for args in shard_args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, shard_args))
 
@@ -39,7 +40,7 @@ def _usable_cpus() -> int:
 
 def split_range(total: int, parts: int) -> list[tuple[int, int]]:
     """Split range(total) into at most ``parts`` contiguous nonempty chunks."""
-    parts = max(1, min(parts, total)) if total > 0 else 1
+    parts = max(1, min(parts, total))
     base, extra = divmod(total, parts)
     bounds = []
     lo = 0
@@ -48,4 +49,4 @@ def split_range(total: int, parts: int) -> list[tuple[int, int]]:
         if hi > lo:
             bounds.append((lo, hi))
         lo = hi
-    return bounds or [(0, 0)]
+    return bounds

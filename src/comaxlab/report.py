@@ -46,10 +46,6 @@ class VerificationReport:
         if self.status == FAIL and not self.witnesses:
             raise ValueError("a failing report must carry a witness")
 
-    @property
-    def failed(self) -> bool:
-        return self.status == FAIL
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "claim_id": self.claim_id,

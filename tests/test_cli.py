@@ -1,12 +1,17 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from comaxlab import cli
+from comaxlab.grid import Chain
+from comaxlab.report import VerificationReport
+from comaxlab.tnorms import TNorm
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -379,6 +384,7 @@ def test_tnorm_axioms_budget_refusal_exits_2(tmp_path):
     assert report["counts"] == {"required": 230, "budget": 229}
     assert report["witnesses"] == [{"kind": "budget_refusal", "what": "t-norm axiom checks"}]
     assert run_cli("tnorm-axioms", "--grid", "0,1/4,1/2,3/4,1", "--budget", "230").returncode == 0
+    assert run_cli("tnorm-axioms", "--budget", "1").returncode == 2
 
 
 # One run of each subcommand, and one refusal, with the exit code each gives.
@@ -474,8 +480,6 @@ def test_report_is_newline_terminated_with_sorted_keys(tmp_path):
 
 
 def test_exit_code_1_on_failing_report(monkeypatch, capsys):
-    from comaxlab.report import VerificationReport
-
     def fake_suite(**kwargs):
         return VerificationReport(
             claim_id="verify-counterexample",
@@ -491,10 +495,79 @@ def test_exit_code_1_on_failing_report(monkeypatch, capsys):
     assert json.loads(captured.out)["status"] == "fail"
 
 
-@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-directory", "directory"])
-def test_unwritable_output_exits_2_with_one_line(tmp_path, target):
-    result = run_cli("tnorm-axioms", "--output", str(tmp_path / target))
+# A written report, a refusal past the digit cap, and a refusal with
+# the exact count 4,294,967,296, each to a missing directory and to a
+# directory.  The written report's cases keep the target as their id.
+UNWRITABLE = [
+    pytest.param(argv, target, id=f"{prefix}{name}")
+    for prefix, argv in [
+        ("", ("tnorm-axioms",)),
+        ("finite-census --n 9-", ("finite-census", "--n", "9")),
+        ("finite-census --grid 0,1 --n 5-", ("finite-census", "--grid", "0,1", "--n", "5")),
+    ]
+    for name, target in [("missing-directory", "missing/x.json"), ("directory", ".")]
+]
+
+
+@pytest.mark.parametrize("argv, target", UNWRITABLE)
+def test_unwritable_output_exits_2_with_one_line(tmp_path, argv, target):
+    result = run_cli(*argv, "--output", str(tmp_path / target))
     assert result.returncode == 2
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: --output: "), result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+# A non-default value of every flag, as typed and as its suite receives it.
+FLAG_VALUES = {
+    "seed": ("7", 7),
+    "samples": ("3", 3),
+    "prefix_max": ("1", 1),
+    "grid": ("0,1/3,1", (Fraction(0), Fraction(1, 3), Fraction(1))),
+    "n": ("3", 3),
+    "budget": ("12345", 12345),
+    "jobs": ("3", 3),
+}
+# The function each subcommand hands its flags to.
+SUITES = {
+    "verify-counterexample": "counterexample_suite",
+    "finite-census": "functional_census",
+    "integral-properties": "integral_property_suite",
+    "tnorm-axioms": "_run_tnorm_axioms",
+    "comonotone-check": "_run_comonotone_check",
+    "explore-problem1": "normalized_search",
+}
+# Subcommands that take --seed but never read it.
+SEEDLESS = {"finite-census", "tnorm-axioms", "comonotone-check"}
+# Arguments outside the flag table, as typed and as received.
+EXTRA_ARGS = {
+    "integral-properties": (["--norm", "product"], {"norm": TNorm.PRODUCT}),
+    "comonotone-check": (["a.json", "b.json"], {"files": ["a.json", "b.json"]}),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(cli.FLAGS))
+def test_every_flag_reaches_its_suite(subcommand, monkeypatch, capsys):
+    real = getattr(cli, SUITES[subcommand])
+    received = {}
+
+    def fake(*args, **kwargs):
+        for name, value in inspect.signature(real).bind(*args, **kwargs).arguments.items():
+            if isinstance(value, Chain):
+                name, value = "grid", value.values
+            received[name] = value
+        return VerificationReport(claim_id=subcommand, status="pass")
+
+    monkeypatch.setattr(cli, SUITES[subcommand], fake)
+    extra_argv, extra_expected = EXTRA_ARGS.get(subcommand, ([], {}))
+    argv, expected = [subcommand, *extra_argv], dict(extra_expected)
+    for flag in cli.FLAGS[subcommand]:
+        typed, value = FLAG_VALUES[flag]
+        assert typed != str(cli.DEFAULTS[flag])
+        argv += [f"--{flag.replace('_', '-')}", typed]
+        if not (flag == "seed" and subcommand in SEEDLESS):
+            expected[flag] = value
+    assert cli.main(argv) == 0
+    assert received == expected
+    assert json.loads(capsys.readouterr().out)["seed"] == 7

@@ -241,3 +241,33 @@ def test_every_class_field_is_read_by_attribute():
     unread = [field for field in fields if not read[field.partition(".")[2]]]
     assert not unread
     assert len(fields) >= 30
+
+
+def _stderr_scopes(node: ast.AST, scope: str):
+    """The qualified name of the scope of each mention of ``stderr`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        named = getattr(child, "attr", None) or getattr(child, "id", None)
+        if isinstance(child, ast.alias):
+            named = child.name
+        if named in {"stderr", "__stderr__"}:
+            yield scope
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        yield from _stderr_scopes(child, inner)
+
+
+def test_only_the_error_writers_touch_stderr():
+    """One writer of error lines.
+
+    ``sys.stderr`` appears in the package only inside ``cli._error``
+    and ``cli._Parser.error`` (which prints the usage, then calls
+    ``_error``), so every line on stderr is an ``error:`` line that
+    ``_error`` cuts to 200 characters.
+    """
+    scopes = {
+        scope
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _stderr_scopes(_parse(path), path.stem)
+    }
+    assert scopes == {"cli._error", "cli._Parser.error"}

@@ -9,6 +9,7 @@ def test_split_range_covers_exactly():
             chunks = split_range(total, parts)
             flat = [i for lo, hi in chunks for i in range(lo, hi)]
             assert flat == list(range(total))
+            assert all(lo < hi for lo, hi in chunks)
 
 
 def test_split_range_is_contiguous_and_balanced():
@@ -27,6 +28,7 @@ def test_run_shards_sequential_equals_parallel():
     parallel = run_shards(square_sum, shards, jobs=4)
     assert sequential == parallel
     assert sum(sequential) == sum(i * i for i in range(1000))
+    assert run_shards(square_sum, [], jobs=4) == []
 
 
 def test_pool_is_capped_at_the_usable_cpus(monkeypatch, pool_sizes):
@@ -44,4 +46,12 @@ def test_pool_cap_falls_back_to_cpu_count(monkeypatch, pool_sizes):
     run_shards(square_sum, split_range(100, 50), jobs=50)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_shards(square_sum, split_range(100, 50), jobs=50)
-    assert pool_sizes == [4, 1]
+    assert pool_sizes == [4]
+
+
+def test_one_usable_cpu_runs_the_shards_in_process(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    shards = split_range(1000, 4)
+    assert len(shards) == 4
+    assert run_shards(square_sum, shards, jobs=4) == run_shards(square_sum, shards, jobs=1)
+    assert pool_sizes == []
