@@ -7,17 +7,19 @@ refuses (with the exact count) rather than run away.
 
 The census classifies every table as comonotonically maxitive and/or
 monotone.  Both properties only compare values, so tables are walked as
-rows of chain indices against ``grid.relations`` and decided by the
-checkers' own scans, ``properties.join_break`` and ``order_break``.
-Witnesses are translated back to real functions for the report, the
-maxitivity break by the checkers' ``join_witness``.  The rows come from
-one ``itertools.product`` in lexicographic order; each job walks a
-contiguous ``islice`` of it, and the merge is by shard order, so the
-report is independent of parallelism.
+rows of chain indices against ``grid.relations``, decided by the
+checkers' own scans, ``properties.join_break`` and ``order_break``, and
+tallied once by ``(maxitive, monotone)``; the five reported counts are
+read off that tally.  Witnesses are translated back to real functions
+for the report, the maxitivity break by the checkers' ``join_witness``.
+The rows come from one ``itertools.product`` in lexicographic order;
+each job walks a contiguous ``islice`` of it, and the merge is by shard
+order, so the report is independent of parallelism.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 
@@ -27,9 +29,6 @@ from .properties import capped_power, check_budget, join_break, join_witness, or
 from .report import FINDING, PASS, VerificationReport
 
 
-_COUNTS = (
-    "total", "comonotone_maxitive", "monotone", "maxitive_not_monotone", "monotone_not_maxitive"
-)
 WITNESS_CAP = 5  # maxitive-but-not-monotone tables kept, per shard and after the merge
 
 
@@ -40,47 +39,40 @@ def table_count(chain: Chain, n: int) -> int:
 
 
 def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
-    """Classify tables with lexicographic indices in [lo, hi)."""
+    """Tally tables with lexicographic indices in [lo, hi) by ``(maxitive, monotone)``."""
     chain_values, n, lo, hi = args
     chain = Chain(chain_values)
     structure = relations(chain, n)
     rows = product(range(len(chain_values)), repeat=len(structure.domain))
 
-    counts = dict.fromkeys(_COUNTS, 0)
+    classes: Counter = Counter()
     bad_maxitive: list[dict] = []
     first_monotone_only: dict | None = None
 
     for row in islice(rows, lo, hi):
-        counts["total"] += 1
-
         maxitivity_break = join_break(row, structure.joins)
         maxitive = maxitivity_break is None
         monotone = order_break(row, structure.order) is None
+        classes[maxitive, monotone] += 1
 
-        if maxitive:
-            counts["comonotone_maxitive"] += 1
+        # The comonotone ordered pairs are ordered pairs: only a non-monotone table can break them.
+        if maxitive and not monotone:
             if order_break(row, structure.comonotone_order) is not None:
                 raise AssertionError("maxitive table not monotone on a comonotone ordered pair")
-        if monotone:
-            counts["monotone"] += 1
-        if maxitive and not monotone:
-            counts["maxitive_not_monotone"] += 1
             if len(bad_maxitive) < WITNESS_CAP:
                 bad_maxitive.append(
                     {"kind": "maxitive_not_monotone", "table": _row_json(structure, chain, row)}
                 )
-        if monotone and not maxitive:
-            counts["monotone_not_maxitive"] += 1
-            if first_monotone_only is None:
-                values = [chain.values[x] for x in row]
-                first_monotone_only = {
-                    "kind": "monotone_not_maxitive",
-                    "table": _row_json(structure, chain, row),
-                    "pair": join_witness(values, structure.domain, *maxitivity_break),
-                }
+        if monotone and not maxitive and first_monotone_only is None:
+            values = [chain.values[x] for x in row]
+            first_monotone_only = {
+                "kind": "monotone_not_maxitive",
+                "table": _row_json(structure, chain, row),
+                "pair": join_witness(values, structure.domain, *maxitivity_break),
+            }
 
     return {
-        "counts": counts,
+        "classes": classes,
         "bad_maxitive": bad_maxitive,
         "first_monotone_only": first_monotone_only,
     }
@@ -107,17 +99,23 @@ def functional_census(
     ]
     results = run_shards(_census_shard, shards, jobs)
 
-    counts = dict.fromkeys(_COUNTS, 0)
+    classes: Counter = Counter()
     witnesses: list[dict] = []
     first_monotone_only: dict | None = None
     for result in results:
-        for key, value in result["counts"].items():
-            counts[key] += value
+        classes += result["classes"]
         witnesses += result["bad_maxitive"][: WITNESS_CAP - len(witnesses)]
         if first_monotone_only is None and result["first_monotone_only"] is not None:
             first_monotone_only = result["first_monotone_only"]
     if first_monotone_only is not None:
         witnesses.append(first_monotone_only)
+    counts = {
+        "total": classes.total(),
+        "comonotone_maxitive": classes[True, True] + classes[True, False],
+        "monotone": classes[True, True] + classes[False, True],
+        "maxitive_not_monotone": classes[True, False],
+        "monotone_not_maxitive": classes[False, True],
+    }
 
     status = PASS if counts["maxitive_not_monotone"] == 0 else FINDING
     return VerificationReport(

@@ -3,10 +3,12 @@
 A Chain is the desk-scale stand-in for [0,1]: a strictly increasing
 tuple of rationals running from 0 to 1.  A GridFn is simply the value
 vector of a function on ``{0..n-1}``, kept for the integral's inputs and
-the report.  ``relations`` indexes comonotonicity, the join and the
-pointwise order over a whole grid, deciding them on rows of chain
-indices, which the increasing chain orders as it orders its values;
-each suite or shard builds it once and hands it to the checkers.
+the report.  ``signs`` masks where a finite row rises and falls, and
+``comonotone`` tests two masks: the one decider for this model and for
+``pairs.PairRelations``.  ``relations`` indexes comonotonicity, the join
+and the pointwise order over a whole grid, deciding them on rows of
+chain indices, which the increasing chain orders as it orders its
+values; each suite or shard builds it once and hands it to the checkers.
 """
 
 from __future__ import annotations
@@ -79,14 +81,20 @@ class GridFn:
         return {"values": [str(v) for v in self.values]}
 
 
-def comonotone(a: tuple, b: tuple) -> bool:
-    """True iff the rows a and b never order two points oppositely."""
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (a[i] - a[j]) * (b[i] - b[j]) < 0:
-                return False
-    return True
+def signs(row: tuple) -> tuple[int, int]:
+    """Bitmasks ``(rises, falls)`` of the pairs ``combinations(range(len(row)), 2)``, by index."""
+    rises = falls = 0
+    for bit, (x, y) in enumerate(combinations(row, 2)):
+        if x < y:
+            rises |= 1 << bit
+        elif x > y:
+            falls |= 1 << bit
+    return rises, falls
+
+
+def comonotone(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """True iff the rows with ``signs`` a and b never order two points oppositely."""
+    return not (a[0] & b[1] or a[1] & b[0])
 
 
 def join(a: tuple, b: tuple) -> tuple:
@@ -113,14 +121,18 @@ class Relations:
 def relations(chain: Chain, n: int) -> Relations:
     """Comonotone pairs with their join, ordered pairs, and the constants, over the grid.
 
-    Pairs are listed in lexicographic ``(i, j)`` order.  Pairs of a
-    function with itself are left out: they are comonotone, their join
-    is the function, and they are ordered, so no check can fail on them.
+    Each row's ``signs`` are taken once.  Pairs are listed in
+    lexicographic ``(i, j)`` order.  Pairs of a function with itself are
+    left out: they are comonotone, their join is the function, and they
+    are ordered, so no check can fail on them.
     """
     domain = tuple(all_functions(chain, n))
     index = {row: i for i, row in enumerate(product(range(len(chain)), repeat=n))}
+    masks = [signs(row) for row in index]
     pairs = [(i, j, a, b) for (a, i), (b, j) in combinations(index.items(), 2)]
-    joins = tuple((i, j, index[join(a, b)]) for i, j, a, b in pairs if comonotone(a, b))
+    joins = tuple(
+        (i, j, index[join(a, b)]) for i, j, a, b in pairs if comonotone(masks[i], masks[j])
+    )
     # The domain is lexicographic over an increasing chain: f <= g, f != g puts f first.
     order = tuple((i, j) for i, j, a, b in pairs if all(x <= y for x, y in zip(a, b)))
     together = {(i, j) for i, j, _ in joins}

@@ -7,10 +7,10 @@ the ``math.lcm`` of the functions' scales; never floats).  From those
 values it decides comonotonicity and pointwise order of any
 two members:
 
-* **Screen.** Over every pair of those points, two bitmasks record where
-  a function rises and where it falls.  If the masks of f and g conflict
-  (``up_f & down_g | down_f & up_g``), the pair is not comonotone: the
-  conflicting point pair is a real witness.
+* **Screen.** ``grid.signs`` gives each function's rise and fall
+  bitmasks over every pair of those points, and ``grid.comonotone``
+  tests two of them for a conflict.  If f and g conflict, the pair is
+  not comonotone: the conflicting point pair is a real witness.
 * **Flat tails.** If there is no conflict and either tail slope is 0,
   the pair is comonotone.  Say g's is: every ``seq(n)`` with ``n > D``
   takes g's limit value, so two such points are never ordered by g,
@@ -31,9 +31,9 @@ Callers walk the pairs ``i <= j`` as ``combinations_with_replacement``.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Sequence
 
+from .grid import comonotone, signs
 from .seq_comonotone import comonotone_witness
 from .seqspace import SeqFn, scaled_values
 
@@ -44,28 +44,16 @@ class PairRelations:
     def __init__(self, fns: Sequence[SeqFn]):
         self._fns = list(fns)
         depth = max((f.head_len for f in self._fns), default=0)
-        count = depth + 1
-        scaled = [scaled_values(f, count) for f in self._fns]
+        scaled = [scaled_values(f, depth + 1) for f in self._fns]
         scale = math.lcm(*(s for s, _ in scaled))
+        # The points are the isolated point, seq(1..depth + 1) and the limit.
         self._vectors = [tuple(v * (scale // s) for v in row) for s, row in scaled]
-        # The points are the isolated point, seq(1..count) and the limit.
-        point_pairs = list(combinations(range(count + 2), 2))
-        self._rises: list[int] = []
-        self._falls: list[int] = []
-        for vec in self._vectors:
-            rises = falls = 0
-            for bit, (a, b) in enumerate(point_pairs):
-                if vec[a] < vec[b]:
-                    rises |= 1 << bit
-                elif vec[a] > vec[b]:
-                    falls |= 1 << bit
-            self._rises.append(rises)
-            self._falls.append(falls)
+        self._signs = [signs(vec) for vec in self._vectors]
         self._flat = [f.slope_num == 0 for f in self._fns]
 
     def comonotone(self, i: int, j: int) -> bool:
         """Are ``fns[i]`` and ``fns[j]`` comonotone on the whole space?"""
-        if self._rises[i] & self._falls[j] or self._falls[i] & self._rises[j]:
+        if not comonotone(self._signs[i], self._signs[j]):
             return False
         if self._flat[i] or self._flat[j]:
             return True

@@ -51,6 +51,7 @@ def comonotone_witness(f: SeqFn, g: SeqFn) -> tuple[Point, Point] | None:
     f_scale, fv = scaled_values(f, shared)
     g_scale, gv = scaled_values(g, shared)
 
+    # Literal, not grid.signs: it stops at the first opposed pair, and masking them all was slower.
     for i in range(len(fixed)):
         for j in range(i + 1, len(fixed)):
             if (fv[i] - fv[j]) * (gv[i] - gv[j]) < 0:

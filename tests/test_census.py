@@ -114,15 +114,19 @@ def test_census_agrees_with_checker_path():
 
 
 def test_census_sampled_cross_check_on_three_chain():
-    # Every 977th table of the 3-chain census re-classified via the
-    # literal oracle loops; the census aggregates must agree pointwise.
+    # The first 243 tables of the 3-chain census and every 977th one, each
+    # classified by a one-table census shard and by the literal oracle loops.
+    # Tables 0, 3 and 4 are maxitive and monotone, neither, and monotone only.
+    seen = set()
     for index, table in enumerate(enumerate_functionals(CHAIN3, 2)):
-        if index % 977:
+        if index >= 243 and index % 977:
             continue
         ok_max, _ = oracle_comonotone_maxitive(table, CHAIN3, 2)
         ok_mon, _ = oracle_monotone(table, CHAIN3, 2)
-        if ok_max:
-            assert ok_mon
+        classes = census._census_shard((CHAIN3.values, 2, index, index + 1))["classes"]
+        assert classes == {(ok_max, ok_mon): 1}, index
+        seen.add((ok_max, ok_mon))
+    assert seen == {(True, True), (False, False), (False, True)}
 
 
 def test_census_jobs_deterministic():

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comaxlab.grid import Chain, GridFn, all_functions, comonotone, join
+from comaxlab.grid import Chain, GridFn, all_functions, comonotone, join, signs
+
+from grid_oracles import comonotone as literal_comonotone
 
 F = Fraction
 
@@ -25,23 +27,39 @@ def test_chain_validation():
         Chain((F(0), F(1, 2), F(1, 2), F(1)))
 
 
+def co(a, b):
+    """Comonotonicity of the rows a and b, through their ``signs``."""
+    return comonotone(signs(a), signs(b))
+
+
 def test_comonotone_examples():
-    assert comonotone((F(1, 5), F(4, 5)), (F(1, 10), F(9, 10)))
-    assert not comonotone((F(0), F(1)), (F(1), F(0)))
-    assert comonotone((0, 2, 1), (1, 2, 1))
-    assert not comonotone((0, 2, 1), (1, 1, 2))
+    assert co((F(1, 5), F(4, 5)), (F(1, 10), F(9, 10)))
+    assert not co((F(0), F(1)), (F(1), F(0)))
+    assert co((0, 2, 1), (1, 2, 1))
+    assert not co((0, 2, 1), (1, 1, 2))
 
 
 @given(rows(3))
 def test_constants_comonotone_with_anything(g):
-    assert comonotone((F(1, 2),) * 3, g)
-    assert comonotone(g, (F(1, 2),) * 3)
+    assert co((F(1, 2),) * 3, g)
+    assert co(g, (F(1, 2),) * 3)
 
 
 @given(rows(3), rows(3))
 def test_comonotone_symmetric(f, g):
-    assert comonotone(f, g) == comonotone(g, f)
-    assert comonotone(f, f)
+    assert co(f, g) == co(g, f)
+    assert co(f, f)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(rows(n), rows(n))))
+def test_comonotone_through_signs_matches_the_literal_oracle(pair):
+    a, b = pair
+    assert co(a, b) == literal_comonotone(GridFn(a), GridFn(b))
+
+
+def test_signs_of_a_row_without_point_pairs_are_empty():
+    assert signs(()) == signs((F(1, 2),)) == (0, 0)
+    assert signs((0, 2, 1)) == (0b011, 0b100)
 
 
 def test_join_examples():

@@ -243,18 +243,31 @@ def test_every_class_field_is_read_by_attribute():
     assert len(fields) >= 30
 
 
-def _stderr_scopes(node: ast.AST, scope: str):
-    """The qualified name of the scope of each mention of ``stderr`` under ``node``."""
+def _scopes(node: ast.AST, scope: str, hit):
+    """The qualified name of the scope of each node under ``node`` that ``hit`` accepts."""
     for child in ast.iter_child_nodes(node):
-        named = getattr(child, "attr", None) or getattr(child, "id", None)
-        if isinstance(child, ast.alias):
-            named = child.name
-        if named in {"stderr", "__stderr__"}:
+        if hit(child):
             yield scope
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}"
-        yield from _stderr_scopes(child, inner)
+        yield from _scopes(child, inner, hit)
+
+
+def _package_scopes(hit) -> set[str]:
+    """The scopes across the package in which ``hit`` accepts a node."""
+    return {
+        scope
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _scopes(_parse(path), path.stem, hit)
+    }
+
+
+def _mentions_stderr(node: ast.AST) -> bool:
+    named = getattr(node, "attr", None) or getattr(node, "id", None)
+    if isinstance(node, ast.alias):
+        named = node.name
+    return named in {"stderr", "__stderr__"}
 
 
 def test_only_the_error_writers_touch_stderr():
@@ -265,9 +278,18 @@ def test_only_the_error_writers_touch_stderr():
     ``_error``), so every line on stderr is an ``error:`` line that
     ``_error`` cuts to 200 characters.
     """
-    scopes = {
-        scope
-        for path in sorted(PACKAGE.glob("*.py"))
-        for scope in _stderr_scopes(_parse(path), path.stem)
-    }
-    assert scopes == {"cli._error", "cli._Parser.error"}
+    assert _package_scopes(_mentions_stderr) == {"cli._error", "cli._Parser.error"}
+
+
+def _or_assigns(node: ast.AST) -> bool:
+    return isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
+
+
+def test_only_grid_signs_builds_bitmasks():
+    """One mask builder.
+
+    The package's only bitmask OR-assignment (``x |= ...``) is in
+    ``grid.signs``: the grid relations and ``pairs.PairRelations`` both
+    decide comonotonicity of finite rows on its masks.
+    """
+    assert _package_scopes(_or_assigns) == {"grid.signs"}
