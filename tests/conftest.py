@@ -7,8 +7,6 @@ if str(SRC) not in sys.path:
 
 import pytest
 
-from comaxlab import parallel
-
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
@@ -32,5 +30,5 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     return sizes

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -135,6 +136,27 @@ def test_census_jobs_deterministic():
         assert functional_census(CHAIN3, 2, jobs=jobs).to_dict() == sequential, jobs
 
 
+def test_census_merges_many_shards(monkeypatch, pool_sizes):
+    # The inline pool merges one shard per job on a host of any size.
+    sequential = functional_census(CHAIN3, 2, jobs=1).to_dict()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(200)), raising=False)
+    for jobs in (3, 5, 200):
+        assert functional_census(CHAIN3, 2, jobs=jobs).to_dict() == sequential, jobs
+    assert pool_sizes == [3, 5, 200]
+
+
+def test_jobs_above_the_cpus_build_the_relations_once_per_worker(monkeypatch, pool_sizes):
+    # Jobs beyond the usable CPUs add no shard, so each worker builds the relations once.
+    sequential = functional_census(CHAIN3, 2, jobs=1).to_json()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    built = []
+    real = census.relations
+    monkeypatch.setattr(census, "relations", lambda *a: built.append(a) or real(*a))
+    assert functional_census(CHAIN3, 2, jobs=200).to_json() == sequential
+    assert 1 <= len(built) <= 2
+    assert pool_sizes == [2]
+
+
 # The census of CHAIN3, n = 2 once the first ordered pair that is not
 # comonotone is ordered both ways: 71 maxitive tables are then not
 # monotone.  Taken before any change to the merge of shard witnesses.
@@ -159,7 +181,9 @@ def reversed_non_comonotone_pair(monkeypatch):
 def test_census_finding_merges_capped_witnesses_across_shards(
     jobs, sources, reversed_non_comonotone_pair, pool_sizes, monkeypatch
 ):
-    # The inline pool keeps every shard in this process, under the patch.
+    # The inline pool keeps every shard in this process, under the patch,
+    # and a thousand usable CPUs give one shard per job.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
     kept = []
     shard = census._census_shard
 

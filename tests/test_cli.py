@@ -453,7 +453,7 @@ def test_verify_counterexample_jobs_invariant(tmp_path):
 
 
 def test_jobs_above_the_cpu_count_keep_report_bytes(tmp_path):
-    # Eight shards run on a pool capped at the CPUs this process may use.
+    # --jobs 8 cuts one shard per usable CPU, at most eight, and merges them in order.
     out1 = tmp_path / "j1.json"
     out8 = tmp_path / "j8.json"
     base = ("verify-counterexample", "--samples", "80", "--seed", "5", "--grid", "0,1/2,1")

@@ -1,6 +1,6 @@
 """Package-level contracts: what ``import comaxlab`` loads, a clean entry point, no dead code.
 
-The first two run in a fresh interpreter, so modules other tests have
+The first three run in a fresh interpreter, so modules other tests have
 imported cannot hide a submodule the package fails to load.  The
 dead-code lint reads the source with ``ast`` alone.
 """
@@ -49,6 +49,16 @@ def test_every_traced_name_resolves_after_import_comaxlab():
     result = run_python("-c", RESOLVE_TRACED_NAMES)
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) > 0
+
+
+def test_import_cli_loads_no_process_pool():
+    # The pool is imported where run_shards starts one, so runs that need
+    # no pool, --help among them, skip loading multiprocessing.
+    pools = ("multiprocessing", "concurrent")
+    loaded = f"sorted(m for m in sys.modules if m.startswith({pools}))"
+    result = run_python("-c", f"import sys, comaxlab.cli; print({loaded})")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 # The flags each subcommand's --help lists besides --output: its row of the flag table.

@@ -1,7 +1,9 @@
+import os
 from fractions import Fraction
 
 import pytest
 
+from comaxlab import suites
 from comaxlab.classify import membership
 from comaxlab.properties import BudgetExceededError
 from comaxlab.seqspace import constant, join, ramp
@@ -68,6 +70,28 @@ def test_counterexample_suite_deterministic_across_jobs():
     for jobs in (2, 3, 5):
         report = counterexample_suite(seed=5, samples=64, grid=GRID3, prefix_max=1, jobs=jobs)
         assert report.to_dict() == sequential, jobs
+
+
+def test_counterexample_suite_merges_many_shards(monkeypatch, pool_sizes):
+    # The inline pool merges one shard per job on a host of any size.
+    sequential = counterexample_suite(seed=5, samples=64, grid=GRID3, prefix_max=1).to_dict()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(200)), raising=False)
+    for jobs in (3, 5, 200):
+        report = counterexample_suite(seed=5, samples=64, grid=GRID3, prefix_max=1, jobs=jobs)
+        assert report.to_dict() == sequential, jobs
+    assert pool_sizes == [3, 3, 5, 5, 200, 64]
+
+
+def test_jobs_above_the_cpus_build_the_family_once_per_worker(monkeypatch, pool_sizes):
+    # Jobs beyond the usable CPUs add no shard, so each worker builds the family once.
+    sequential = counterexample_suite(samples=10, jobs=1).to_json()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    built = []
+    real = suites.structured_family
+    monkeypatch.setattr(suites, "structured_family", lambda *a: built.append(a) or real(*a))
+    assert counterexample_suite(samples=10, jobs=200).to_json() == sequential
+    assert 1 <= len(built) <= 2
+    assert pool_sizes == [2, 2]
 
 
 def test_counterexample_suite_seed_changes_nothing_about_verdict():
