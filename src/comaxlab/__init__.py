@@ -19,7 +19,6 @@ from . import (  # noqa: F401
     grid,
     integral,
     pairgen,
-    pairs,
     parallel,
     properties,
     rational,

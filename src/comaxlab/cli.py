@@ -69,18 +69,12 @@ def validate_function_file(path: str) -> SeqFn:
     """Load and canonicalize a sequence-space function from a JSON file."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    try:
-        data = json.loads(raw, object_pairs_hook=_unique_keys)
+        return SeqFn.from_json(json.loads(raw, object_pairs_hook=_unique_keys))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # A repeated key, or nesting past the interpreter's recursion limit.
-        raise InputError(f"{path}: {exc}") from exc
-    try:
-        return SeqFn.from_json(data)
-    except (ValueError, RationalFormatError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # Unreadable or not UTF-8, a repeated key, nesting past the recursion
+        # limit, or content SeqFn refuses (a RationalFormatError is a ValueError).
         raise InputError(f"{path}: {exc}") from exc
 
 

@@ -5,10 +5,11 @@ tuple of rationals running from 0 to 1.  A GridFn is simply the value
 vector of a function on ``{0..n-1}``, kept for the integral's inputs and
 the report.  ``signs`` masks where a finite row rises and falls, and
 ``comonotone`` tests two masks: the one decider for this model and for
-``pairs.PairRelations``.  ``relations`` indexes comonotonicity, the join
-and the pointwise order over a whole grid, deciding them on rows of
-chain indices, which the increasing chain orders as it orders its
-values; each suite or shard builds it once and hands it to the checkers.
+the family screen ``seq_comonotone.PairRelations``.  ``relations``
+indexes comonotonicity, the join and the pointwise order over a whole
+grid, deciding them on rows of chain indices, which the increasing
+chain orders as it orders its values; each suite or shard builds it
+once and hands it to the checkers.
 """
 
 from __future__ import annotations

@@ -50,14 +50,12 @@ def capped_power(base: int, exponent: int) -> int:
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration over budget; the count (None past the cap) and the refusal report's counts."""
+    """An enumeration over budget; ``counts`` holds the refusal report's counts."""
 
     def __init__(self, required: int | None, budget: int, what: str):
         needs = f"more than 10**{COUNT_DIGITS}" if required is None else required
         allowed = budget if budget < _COUNT_CAP else f"10**{COUNT_DIGITS} or more"
         super().__init__(f"{what} needs {needs} items, over the budget of {allowed}")
-        self.required = required
-        self.budget = budget
         self.what = what
         if required is None:
             self.counts = {"required_digits_over": COUNT_DIGITS, "budget": budget}

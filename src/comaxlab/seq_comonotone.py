@@ -1,4 +1,4 @@
-"""Exact comonotonicity decision on the sequence compactum.
+"""Exact comonotonicity decisions on the sequence compactum: for one pair, and within a family.
 
 Two functions are comonotone when no pair of points is ordered
 oppositely by them.  The space is infinite, but the representation
@@ -16,14 +16,40 @@ makes the decision finite:
   since each factor changes sign only once, at most three candidate
   ``n`` are tried.  Boundary zeros are allowed.
 
+``PairRelations`` decides comonotonicity and pointwise order among the
+members of a fixed list.  It evaluates every function once, on
+``points_upto(D + 1)`` where ``D`` is the longest head in the list, as
+integers over one common scale (``scaled_values``, brought to the
+``math.lcm`` of the functions' scales; never floats), and then:
+
+* **Screen.** ``grid.signs`` gives each function's rise and fall
+  bitmasks over every pair of those points, and ``grid.comonotone``
+  tests two of them for a conflict.  A conflict is a real witness, so
+  the pair is not comonotone.
+* **Flat tails.** With no conflict and either tail slope 0, the pair
+  is comonotone.  Say g's is: every ``seq(n)`` with ``n > D`` takes
+  g's limit value, so a fixed point x compares with all of them as
+  with the limit, and f's difference against x is affine in the tail
+  coordinate; if it opposes g's fixed sign at some ``seq(n)``, it
+  already does at ``seq(D + 1)`` or at the limit, both in the masks.
+* **Fallback.** Otherwise the pair goes to ``comonotone_witness``.
+* **Order.** ``f <= g`` is a compare of the integer vectors: both
+  tails are affine past ``seq(D)``, so their difference is nonnegative
+  on the whole tail iff it is at ``seq(D + 1)`` and at the limit.
+
+Callers walk the pairs ``i <= j`` as ``combinations_with_replacement``.
+
 ``comonotone_truncated`` is the independent brute-force oracle over a
 finite depth, kept deliberately dumb.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Sequence
 
+from .grid import comonotone, signs
 from .seqspace import Point, SeqFn, points_upto, scaled_values, seq
 
 
@@ -69,6 +95,38 @@ def comonotone_witness(f: SeqFn, g: SeqFn) -> tuple[Point, Point] | None:
             return (x0, seq(n))
 
     return None
+
+
+class PairRelations:
+    """Comonotonicity and pointwise order among the members of ``fns``."""
+
+    def __init__(self, fns: Sequence[SeqFn]):
+        self._fns = list(fns)
+        depth = max((f.head_len for f in self._fns), default=0)
+        scaled = [scaled_values(f, depth + 1) for f in self._fns]
+        scale = math.lcm(*(s for s, _ in scaled))
+        # The points are the isolated point, seq(1..depth + 1) and the limit.
+        self._vectors = [tuple(v * (scale // s) for v in row) for s, row in scaled]
+        self._signs = [signs(vec) for vec in self._vectors]
+        self._flat = [f.slope_num == 0 for f in self._fns]
+
+    def comonotone(self, i: int, j: int) -> bool:
+        """Are ``fns[i]`` and ``fns[j]`` comonotone on the whole space?"""
+        if not comonotone(self._signs[i], self._signs[j]):
+            return False
+        if self._flat[i] or self._flat[j]:
+            return True
+        return comonotone_witness(self._fns[i], self._fns[j]) is None
+
+    def leq(self, i: int, j: int) -> bool:
+        """Is ``fns[i] <= fns[j]`` pointwise on the whole space?"""
+        return all(a <= b for a, b in zip(self._vectors[i], self._vectors[j]))
+
+    def order(self, i: int, j: int) -> int:
+        """-1 when ``fns[i] <= fns[j]``, 1 when only ``fns[j] <= fns[i]``, else 0."""
+        if self.leq(i, j):
+            return -1
+        return 1 if self.leq(j, i) else 0
 
 
 def comonotone_truncated(f: SeqFn, g: SeqFn, depth: int = 50) -> tuple[Point, Point] | None:

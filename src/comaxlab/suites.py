@@ -23,12 +23,11 @@ from typing import Callable, Sequence
 
 from .classify import Membership, membership, step_value
 from .pairgen import GeneratorParams, generate_pair, pair_seed, random_seqfn
-from .pairs import PairRelations
 from .parallel import run_shards, split_range
 from .properties import capped_power, check_budget
 from .rational import ONE, ZERO
 from .report import FAIL, FINDING, INCONCLUSIVE, PASS, VerificationReport
-from .seq_comonotone import comonotone_witness
+from .seq_comonotone import PairRelations, comonotone_witness
 from .seqspace import SeqFn, constant, join, leq, make, ramp, seq
 
 DEFAULT_GRID = (ZERO, Fraction(1, 2), ONE)

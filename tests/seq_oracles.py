@@ -31,7 +31,8 @@ candidate's values.  It reads ``suites._candidate_zoo`` at call time,
 so a test may swap the zoo for both.
 
 ``comonotone``, ``constant_map``, ``IDENTITY_MAP`` and ``fraction_map``
-are small helpers only the tests need.
+are small helpers only the tests need, and ``seq_fns`` is the one
+Hypothesis strategy for sequence-space functions.
 """
 
 from __future__ import annotations
@@ -43,13 +44,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from comaxlab import suites
 from comaxlab.pairgen import GeneratorParams, MonotoneMap, generate_pair, pair_seed, random_seqfn
-from comaxlab.pairs import PairRelations
 from comaxlab.rational import random_unit_rational
 from comaxlab.report import FINDING, INCONCLUSIVE, VerificationReport
-from comaxlab.seq_comonotone import comonotone_witness
-from comaxlab.seqspace import constant, join, points_upto, seq
+from comaxlab.seq_comonotone import PairRelations, comonotone_witness
+from comaxlab.seqspace import constant, join, make, points_upto, seq
 
 Bound = Fraction | None  # None stands for the unbounded side
 
@@ -134,6 +136,19 @@ def constant_map(c):
 
 
 IDENTITY_MAP = MonotoneMap(1, ((0, 0), (1, 1)))
+
+
+@st.composite
+def seq_fns(draw, max_head, max_denominator):
+    """A SeqFn with a head of at most ``max_head`` values, all on denominators up to the given one."""
+    fractions = st.fractions(min_value=0, max_value=1, max_denominator=max_denominator)
+    iso = draw(fractions)
+    head = draw(st.lists(fractions, max_size=max_head))
+    y_first = draw(fractions)
+    y_limit = draw(fractions)
+    m = len(head) + 1
+    slope = (y_limit - y_first) * m
+    return make(iso, head, slope, y_limit - slope)
 
 
 def fields(f):

@@ -43,8 +43,7 @@ def test_enumeration_is_exhaustive_and_unique():
 def test_enumeration_budget_refusal_with_exact_count():
     with pytest.raises(BudgetExceededError) as info:
         list(enumerate_functionals(CHAIN3, 3, budget=10**6))
-    assert info.value.required == 3**27
-    assert info.value.budget == 10**6
+    assert info.value.counts == {"required": 3**27, "budget": 10**6}
 
 
 def test_census_two_point_chain():

@@ -1,16 +1,13 @@
 from fractions import Fraction
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from comaxlab.classify import membership, step_value
 from comaxlab.seqspace import constant, join, leq, make, ramp
 
-from seq_oracles import comonotone
+from seq_oracles import comonotone, seq_fns
 
 F = Fraction
-
-small_fractions = st.fractions(min_value=0, max_value=1, max_denominator=6)
 
 
 def test_unit_ramp_is_in_zero_class():
@@ -79,18 +76,7 @@ def test_join_of_capped_and_strict_follows_peak_comparison():
     assert not m2.capped_at_iso and m2.below_one and m2.in_zero_class
 
 
-@st.composite
-def seq_fns(draw):
-    iso = draw(small_fractions)
-    head = draw(st.lists(small_fractions, max_size=2))
-    y_first = draw(small_fractions)
-    y_limit = draw(small_fractions)
-    m = len(head) + 1
-    slope = (y_limit - y_first) * m
-    return make(iso, head, slope, y_limit - slope)
-
-
-@given(seq_fns(), seq_fns())
+@given(seq_fns(2, 6), seq_fns(2, 6))
 @settings(max_examples=150)
 def test_step_preserves_joins_of_comonotone_pairs(f, g):
     if not comonotone(f, g):
@@ -98,7 +84,7 @@ def test_step_preserves_joins_of_comonotone_pairs(f, g):
     assert step_value(join(f, g)) == max(step_value(f), step_value(g))
 
 
-@given(seq_fns(), seq_fns())
+@given(seq_fns(2, 6), seq_fns(2, 6))
 @settings(max_examples=150)
 def test_step_monotone_along_comonotone_ordered_pairs(f, g):
     if not comonotone(f, g):

@@ -300,6 +300,30 @@ def test_duplicate_function_key_exits_2(tmp_path):
     assert f"error: {bad}: duplicate key 'vP'" in result.stderr
 
 
+# How to make a bad function file at a path, and what its error line says.
+BAD_FILES = {
+    "missing": (lambda path: None, "No such file or directory"),
+    "directory": (Path.mkdir, "Is a directory"),
+    "malformed-json": (
+        lambda path: path.write_text('{"vP": "0", "alpha": ', encoding="utf-8"),
+        "not valid JSON: Expecting value: line 1 column 22 (char 21)",
+    ),
+}
+
+
+@pytest.mark.parametrize("make_bad, reason", list(BAD_FILES.values()), ids=list(BAD_FILES))
+def test_unreadable_function_file_exits_2_with_one_line(tmp_path, make_bad, reason):
+    bad = tmp_path / "bad.json"
+    make_bad(bad)
+    ok = write_json(tmp_path / "ok.json", RAMP1_JSON)
+    result = run_cli("comonotone-check", str(bad), ok)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), result.stderr
+    assert reason in lines[0]
+
+
 def test_census_report_and_exit_zero(tmp_path):
     out = tmp_path / "census.json"
     result = run_cli("finite-census", "--grid", "0,1", "--n", "2", "--output", str(out))

@@ -13,27 +13,14 @@ from hypothesis import strategies as st
 
 from comaxlab.pairgen import GeneratorParams, compose, random_monotone_map, random_seqfn
 from comaxlab.seq_comonotone import comonotone_truncated, comonotone_witness, defining_product
-from comaxlab.seqspace import join, leq, make, points_upto
+from comaxlab.seqspace import join, leq, points_upto
 
-from seq_oracles import fraction_map
-
-wide_fractions = st.fractions(min_value=0, max_value=1, max_denominator=12)
+from seq_oracles import fraction_map, seq_fns
 
 HEAVY = GeneratorParams(prefix_max=4, max_denominator=12, max_breakpoints=4)
 
 
-@st.composite
-def wide_seq_fns(draw):
-    iso = draw(wide_fractions)
-    head = draw(st.lists(wide_fractions, max_size=5))
-    y_first = draw(wide_fractions)
-    y_limit = draw(wide_fractions)
-    m = len(head) + 1
-    slope = (y_limit - y_first) * m
-    return make(iso, head, slope, y_limit - slope)
-
-
-@given(wide_seq_fns(), wide_seq_fns())
+@given(seq_fns(5, 12), seq_fns(5, 12))
 @settings(max_examples=150, deadline=None)
 def test_join_pointwise_wide(f, g):
     j = join(f, g)

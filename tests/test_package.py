@@ -225,6 +225,16 @@ def test_every_module_level_name_is_read():
     assert len(assigned) > 30
 
 
+def _attributes_loaded(trees) -> Counter:
+    """Every attribute name read (loaded, not only assigned) as ``x.name`` in ``trees``."""
+    return Counter(
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
 def test_every_class_field_is_read_by_attribute():
     """The dead-code lint for class-level annotated fields (dataclass fields).
 
@@ -234,12 +244,7 @@ def test_every_class_field_is_read_by_attribute():
     """
     package = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
     bench = [_parse(p) for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")]
-    read = Counter(
-        node.attr
-        for tree in package + bench
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    )
+    read = _attributes_loaded(package + bench)
     fields = [
         f"{cls.name}.{node.target.id}"
         for tree in package
@@ -251,6 +256,47 @@ def test_every_class_field_is_read_by_attribute():
     unread = [field for field in fields if not read[field.partition(".")[2]]]
     assert not unread
     assert len(fields) >= 30
+
+
+def _instance_attributes(tree: ast.AST):
+    """``(line, name)`` for each ``self.name = ...`` and ``object.__setattr__(self, "name", ...)``."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            yield node.lineno, node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.lineno, node.args[1].value
+
+
+def test_every_instance_attribute_is_read_by_attribute():
+    """The dead-code lint for instance attributes.
+
+    Every attribute a method of the package sets on ``self`` (by
+    assignment or ``object.__setattr__``) is read (loaded) as an
+    attribute (``x.name``) from ``src/`` or ``bench/``.  References are
+    matched by name, and tests do not count.
+    """
+    package = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [_parse(p) for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")]
+    read = _attributes_loaded([*package.values(), *bench])
+    assigned = [
+        (f"{name}:{line}", attr)
+        for name, tree in package.items()
+        for line, attr in _instance_attributes(tree)
+    ]
+    unread = [f"{where} {attr}" for where, attr in assigned if not read[attr]]
+    assert not unread
+    assert len(assigned) >= 10
 
 
 def _scopes(node: ast.AST, scope: str, hit):
@@ -299,7 +345,7 @@ def test_only_grid_signs_builds_bitmasks():
     """One mask builder.
 
     The package's only bitmask OR-assignment (``x |= ...``) is in
-    ``grid.signs``: the grid relations and ``pairs.PairRelations`` both
-    decide comonotonicity of finite rows on its masks.
+    ``grid.signs``: the grid relations and ``seq_comonotone.PairRelations``
+    both decide comonotonicity of finite rows on its masks.
     """
     assert _package_scopes(_or_assigns) == {"grid.signs"}

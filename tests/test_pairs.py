@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comaxlab.pairgen import GeneratorParams, random_seqfn
-from comaxlab.pairs import PairRelations
-from comaxlab.seq_comonotone import comonotone_witness
+from comaxlab.seq_comonotone import PairRelations, comonotone_witness
 from comaxlab.seqspace import leq
 from comaxlab.suites import structured_family
 

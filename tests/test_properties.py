@@ -41,6 +41,16 @@ def test_normalized_examples():
     assert is_normalized(integral, REL3)
 
 
+def test_normalized_checks_the_zero_function():
+    # Every t-normed integral sends the zero function to 0, so only a table
+    # that is wrong there alone tells whether the checker reads that constant.
+    zero = REL3.constants[0]
+    assert set(REL3.domain[zero].values) == {0}
+    values = grid_table(first_coord, REL3)
+    values[zero] = F(1, 2)
+    assert not is_normalized(values, REL3)
+
+
 def test_maxitive_examples():
     ok, _ = is_comonotone_maxitive(grid_table(first_coord, REL3), REL3)
     assert ok
@@ -143,7 +153,7 @@ def test_integral_property_suite_integrates_once_per_input_per_capacity(monkeypa
 def test_integral_property_suite_budget_refusal():
     with pytest.raises(BudgetExceededError) as info:
         integral_property_suite(CHAIN3, 4, TNorm.MINIMUM, budget=100)
-    assert info.value.required == 3**14
+    assert info.value.counts == {"required": 3**14, "budget": 100}
 
 
 def test_capped_power_is_exact_below_the_digit_cap():
@@ -158,7 +168,7 @@ def test_check_budget_refuses_a_count_past_the_cap_without_it():
     check_budget(10**4300 - 1, 10**4300, "items")
     with pytest.raises(BudgetExceededError) as info:
         check_budget(10**4300, 10**7, "items")
-    assert info.value.required is None
+    assert "required" not in info.value.counts
     assert str(info.value) == "items needs more than 10**4300 items, over the budget of 10000000"
 
 
@@ -173,7 +183,7 @@ def test_budget_error_counts_are_the_refusal_report_counts():
 def test_check_budget_refuses_under_a_budget_past_the_cap(required):
     with pytest.raises(BudgetExceededError) as info:
         check_budget(required, 10**4301, "items")
-    assert info.value.budget == 10**4301
+    assert info.value.counts == {"required_digits_over": 4300, "budget": 10**4301}
     assert str(info.value) == (
         "items needs more than 10**4300 items, over the budget of 10**4300 or more"
     )
@@ -186,5 +196,5 @@ def test_check_budget_passes_a_small_count_under_a_budget_past_the_cap():
 def test_integral_property_suite_refuses_a_count_past_the_cap():
     with pytest.raises(BudgetExceededError) as info:
         integral_property_suite(CHAIN3, 15, TNorm.MINIMUM)
-    assert info.value.required is None
+    assert info.value.counts == {"required_digits_over": 4300, "budget": 10**7}
     assert "more than 10**4300" in str(info.value)
