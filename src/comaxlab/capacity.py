@@ -10,12 +10,11 @@ subsets as strings of sorted single-digit indices ("" for the empty set,
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterator
 
-from .rational import ONE, ZERO, check_unit_interval
+from .rational import ONE, ZERO, check_unit_interval, over_lcm
 
 _MAX_JSON_POINTS = 10
 
@@ -47,8 +46,8 @@ class Capacity:
         self.n = n
         self._mu = dict(mu)
         self._validate()
-        self.den = math.lcm(*(v.denominator for v in self._mu.values()))
-        self.nums = {s: v.numerator * self.den // v.denominator for s, v in self._mu.items()}
+        nums, self.den = over_lcm(self._mu.values())
+        self.nums = dict(zip(self._mu, nums))
 
     def _validate(self) -> None:
         full = frozenset(range(self.n))

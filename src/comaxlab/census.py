@@ -6,26 +6,32 @@ size m on n points, so enumeration is guarded by an explicit budget and
 refuses (with the exact count) rather than run away.
 
 The census classifies every table as comonotonically maxitive and/or
-monotone.  Both properties only compare values, so tables are walked as
-rows of chain indices against ``grid.relations``, decided by the
-checkers' own scans, ``properties.join_break`` and ``order_break``, and
-tallied once by ``(maxitive, monotone)``; the five reported counts are
-read off that tally.  Witnesses are translated back to real functions
-for the report, the maxitivity break by the checkers' ``join_witness``.
-The rows come from one ``itertools.product`` in lexicographic order;
-each job walks a contiguous ``islice`` of it, and the merge is by shard
-order, so the report is independent of parallelism.
+monotone.  Both properties only compare values, so tables are rows of
+chain indices against ``grid.relations``, decided by the checkers' own
+scans, ``properties.join_break`` and ``order_break``, and tallied once
+by ``(maxitive, monotone)``; the five reported counts are read off that
+tally.  Witnesses are translated back to real functions for the
+report, the maxitivity break by the checkers' ``join_witness``.
+
+Rows are walked in lexicographic order by backtracking (Knuth, TAOCP
+Vol. 4B, 7.2.2), without recursion: entries are set in domain order,
+and each join triple and ordered pair is checked as soon as its largest
+index is set.  Once a prefix breaks both maxitivity and monotonicity,
+every row below it is counted as neither without being visited.  Each
+job walks a contiguous range of row indices, and the merge is by shard
+order, so the report is independent of parallelism; the budget still
+counts every row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, product
 
 from .grid import Chain, Relations, relations
 from .parallel import run_shards, split_range
 from .properties import capped_power, check_budget, join_break, join_witness, order_break
+from .rational import over_lcm
 from .report import FINDING, PASS, VerificationReport
 
 
@@ -43,33 +49,75 @@ def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
     chain_values, n, lo, hi = args
     chain = Chain(chain_values)
     structure = relations(chain, n)
-    rows = product(range(len(chain_values)), repeat=len(structure.domain))
+    m, size = len(chain_values), len(structure.domain)
+    nums, scale = over_lcm(chain_values)
+
+    # Each check waits for the largest index it reads.
+    joins_at: list[list] = [[] for _ in range(size)]
+    order_at: list[list] = [[] for _ in range(size)]
+    for triple in structure.joins:
+        joins_at[max(triple)].append(triple)
+    for pair in structure.order:
+        order_at[max(pair)].append(pair)
+    below = [m ** (size - 1 - d) for d in range(size)]  # rows sharing a prefix of d + 1 entries
 
     classes: Counter = Counter()
     bad_maxitive: list[dict] = []
     first_monotone_only: dict | None = None
 
-    for row in islice(rows, lo, hi):
-        maxitivity_break = join_break(row, structure.joins)
-        maxitive = maxitivity_break is None
-        monotone = order_break(row, structure.order) is None
-        classes[maxitive, monotone] += 1
+    # row holds the digits of table ``index``; maxitive[d] and monotone[d] hold
+    # whether its first d entries pass every check they can decide.
+    row = [lo // step % m for step in below]
+    maxitive = [True] * (size + 1)
+    monotone = [True] * (size + 1)
+    index, d = lo, 0
+    while index < hi:
+        while d < size:
+            mx = maxitive[d] and join_break(row, joins_at[d]) is None
+            mo = monotone[d] and order_break(row, order_at[d]) is None
+            if not (mx or mo):
+                break
+            d += 1
+            maxitive[d], monotone[d] = mx, mo
 
-        # The comonotone ordered pairs are ordered pairs: only a non-monotone table can break them.
-        if maxitive and not monotone:
-            if order_break(row, structure.comonotone_order) is not None:
-                raise AssertionError("maxitive table not monotone on a comonotone ordered pair")
-            if len(bad_maxitive) < WITNESS_CAP:
-                bad_maxitive.append(
-                    {"kind": "maxitive_not_monotone", "table": _row_json(structure, chain, row)}
-                )
-        if monotone and not maxitive and first_monotone_only is None:
-            values = [chain.values[x] for x in row]
-            first_monotone_only = {
-                "kind": "monotone_not_maxitive",
-                "table": _row_json(structure, chain, row),
-                "pair": join_witness(values, structure.domain, *maxitivity_break),
-            }
+        if d < size:
+            # No row below this prefix is maxitive or monotone.
+            step = below[d]
+            after = (index // step + 1) * step
+            classes[False, False] += min(after, hi) - index
+            row[d + 1 :] = [0] * (size - 1 - d)
+        else:
+            mx, mo = maxitive[size], monotone[size]
+            classes[mx, mo] += 1
+            # Comonotone ordered pairs are ordered pairs: only a non-monotone table breaks them.
+            if mx and not mo:
+                if order_break(row, structure.comonotone_order) is not None:
+                    raise AssertionError("maxitive table not monotone on a comonotone ordered pair")
+                if len(bad_maxitive) < WITNESS_CAP:
+                    bad_maxitive.append(
+                        {"kind": "maxitive_not_monotone", "table": _row_json(structure, chain, row)}
+                    )
+            if mo and not mx and first_monotone_only is None:
+                first_monotone_only = {
+                    "kind": "monotone_not_maxitive",
+                    "table": _row_json(structure, chain, row),
+                    "pair": join_witness(
+                        [nums[x] for x in row],
+                        scale,
+                        structure.domain,
+                        *join_break(row, structure.joins),
+                    ),
+                }
+            d, after = size - 1, index + 1
+
+        # Step to the next prefix of d + 1 entries, carrying into shorter ones.
+        index = after
+        while d >= 0 and row[d] == m - 1:
+            row[d] = 0
+            d -= 1
+        if d < 0:
+            break
+        row[d] += 1
 
     return {
         "classes": classes,

@@ -72,9 +72,12 @@ def validate_function_file(path: str) -> SeqFn:
         return SeqFn.from_json(json.loads(raw, object_pairs_hook=_unique_keys))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
-    except (OSError, ValueError, RecursionError) as exc:
-        # Unreadable or not UTF-8, a repeated key, nesting past the recursion
-        # limit, or content SeqFn refuses (a RationalFormatError is a ValueError).
+    except OSError as exc:
+        # The strerror alone: the message of an OSError names the path again.
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8, a repeated key, nesting past the recursion limit, or
+        # content SeqFn refuses (a RationalFormatError is a ValueError).
         raise InputError(f"{path}: {exc}") from exc
 
 

@@ -14,13 +14,12 @@ once and hands it to the checkers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Any, Iterator
 
-from .rational import ONE, ZERO, check_unit_interval
+from .rational import ONE, ZERO, check_unit_interval, over_lcm
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,7 @@ class GridFn:
     def __post_init__(self) -> None:
         for v in self.values:
             check_unit_interval(v, "function value")
-        den = math.lcm(*(v.denominator for v in self.values))
-        nums = [v.numerator * den // v.denominator for v in self.values]
+        nums, den = over_lcm(self.values)
         levels = tuple(
             (t, frozenset(i for i, v in enumerate(nums) if v >= t)) for t in sorted({*nums, 0, den})
         )

@@ -7,8 +7,10 @@ the finite threshold set ``values(f) + {0, 1}`` with no loss: between
 consecutive values the level set is fixed and ``t * mu`` is monotone
 in t.  With the minimum norm this is the classical Sugeno integral.
 The sweep runs on integers over ``f.den * cap.den``; only the maximum
-becomes a Fraction.  Each ``GridFn`` derives its thresholds and their
-level sets once, when it is built, so every capacity reads the same ones.
+becomes a Fraction, and ``properties.integral_property_suite`` puts a
+capacity's whole table of them over the lcm of their denominators for
+its checkers.  Each ``GridFn`` derives its thresholds and their level
+sets once, when it is built, so every capacity reads the same ones.
 """
 
 from __future__ import annotations

@@ -1,16 +1,18 @@
 """Property checkers for functionals on grid functions.
 
-Each checker reads a functional's value table, indexed like the domain
-of the ``grid.Relations`` it is handed, and decides one axiom
-exhaustively over a chain grid, returning the verdict with the first
-violating input.  Only ``join_break`` and ``order_break`` decide
-maxitivity and monotonicity; the census runs them on its rows of chain
-indices too.  ``integral_property_suite`` bundles the four checks for
-the t-normed integral across every chain capacity: it builds the
-relations and the homogeneity cases once, tabulates the integral once
-per capacity on the inputs of ``_homogeneity_cases`` (the grid domain
-first), hands all four checkers what they read, and counts each
-property's failures as its witnesses.
+Each checker reads a functional's value table as integers over one
+``scale``, indexed like the domain of the ``grid.Relations`` it is
+handed, and decides one axiom exhaustively over a chain grid, comparing
+integers and returning the verdict with the first violating input; a
+Fraction is built only for a witness.  Only ``join_break`` and
+``order_break`` decide maxitivity and monotonicity; the census runs
+them on its rows of chain indices too.  ``integral_property_suite``
+bundles the four checks for the t-normed integral across every chain
+capacity: it builds the relations and the homogeneity cases once,
+tabulates the integral once per capacity on the inputs of
+``_homogeneity_cases`` (the grid domain first), puts that table over
+the lcm of its denominators, hands all four checkers what they read,
+and counts each property's failures as its witnesses.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from functools import partial
 from .capacity import enumerate_capacities
 from .grid import Chain, GridFn, Relations, relations
 from .integral import tnorm_integral
-from .rational import random_unit_rational
+from .rational import over_lcm, random_unit_rational
 from .report import FAIL, PASS, VerificationReport
-from .tnorms import TNorm, apply
+from .tnorms import TNorm, apply, apply_scaled
 
 Witness = dict
 
@@ -88,33 +90,51 @@ def order_break(values: list, pairs: tuple) -> tuple[int, int] | None:
     return None
 
 
-def join_witness(values: list, domain: tuple[GridFn, ...], i: int, j: int, k: int) -> Witness:
+def join_witness(
+    values: list[int], scale: int, domain: tuple[GridFn, ...], i: int, j: int, k: int
+) -> Witness:
     """The report form of the maxitivity break ``(i, j, k)`` of a table over ``domain``."""
     f, g = domain[i], domain[j]
     max_f = max(values[i], values[j])
-    return {"f": f.to_json(), "g": g.to_json(), "F_join": values[k], "max_F": max_f}
+    return {
+        "f": f.to_json(),
+        "g": g.to_json(),
+        "F_join": Fraction(values[k], scale),
+        "max_F": Fraction(max_f, scale),
+    }
 
 
-def is_normalized(values: list, rel: Relations) -> bool:
+def is_normalized(values: list[int], scale: int, rel: Relations) -> bool:
     """Does the table send every constant function to its value?"""
-    return all(values[k] == rel.domain[k][0] for k in rel.constants)
+    for k in rel.constants:
+        c = rel.domain[k][0]
+        if values[k] * c.denominator != c.numerator * scale:
+            return False
+    return True
 
 
-def is_comonotone_maxitive(values: list, rel: Relations) -> tuple[bool, Witness | None]:
+def is_comonotone_maxitive(
+    values: list[int], scale: int, rel: Relations
+) -> tuple[bool, Witness | None]:
     """Check F(f v g) = max(F(f), F(g)) over every comonotone pair on the grid."""
     found = join_break(values, rel.joins)
     if found is not None:
-        return False, join_witness(values, rel.domain, *found)
+        return False, join_witness(values, scale, rel.domain, *found)
     return True, None
 
 
-def is_monotone(values: list, rel: Relations) -> tuple[bool, Witness | None]:
+def is_monotone(values: list[int], scale: int, rel: Relations) -> tuple[bool, Witness | None]:
     """Check f <= g pointwise implies F(f) <= F(g), exhaustively on the grid."""
     found = order_break(values, rel.order)
     if found is not None:
         i, j = found
         f, g = rel.domain[i], rel.domain[j]
-        return False, {"f": f.to_json(), "g": g.to_json(), "F_f": values[i], "F_g": values[j]}
+        return False, {
+            "f": f.to_json(),
+            "g": g.to_json(),
+            "F_f": Fraction(values[i], scale),
+            "F_g": Fraction(values[j], scale),
+        }
     return True, None
 
 
@@ -149,21 +169,28 @@ def _homogeneity_cases(
 
 
 def is_scale_homogeneous(
-    values: list, norm: TNorm, inputs: tuple[GridFn, ...], cases: tuple
+    values: list[int], scale: int, norm: TNorm, inputs: tuple[GridFn, ...], cases: tuple
 ) -> tuple[bool, Witness | None]:
     """Check F(c * f) = c * F(f) with the norm acting pointwise on the left.
 
     The table is indexed like ``inputs``; ``inputs`` and ``cases`` come
-    from ``_homogeneity_cases``.  When the chain is closed under the norm
-    the check is exhaustive over all scalars and functions on the grid.
-    Otherwise (the product norm on any chain with interior points) scaled
-    functions leave the grid, so the check samples seeded rational
-    scalars and functions, and the table holds them too.
+    from ``_homogeneity_cases``.  Both sides are compared as numerators
+    over ``c.denominator * scale``.  When the chain is closed under the
+    norm the check is exhaustive over all scalars and functions on the
+    grid.  Otherwise (the product norm on any chain with interior
+    points) scaled functions leave the grid, so the check samples seeded
+    rational scalars and functions, and the table holds them too.
     """
     for c, i, k in cases:
-        lhs, rhs = values[k], apply(norm, c, values[i])
-        if lhs != rhs:
-            return False, {"c": c, "f": inputs[i].to_json(), "F_scaled": lhs, "c_times_F": rhs}
+        c_den = c.denominator
+        rhs = apply_scaled(norm, c.numerator, c_den, values[i], scale)
+        if values[k] * c_den != rhs:
+            return False, {
+                "c": c,
+                "f": inputs[i].to_json(),
+                "F_scaled": Fraction(values[k], scale),
+                "c_times_F": Fraction(rhs, c_den * scale),
+            }
     return True, None
 
 
@@ -190,12 +217,12 @@ def integral_property_suite(
     witnesses: list[dict] = []
     for cap in enumerate_capacities(chain.values, n):
         capacities += 1
-        values = [tnorm_integral(cap, norm, f) for f in inputs]
+        values, scale = over_lcm([tnorm_integral(cap, norm, f) for f in inputs])
         checks = {
-            "normalized": (is_normalized(values, rel), None),
-            "comonotone_maxitivity": is_comonotone_maxitive(values, rel),
-            "scale_homogeneity": is_scale_homogeneous(values, norm, inputs, cases),
-            "monotonicity": is_monotone(values, rel),
+            "normalized": (is_normalized(values, scale, rel), None),
+            "comonotone_maxitivity": is_comonotone_maxitive(values, scale, rel),
+            "scale_homogeneity": is_scale_homogeneous(values, scale, norm, inputs, cases),
+            "monotonicity": is_monotone(values, scale, rel),
         }
         for prop, (ok, witness) in checks.items():
             if not ok:

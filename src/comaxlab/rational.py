@@ -7,13 +7,15 @@ rationals travel as strings, ``"p/q"`` in lowest terms with a positive
 denominator, or a bare integer string when the denominator is 1
 (``"0"``, ``"1"``, ``"3/4"``), exactly ``str`` of a Fraction.  This
 module reads that format; only the report serializer and the codecs
-write it.
+write it.  ``over_lcm`` puts rationals over one common denominator.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
+from collections.abc import Collection
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -67,6 +69,12 @@ def random_unit_rational(rng: random.Random, max_denominator: int) -> Fraction:
     """A seeded rational in [0,1]: a denominator in 1..max_denominator, then its numerator."""
     den = rng.randint(1, max_denominator)
     return Fraction(rng.randint(0, den), den)
+
+
+def over_lcm(values: Collection[Fraction]) -> tuple[list[int], int]:
+    """The numerators of the rationals over the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def check_unit(num: int, den: int, where: str) -> None:

@@ -13,25 +13,30 @@ norms through ``fraction_apply``, the three formulas on Fractions, which
 ``comonotone``, ``join`` and ``leq`` decide the pair relations on
 ``GridFn`` values by their definitions, for the oracles and the test of
 ``grid.relations``; ``walk_capacities`` is the product-and-filter
-walk that ``capacity.enumerate_capacities`` prunes.
+walk that ``capacity.enumerate_capacities`` prunes, and
+``oracle_census_shard`` the scan of every ``product`` row, checked
+whole, that the census shard's backtracking walk prunes.
 ``TabulatedFunctional`` and ``enumerate_functionals`` give the tests
 functionals as explicit tables, walked in the census's order;
 ``grid_table`` and ``homogeneity_table`` tabulate a functional the way
-the checkers read it, on the relations or the homogeneity cases a suite
-would build and hand them; ``uniform`` gives the tests the counting
-capacity and ``constant`` the constant functions.
+the checkers read it, as integers over one scale, on the relations or
+the homogeneity cases a suite would build and hand them; ``uniform``
+gives the tests the counting capacity and ``constant`` the constant
+functions.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
+from comaxlab import census
 from comaxlab.capacity import Capacity, subsets
-from comaxlab.census import table_count
+from comaxlab.census import WITNESS_CAP, table_count
 from comaxlab.grid import Chain, GridFn, all_functions, relations
 from comaxlab.properties import (
     BudgetExceededError,
@@ -40,8 +45,10 @@ from comaxlab.properties import (
     is_comonotone_maxitive,
     is_normalized,
     is_scale_homogeneous,
+    join_break,
+    order_break,
 )
-from comaxlab.rational import ONE, ZERO, check_unit_interval, random_unit_rational
+from comaxlab.rational import ONE, ZERO, check_unit_interval, over_lcm, random_unit_rational
 from comaxlab.tnorms import TNorm
 
 
@@ -101,17 +108,21 @@ def fraction_apply(norm: TNorm, s: Fraction, t: Fraction) -> Fraction:
 
 
 def grid_table(functional, rel):
-    """The functional's values on the domain of the relations ``rel``, in its order."""
-    return [functional(f) for f in rel.domain]
+    """The functional's values on the domain of the relations ``rel``, in its order.
+
+    As the checkers read them: numerators over one scale, and the scale.
+    """
+    return over_lcm([functional(f) for f in rel.domain])
 
 
 def homogeneity_table(functional, norm, chain, n, seed=0):
-    """The functional's values on the homogeneity inputs, then the inputs and the cases.
+    """The functional's values on the homogeneity inputs, as ``grid_table`` gives them, then
+    the inputs and the cases.
 
     The inputs are the grid domain, then the off-grid functions of the cases.
     """
     inputs, cases = _homogeneity_cases(norm, chain, relations(chain, n).domain, seed)
-    return [functional(f) for f in inputs], inputs, cases
+    return *over_lcm([functional(f) for f in inputs]), inputs, cases
 
 
 @dataclass(frozen=True)
@@ -149,14 +160,63 @@ def enumerate_functionals(
 def satisfies_all_axioms(functional, norm, chain, n, seed=0):
     """Normalized, comonotonically maxitive, and homogeneous for the norm."""
     rel = relations(chain, n)
-    values, inputs, cases = homogeneity_table(functional, norm, chain, n, seed)
-    if not is_normalized(values, rel):
+    values, scale, inputs, cases = homogeneity_table(functional, norm, chain, n, seed)
+    if not is_normalized(values, scale, rel):
         return False
-    ok, _ = is_comonotone_maxitive(values, rel)
+    ok, _ = is_comonotone_maxitive(values, scale, rel)
     if not ok:
         return False
-    ok, _ = is_scale_homogeneous(values, norm, inputs, cases)
+    ok, _ = is_scale_homogeneous(values, scale, norm, inputs, cases)
     return ok
+
+
+def oracle_census_shard(args):
+    """A census shard by the literal scan: each ``product`` row in [lo, hi), checked whole.
+
+    Takes and returns what ``census._census_shard`` does.  It builds the
+    relations through ``census.relations``, so a test that patches them
+    there patches them here too.
+    """
+    chain_values, n, lo, hi = args
+    chain = Chain(chain_values)
+    structure = census.relations(chain, n)
+    domain = structure.domain
+    rows = product(range(len(chain_values)), repeat=len(domain))
+
+    def table(row):
+        return {",".join(map(str, f.values)): chain.values[x] for f, x in zip(domain, row)}
+
+    classes = Counter()
+    bad_maxitive = []
+    first_monotone_only = None
+    for row in islice(rows, lo, hi):
+        maxitivity_break = join_break(row, structure.joins)
+        maxitive = maxitivity_break is None
+        monotone = order_break(row, structure.order) is None
+        classes[maxitive, monotone] += 1
+        if maxitive and not monotone:
+            if order_break(row, structure.comonotone_order) is not None:
+                raise AssertionError("maxitive table not monotone on a comonotone ordered pair")
+            if len(bad_maxitive) < WITNESS_CAP:
+                bad_maxitive.append({"kind": "maxitive_not_monotone", "table": table(row)})
+        if monotone and not maxitive and first_monotone_only is None:
+            i, j, k = maxitivity_break
+            values = [chain.values[x] for x in row]
+            first_monotone_only = {
+                "kind": "monotone_not_maxitive",
+                "table": table(row),
+                "pair": {
+                    "f": domain[i].to_json(),
+                    "g": domain[j].to_json(),
+                    "F_join": values[k],
+                    "max_F": max(values[i], values[j]),
+                },
+            }
+    return {
+        "classes": classes,
+        "bad_maxitive": bad_maxitive,
+        "first_monotone_only": first_monotone_only,
+    }
 
 
 def oracle_comonotone_maxitive(functional, chain, n):

@@ -12,6 +12,7 @@ from comaxlab.properties import BudgetExceededError
 
 from grid_oracles import (
     enumerate_functionals,
+    oracle_census_shard,
     oracle_comonotone_maxitive,
     oracle_monotone,
 )
@@ -20,6 +21,7 @@ F = Fraction
 
 CHAIN2 = Chain((F(0), F(1)))
 CHAIN3 = Chain((F(0), F(1, 2), F(1)))
+CHAIN4 = Chain((F(0), F(1, 3), F(2, 3), F(1)))
 
 
 def test_table_counts():
@@ -235,3 +237,89 @@ def test_census_refuses_a_maxitive_table_not_monotone_on_a_comonotone_ordered_pa
         AssertionError, match="^maxitive table not monotone on a comonotone ordered pair$"
     ):
         functional_census(CHAIN3, 2)
+
+
+@pytest.fixture
+def broken_comonotone_join(monkeypatch):
+    """Give the first comonotone ordered pair the lower function as its join in every shard."""
+    real = census.relations
+
+    def patched(chain, n):
+        rel = real(chain, n)
+        lower, upper = rel.comonotone_order[0]
+        joins = tuple(
+            (i, j, lower if (i, j) == (lower, upper) else k) for i, j, k in rel.joins
+        )
+        return replace(rel, joins=joins)
+
+    monkeypatch.setattr(census, "relations", patched)
+
+
+def shard_outcome(shard, args):
+    """The shard's result, or the message of the AssertionError it raised."""
+    try:
+        return shard(args)
+    except AssertionError as exc:
+        return str(exc)
+
+
+GRIDS = {(2, 2): CHAIN2, (3, 2): CHAIN3, (2, 3): CHAIN2, (2, 4): CHAIN2, (4, 1): CHAIN4}
+
+
+def assert_walk_matches_the_literal_scan(chain, n):
+    # Under a broken join a range raises once it holds a maxitive table the
+    # patch makes non-monotone; halves, quarters and sixteenths keep long
+    # ranges that hold none.
+    total = table_count(chain, n)
+    cuts = [(0, total), (0, 1), (total // 3, total - 7), (total - 1, total)]
+    for parts in (2, 4, 16):
+        cuts += [(total * s // parts, total * (s + 1) // parts) for s in range(parts)]
+    for lo, hi in cuts:
+        args = (chain.values, n, lo, hi)
+        walked = shard_outcome(census._census_shard, args)
+        assert walked == shard_outcome(oracle_census_shard, args), (lo, hi)
+
+
+@pytest.mark.parametrize("m, n", list(GRIDS))
+def test_census_walk_matches_the_literal_scan(m, n):
+    # Whole shard results: the tally, the kept witnesses and the first
+    # monotone-only table, over full ranges and odd cuts.
+    assert_walk_matches_the_literal_scan(GRIDS[m, n], n)
+
+
+@pytest.mark.parametrize(
+    "patch, m, n",
+    [("reversed_non_comonotone_pair", 3, 2)]
+    + [("broken_comonotone_join", m, n) for m, n in GRIDS],
+)
+def test_census_walk_matches_the_literal_scan_on_patched_relations(patch, m, n, request):
+    # Both patches add a check whose largest index is not its last entry
+    # (a reversed pair j > i, a join k < j): the walk must still make it
+    # only once every entry it reads is set.  Only the three-chain on two
+    # points has an ordered pair that is not comonotone.
+    request.getfixturevalue(patch)
+    assert_walk_matches_the_literal_scan(GRIDS[m, n], n)
+
+
+def test_census_walk_needs_no_recursion_on_a_thousand_positions():
+    # The two-point chain on 10 points: 1,024 entries per row, past the
+    # interpreter's default recursion limit.  The first and the last
+    # table are the constants 0 and 1, maxitive and monotone.
+    total = table_count(CHAIN2, 10)
+    for lo in (0, total - 1):
+        result = census._census_shard((CHAIN2.values, 10, lo, lo + 1))
+        assert result["classes"] == {(True, True): 1}, lo
+
+
+def test_census_of_the_four_chain_on_two_points():
+    # 4 ** 16 tables, far past a walk of every row; pruning visits few of them.
+    report = functional_census(CHAIN4, 2, budget=4**16)
+    assert report.status == "pass"
+    assert report.counts == {
+        "total": 4_294_967_296,
+        "comonotone_maxitive": 2_506,
+        "monotone": 24_696,
+        "maxitive_not_monotone": 0,
+        "monotone_not_maxitive": 22_190,
+    }
+    assert report.counts["monotone"] == macmahon_box(4, 4, 3)

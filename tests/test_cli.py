@@ -322,6 +322,7 @@ def test_unreadable_function_file_exits_2_with_one_line(tmp_path, make_bad, reas
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), result.stderr
     assert reason in lines[0]
+    assert lines[0].count(str(bad)) == 1, result.stderr
 
 
 def test_census_report_and_exit_zero(tmp_path):

@@ -70,9 +70,10 @@ def test_relations_build_no_grid_fn_beyond_the_domain(monkeypatch):
 
 
 def assert_checkers_agree(functional, chain, n, rel):
-    values = grid_table(functional, rel)
-    assert is_comonotone_maxitive(values, rel) == oracle_comonotone_maxitive(functional, chain, n)
-    assert is_monotone(values, rel) == oracle_monotone(functional, chain, n)
+    values, scale = grid_table(functional, rel)
+    got = is_comonotone_maxitive(values, scale, rel)
+    assert got == oracle_comonotone_maxitive(functional, chain, n)
+    assert is_monotone(values, scale, rel) == oracle_monotone(functional, chain, n)
 
 
 def test_checkers_match_oracle_on_every_two_chain_table():
@@ -114,10 +115,9 @@ def test_checkers_match_oracle_on_every_capacity_integral(n, norm):
         # Memoized only to keep the oracle's repeated evaluations cheap.
         functional = cache(partial(tnorm_integral, cap, norm))
         assert_checkers_agree(functional, CHAIN3, n, rel)
-        values, inputs, cases = homogeneity_table(functional, norm, CHAIN3, n)
-        assert is_scale_homogeneous(values, norm, inputs, cases) == oracle_scale_homogeneous(
-            functional, norm, CHAIN3, n
-        )
+        values, scale, inputs, cases = homogeneity_table(functional, norm, CHAIN3, n)
+        got = is_scale_homogeneous(values, scale, norm, inputs, cases)
+        assert got == oracle_scale_homogeneous(functional, norm, CHAIN3, n)
 
 
 def square_first(f: GridFn) -> Fraction:
@@ -133,6 +133,6 @@ def capped_first(f: GridFn) -> Fraction:
 @pytest.mark.parametrize("seed", [0, 3])
 def test_homogeneity_matches_oracle(functional, norm, seed):
     for chain in (CHAIN3, CHAIN4):
-        values, inputs, cases = homogeneity_table(functional, norm, chain, 2, seed)
-        got = is_scale_homogeneous(values, norm, inputs, cases)
+        values, scale, inputs, cases = homogeneity_table(functional, norm, chain, 2, seed)
+        got = is_scale_homogeneous(values, scale, norm, inputs, cases)
         assert got == oracle_scale_homogeneous(functional, norm, chain, 2, seed=seed)

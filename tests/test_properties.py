@@ -34,11 +34,11 @@ def first_coord(f: GridFn) -> Fraction:
 
 
 def test_normalized_examples():
-    assert is_normalized(grid_table(first_coord, REL3), REL3)
-    assert not is_normalized(grid_table(lambda f: F(0), REL3), REL3)
+    assert is_normalized(*grid_table(first_coord, REL3), REL3)
+    assert not is_normalized(*grid_table(lambda f: F(0), REL3), REL3)
     cap = uniform(2)
     integral = grid_table(lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), REL3)
-    assert is_normalized(integral, REL3)
+    assert is_normalized(*integral, REL3)
 
 
 def test_normalized_checks_the_zero_function():
@@ -46,17 +46,17 @@ def test_normalized_checks_the_zero_function():
     # that is wrong there alone tells whether the checker reads that constant.
     zero = REL3.constants[0]
     assert set(REL3.domain[zero].values) == {0}
-    values = grid_table(first_coord, REL3)
-    values[zero] = F(1, 2)
-    assert not is_normalized(values, REL3)
+    values, scale = grid_table(first_coord, REL3)
+    values[zero] = scale // 2  # 1/2
+    assert not is_normalized(values, scale, REL3)
 
 
 def test_maxitive_examples():
-    ok, _ = is_comonotone_maxitive(grid_table(first_coord, REL3), REL3)
+    ok, _ = is_comonotone_maxitive(*grid_table(first_coord, REL3), REL3)
     assert ok
     cap = uniform(2)
     integral = grid_table(lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), REL3)
-    ok, _ = is_comonotone_maxitive(integral, REL3)
+    ok, _ = is_comonotone_maxitive(*integral, REL3)
     assert ok
 
 
@@ -64,7 +64,7 @@ def test_min_functional_maxitive_but_not_join_preserving_everywhere():
     def min_coords(f: GridFn) -> Fraction:
         return min(f[0], f[1])
 
-    ok, _ = is_comonotone_maxitive(grid_table(min_coords, REL2), REL2)
+    ok, _ = is_comonotone_maxitive(*grid_table(min_coords, REL2), REL2)
     assert ok
     # The unrestricted identity fails on the one non-comonotone pair.
     f, g = GridFn((F(0), F(1))), GridFn((F(1), F(0)))
@@ -72,13 +72,13 @@ def test_min_functional_maxitive_but_not_join_preserving_everywhere():
 
 
 def test_monotone_examples():
-    ok, _ = is_monotone(grid_table(first_coord, REL3), REL3)
+    ok, _ = is_monotone(*grid_table(first_coord, REL3), REL3)
     assert ok
 
     def reversed_first(f: GridFn) -> Fraction:
         return 1 - f[0]
 
-    ok, witness = is_monotone(grid_table(reversed_first, REL2), REL2)
+    ok, witness = is_monotone(*grid_table(reversed_first, REL2), REL2)
     assert not ok
     assert witness["f"] == {"values": ["0", "0"]}
     assert witness["g"] == {"values": ["1", "0"]}
@@ -93,25 +93,25 @@ def test_chain_closure():
 
 def test_homogeneity_examples():
     for norm in TNorm:
-        values, inputs, cases = homogeneity_table(first_coord, norm, CHAIN3, 2)
-        ok, _ = is_scale_homogeneous(values, norm, inputs, cases)
+        values, scale, inputs, cases = homogeneity_table(first_coord, norm, CHAIN3, 2)
+        ok, _ = is_scale_homogeneous(values, scale, norm, inputs, cases)
         assert ok
 
 
 def test_integral_homogeneous_for_every_norm():
     cap = uniform(2)
     for norm in TNorm:
-        values, inputs, cases = homogeneity_table(
+        values, scale, inputs, cases = homogeneity_table(
             lambda f, _n=norm: tnorm_integral(cap, _n, f), norm, CHAIN3, 2, seed=7
         )
-        ok, witness = is_scale_homogeneous(values, norm, inputs, cases)
+        ok, witness = is_scale_homogeneous(values, scale, norm, inputs, cases)
         assert ok, witness
 
     def square_first(f: GridFn) -> Fraction:
         return f[0] * f[0]
 
-    values, inputs, cases = homogeneity_table(square_first, TNorm.PRODUCT, CHAIN3, 2, seed=1)
-    ok, witness = is_scale_homogeneous(values, TNorm.PRODUCT, inputs, cases)
+    values, scale, inputs, cases = homogeneity_table(square_first, TNorm.PRODUCT, CHAIN3, 2, seed=1)
+    ok, witness = is_scale_homogeneous(values, scale, TNorm.PRODUCT, inputs, cases)
     assert not ok
     # Re-verify the reported witness by direct algebra.
     c = Fraction(witness["c"])
