@@ -34,7 +34,7 @@ from .tnorms import TNorm, axiom_check_count, check_axioms
 # files; argparse refuses any other.
 FLAGS = {
     "verify-counterexample": ("seed", "samples", "prefix_max", "grid", "budget", "jobs"),
-    "finite-census": ("seed", "grid", "n", "budget", "jobs"),
+    "finite-census": ("seed", "grid", "n", "budget"),
     "integral-properties": ("seed", "grid", "n", "budget"),
     "tnorm-axioms": ("seed", "grid", "budget"),
     "comonotone-check": ("seed",),
@@ -191,7 +191,7 @@ def _dispatch(args: argparse.Namespace, chain: Chain) -> VerificationReport:
             budget=args.budget,
         )
     if args.subcommand == "finite-census":
-        return functional_census(chain, args.n, args.budget, jobs=args.jobs)
+        return functional_census(chain, args.n, args.budget)
     if args.subcommand == "integral-properties":
         return integral_property_suite(
             chain,

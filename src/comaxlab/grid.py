@@ -128,13 +128,15 @@ def relations(chain: Chain, n: int) -> Relations:
     domain = tuple(all_functions(chain, n))
     index = {row: i for i, row in enumerate(product(range(len(chain)), repeat=n))}
     masks = [signs(row) for row in index]
-    pairs = [(i, j, a, b) for (a, i), (b, j) in combinations(index.items(), 2)]
-    joins = tuple(
-        (i, j, index[join(a, b)]) for i, j, a, b in pairs if comonotone(masks[i], masks[j])
-    )
-    # The domain is lexicographic over an increasing chain: f <= g, f != g puts f first.
-    order = tuple((i, j) for i, j, a, b in pairs if all(x <= y for x, y in zip(a, b)))
-    together = {(i, j) for i, j, _ in joins}
-    comonotone_order = tuple(p for p in order if p in together)
+    joins, order, comonotone_order = [], [], []
+    for (a, i), (b, j) in combinations(index.items(), 2):
+        together = comonotone(masks[i], masks[j])
+        if together:
+            joins.append((i, j, index[join(a, b)]))
+        # The domain is lexicographic over an increasing chain: f <= g, f != g puts f first.
+        if all(x <= y for x, y in zip(a, b)):
+            order.append((i, j))
+            if together:
+                comonotone_order.append((i, j))
     constants = tuple(index[(k,) * n] for k in range(len(chain)))
-    return Relations(domain, joins, order, comonotone_order, constants)
+    return Relations(domain, tuple(joins), tuple(order), tuple(comonotone_order), constants)

@@ -1,9 +1,10 @@
 """Deterministic fan-out of shard work across processes.
 
-Suites cut their work into one contiguous shard per worker, so shard
-bounds depend on the configuration and the usable CPUs.  The merge
-runs in shard order, never completion order, which keeps the report
-independent of both: jobs=4 gives exactly the report of jobs=1.
+The counterexample suite cuts its work into one contiguous shard per
+worker, so shard bounds depend on the configuration and the usable
+CPUs.  The merge runs in shard order, never completion order, which
+keeps the report independent of both: jobs=4 gives exactly the report
+of jobs=1.  The census hands its one walk to ``run_shards`` at one job.
 """
 
 from __future__ import annotations

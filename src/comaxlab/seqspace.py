@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .rational import check_unit, check_unit_interval, parse_rational
+from .rational import check_unit, check_unit_interval, over_lcm, parse_rational
 
 
 class PointKind(enum.Enum):
@@ -175,9 +175,7 @@ def make(
     intercept: Fraction,
 ) -> SeqFn:
     """Build a SeqFn, trimming head entries already implied by the tail."""
-    values = (iso, *head, slope, intercept)
-    den = math.lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (den // v.denominator) for v in values]
+    nums, den = over_lcm((iso, *head, slope, intercept))
     return _reduced(den, nums[0], nums[1:-2], nums[-2], nums[-1])
 
 

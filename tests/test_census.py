@@ -1,5 +1,4 @@
 import hashlib
-import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -131,36 +130,10 @@ def test_census_sampled_cross_check_on_three_chain():
     assert seen == {(True, True), (False, False), (False, True)}
 
 
-def test_census_jobs_deterministic():
-    sequential = functional_census(CHAIN3, 2, jobs=1).to_dict()
-    for jobs in (2, 3, 5):
-        assert functional_census(CHAIN3, 2, jobs=jobs).to_dict() == sequential, jobs
-
-
-def test_census_merges_many_shards(monkeypatch, pool_sizes):
-    # The inline pool merges one shard per job on a host of any size.
-    sequential = functional_census(CHAIN3, 2, jobs=1).to_dict()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(200)), raising=False)
-    for jobs in (3, 5, 200):
-        assert functional_census(CHAIN3, 2, jobs=jobs).to_dict() == sequential, jobs
-    assert pool_sizes == [3, 5, 200]
-
-
-def test_jobs_above_the_cpus_build_the_relations_once_per_worker(monkeypatch, pool_sizes):
-    # Jobs beyond the usable CPUs add no shard, so each worker builds the relations once.
-    sequential = functional_census(CHAIN3, 2, jobs=1).to_json()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    built = []
-    real = census.relations
-    monkeypatch.setattr(census, "relations", lambda *a: built.append(a) or real(*a))
-    assert functional_census(CHAIN3, 2, jobs=200).to_json() == sequential
-    assert 1 <= len(built) <= 2
-    assert pool_sizes == [2]
-
-
 # The census of CHAIN3, n = 2 once the first ordered pair that is not
 # comonotone is ordered both ways: 71 maxitive tables are then not
-# monotone.  Taken before any change to the merge of shard witnesses.
+# monotone.  Pinned while the census still merged the witnesses of
+# several shards; its one walk gives the same bytes.
 FORCED_FINDING_DIGEST = "65f586888b53bddbf39125ea40c11fb7d21aedf2ecb9c5f156bb987b240eaba5"
 
 
@@ -178,23 +151,11 @@ def reversed_non_comonotone_pair(monkeypatch):
     monkeypatch.setattr(census, "relations", patched)
 
 
-@pytest.mark.parametrize("jobs, sources", [(1, [5]), (3, [5]), (200, [3, 2]), (1000, [2, 1, 2])])
+@pytest.mark.parametrize("pieces, sources", [(1, [5]), (3, [5]), (200, [3, 2]), (1000, [2, 1, 2])])
 def test_census_finding_merges_capped_witnesses_across_shards(
-    jobs, sources, reversed_non_comonotone_pair, pool_sizes, monkeypatch
+    pieces, sources, reversed_non_comonotone_pair
 ):
-    # The inline pool keeps every shard in this process, under the patch,
-    # and a thousand usable CPUs give one shard per job.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
-    kept = []
-    shard = census._census_shard
-
-    def recording(args):
-        result = shard(args)
-        kept.append(len(result["bad_maxitive"]))
-        return result
-
-    monkeypatch.setattr(census, "_census_shard", recording)
-    report = functional_census(CHAIN3, 2, jobs=jobs)
+    report = functional_census(CHAIN3, 2)
     assert report.status == "finding"
     assert report.counts == {
         "total": 19_683,
@@ -203,18 +164,26 @@ def test_census_finding_merges_capped_witnesses_across_shards(
         "maxitive_not_monotone": 71,
         "monotone_not_maxitive": 8,
     }
+    # The first WITNESS_CAP of the 71, then the first monotone-only table.
     assert len(report.witnesses) == 6
     assert [w["kind"] for w in report.witnesses] == ["maxitive_not_monotone"] * 5 + [
         "monotone_not_maxitive"
     ]
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == FORCED_FINDING_DIGEST
-    # How many of the five kept tables each shard gives, in shard order.
-    taken = []
-    for count in kept:
-        take = min(count, census.WITNESS_CAP - sum(taken))
+    # The one walk keeps the witnesses that the walks of `pieces` balanced
+    # contiguous ranges give when their capped lists are joined in range
+    # order; `sources` is how many of the five each range gives.
+    base, extra = divmod(19_683, pieces)
+    cuts = [i * base + min(i, extra) for i in range(pieces + 1)]
+    joined, taken = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        found = census._census_shard((CHAIN3.values, 2, lo, hi))["bad_maxitive"]
+        take = found[: census.WITNESS_CAP - len(joined)]
         if take:
-            taken.append(take)
+            joined += take
+            taken.append(len(take))
     assert taken == sources
+    assert joined == report.witnesses[:5]
 
 
 def test_census_refuses_a_maxitive_table_not_monotone_on_a_comonotone_ordered_pair(

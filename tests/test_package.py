@@ -64,7 +64,7 @@ def test_import_cli_loads_no_process_pool():
 # The flags each subcommand's --help lists besides --output: its row of the flag table.
 HELP_FLAGS = {
     "verify-counterexample": {"--seed", "--samples", "--prefix-max", "--grid", "--budget", "--jobs"},
-    "finite-census": {"--seed", "--grid", "--n", "--budget", "--jobs"},
+    "finite-census": {"--seed", "--grid", "--n", "--budget"},
     "integral-properties": {"--seed", "--grid", "--n", "--budget", "--norm"},
     "tnorm-axioms": {"--seed", "--grid", "--budget"},
     "comonotone-check": {"--seed"},
