@@ -3,8 +3,9 @@
 A capacity assigns a rational weight to every subset of ``{0..n-1}``,
 with value 0 on the empty set, 1 on the whole space, and weights that
 never decrease when a set grows; ``enumerate_capacities`` backtracks
-through only those.  Reports write capacities, never read them, with
-subsets as strings of sorted single-digit indices ("" for the empty set,
+through only those.  A ``Capacity`` keeps its weights as integer
+numerators over their lcm.  Reports write capacities, never read them,
+with subsets as strings of sorted single-digit indices ("" for the empty set,
 "01" for {0,1}), which keeps the format unambiguous up to n = 10 points.
 """
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterator
 
-from .rational import ONE, ZERO, check_unit_interval, over_lcm
+from .rational import ONE, ZERO, check_unit, over_lcm
 
 _MAX_JSON_POINTS = 10
 
@@ -28,51 +29,50 @@ def _subset_key(subset: frozenset[int]) -> str:
     return "".join(str(i) for i in sorted(subset))
 
 
-def _first_drop(n: int, mu: dict[frozenset[int], Fraction]) -> tuple[frozenset[int], int] | None:
-    """The first ``(subset, point)`` whose extension lowers ``mu``; None means monotone."""
-    for subset, value in mu.items():
+def _first_drop(n: int, nums: dict[frozenset[int], int]) -> tuple[frozenset[int], int] | None:
+    """The first ``(subset, point)`` whose extension lowers ``nums``; None means monotone."""
+    for subset, value in nums.items():
         for i in range(n):
-            if i not in subset and value > mu[subset | {i}]:
+            if i not in subset and value > nums[subset | {i}]:
                 return subset, i
     return None
 
 
 class Capacity:
-    """A monotone set function, mu(empty) = 0, mu(all) = 1; also ``nums`` over the lcm ``den``."""
+    """A monotone set function, mu(empty) = 0, mu(all) = 1, as ``nums`` over their lcm ``den``."""
 
     def __init__(self, n: int, mu: dict[frozenset[int], Fraction]):
         if n < 1:
             raise ValueError("capacity needs at least one point")
         self.n = n
-        self._mu = dict(mu)
+        nums, self.den = over_lcm(mu.values())
+        self.nums = dict(zip(mu, nums))
         self._validate()
-        nums, self.den = over_lcm(self._mu.values())
-        self.nums = dict(zip(self._mu, nums))
 
     def _validate(self) -> None:
         full = frozenset(range(self.n))
         expected = 1 << self.n
-        if len(self._mu) != expected:
+        if len(self.nums) != expected:
             raise ValueError(f"capacity table must cover all {expected} subsets")
-        for subset, value in self._mu.items():
+        for subset, num in self.nums.items():
             if not subset <= full:
                 raise ValueError(f"subset {_subset_key(subset)!r} outside the space")
-            check_unit_interval(value, f"mu({_subset_key(subset)!r})")
-        if self._mu[frozenset()] != ZERO:
+            check_unit(num, self.den, f"mu({_subset_key(subset)!r})")
+        if self.nums[frozenset()] != 0:
             raise ValueError("mu(empty set) must be 0")
-        if self._mu[full] != ONE:
+        if self.nums[full] != self.den:
             raise ValueError("mu(full set) must be 1")
-        if drop := _first_drop(self.n, self._mu):
+        if drop := _first_drop(self.n, self.nums):
             subset, i = drop
             bigger = subset | {i}
             raise ValueError(
                 "monotonicity violation: "
-                f"mu({_subset_key(subset)!r}) = {self._mu[subset]} > "
-                f"{self._mu[bigger]} = mu({_subset_key(bigger)!r})"
+                f"mu({_subset_key(subset)!r}) = {self(subset)} > "
+                f"{self(bigger)} = mu({_subset_key(bigger)!r})"
             )
 
     def __call__(self, subset: frozenset[int]) -> Fraction:
-        return self._mu[subset]
+        return Fraction(self.nums[subset], self.den)
 
     def __repr__(self) -> str:
         return f"Capacity(n={self.n})"
@@ -82,7 +82,7 @@ class Capacity:
             raise ValueError("subset-string encoding supports at most 10 points")
         return {
             "n": self.n,
-            "mu": {_subset_key(s): str(v) for s, v in self._mu.items()},
+            "mu": {_subset_key(s): str(self(s)) for s in self.nums},
         }
 
 

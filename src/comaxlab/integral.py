@@ -6,26 +6,22 @@ level set {f >= t} only changes at values of f, the sweep reduces to
 the finite threshold set ``values(f) + {0, 1}`` with no loss: between
 consecutive values the level set is fixed and ``t * mu`` is monotone
 in t.  With the minimum norm this is the classical Sugeno integral.
-The sweep runs on integers over ``f.den * cap.den``; only the maximum
-becomes a Fraction, and ``properties.integral_property_suite`` puts a
-capacity's whole table of them over the lcm of their denominators for
-its checkers.  Each ``GridFn`` derives its thresholds and their level
-sets once, when it is built, so every capacity reads the same ones.
+The sweep runs on integers and returns the largest numerator over
+``f.den * cap.den``, as ``tnorms.apply_scaled`` does.  Each ``GridFn``
+derives its thresholds and their level sets once, when it is built, so
+every capacity reads the same ones.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .capacity import Capacity
 from .grid import GridFn
 from .tnorms import TNorm, apply_scaled
 
 
-def tnorm_integral(cap: Capacity, norm: TNorm, f: GridFn) -> Fraction:
-    """Exact integral value; with norm = MINIMUM this is the Sugeno integral."""
+def tnorm_integral(cap: Capacity, norm: TNorm, f: GridFn) -> int:
+    """The integral's numerator over ``f.den * cap.den``; with MINIMUM, the Sugeno integral."""
     if len(f) != cap.n:
         raise ValueError(f"function on {len(f)} points vs capacity on {cap.n}")
     den, mu = cap.den, cap.nums
-    best = max(apply_scaled(norm, t, f.den, mu[level], den) for t, level in f.levels)
-    return Fraction(best, f.den * den)
+    return max(apply_scaled(norm, t, f.den, mu[level], den) for t, level in f.levels)

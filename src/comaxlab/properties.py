@@ -8,15 +8,17 @@ Fraction is built only for a witness.  Only ``join_break`` and
 ``order_break`` decide maxitivity and monotonicity; the census runs
 them on its rows of chain indices too.  ``integral_property_suite``
 bundles the four checks for the t-normed integral across every chain
-capacity: it builds the relations and the homogeneity cases once,
-tabulates the integral once per capacity on the inputs of
-``_homogeneity_cases`` (the grid domain first), puts that table over
-the lcm of its denominators, hands all four checkers what they read,
-and counts each property's failures as its witnesses.
+capacity: it builds the relations, the homogeneity cases and the lcm
+``common`` of their inputs' denominators once, tabulates the integral
+once per capacity on those inputs (the grid domain first) as numerators
+over ``common * cap.den``, hands all four checkers what they read, and
+counts each property's failures as its witnesses.  The checkers
+cross-multiply and reduce witnesses, so any common scale will do.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,7 +27,7 @@ from functools import partial
 from .capacity import enumerate_capacities
 from .grid import Chain, GridFn, Relations, relations
 from .integral import tnorm_integral
-from .rational import over_lcm, random_unit_rational
+from .rational import random_unit_rational
 from .report import FAIL, PASS, VerificationReport
 from .tnorms import TNorm, apply, apply_scaled
 
@@ -213,11 +215,13 @@ def integral_property_suite(
 
     rel = relations(chain, n)
     inputs, cases = _homogeneity_cases(norm, chain, rel.domain, seed)
+    common = math.lcm(*(f.den for f in inputs))
     capacities = 0
     witnesses: list[dict] = []
     for cap in enumerate_capacities(chain.values, n):
         capacities += 1
-        values, scale = over_lcm([tnorm_integral(cap, norm, f) for f in inputs])
+        values = [tnorm_integral(cap, norm, f) * (common // f.den) for f in inputs]
+        scale = common * cap.den
         checks = {
             "normalized": (is_normalized(values, scale, rel), None),
             "comonotone_maxitivity": is_comonotone_maxitive(values, scale, rel),

@@ -6,10 +6,12 @@ relations, no index lists, no caching.  The differential tests hold
 the checkers of ``comaxlab.properties`` to these: same verdict, same
 witness.  ``fraction_integral`` is the t-normed integral swept on
 Fractions, and ``oracle_check_axioms`` the axiom checker that calls the
-operation anew for every check; the integer integral and the tabled
-checker of ``comaxlab.tnorms`` are held to them.  The oracles reach the
-norms through ``fraction_apply``, the three formulas on Fractions, which
-``tnorms.apply`` and ``tnorms.apply_scaled`` are held to in turn.
+operation anew for every check; the integer integral, read through
+``integral_value`` as its numerator over its denominator, and the
+tabled checker of ``comaxlab.tnorms`` are held to them.  The oracles
+reach the norms through ``fraction_apply``, the three formulas on
+Fractions, which ``tnorms.apply`` and ``tnorms.apply_scaled`` are held
+to in turn.
 ``comonotone``, ``join`` and ``leq`` decide the pair relations on
 ``GridFn`` values by their definitions, for the oracles and the test of
 ``grid.relations``; ``walk_capacities`` is the product-and-filter
@@ -38,6 +40,7 @@ from comaxlab import census
 from comaxlab.capacity import Capacity, subsets
 from comaxlab.census import WITNESS_CAP, table_count
 from comaxlab.grid import Chain, GridFn, all_functions, relations
+from comaxlab.integral import tnorm_integral
 from comaxlab.properties import (
     BudgetExceededError,
     _homogeneity_cases,
@@ -276,6 +279,11 @@ def fraction_integral(cap, norm, f):
         if value > best:
             best = value
     return best
+
+
+def integral_value(cap, norm, f):
+    """The value of ``tnorm_integral``: its numerator over ``f.den * cap.den``, as a Fraction."""
+    return Fraction(tnorm_integral(cap, norm, f), f.den * cap.den)
 
 
 def oracle_check_axioms(op, grid):

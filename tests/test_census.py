@@ -187,21 +187,10 @@ def test_census_finding_merges_capped_witnesses_across_shards(
 
 
 def test_census_refuses_a_maxitive_table_not_monotone_on_a_comonotone_ordered_pair(
-    monkeypatch,
+    broken_comonotone_join,
 ):
     # Maxitivity forces monotonicity along comonotone ordered pairs; a
     # join table that breaks that can only come from broken relations.
-    real = census.relations
-
-    def patched(chain, n):
-        rel = real(chain, n)
-        lower, upper = rel.comonotone_order[0]
-        joins = tuple(
-            (i, j, lower if (i, j) == (lower, upper) else k) for i, j, k in rel.joins
-        )
-        return replace(rel, joins=joins)
-
-    monkeypatch.setattr(census, "relations", patched)
     with pytest.raises(
         AssertionError, match="^maxitive table not monotone on a comonotone ordered pair$"
     ):

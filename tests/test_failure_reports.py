@@ -39,12 +39,13 @@ def wrong_membership(f):
 
 
 def wrong_integral(cap, norm, f):
-    """The integral, reversed when mu({0}) = 1/2 and squared when mu({0}) = 1."""
-    value = tnorm_integral(cap, norm, f)
+    """The integral's numerator over ``f.den * cap.den``, for a value reversed when
+    mu({0}) = 1/2 and squared when mu({0}) = 1: a squared value's numerator is a Fraction."""
+    num, den = tnorm_integral(cap, norm, f), f.den * cap.den
     low = cap(frozenset({0}))
     if low == F(1, 2):
-        return 1 - value
-    return value * value if low == 1 else value
+        return den - num
+    return F(num * num, den) if low == 1 else num
 
 
 def broken_apply(norm, s, t):

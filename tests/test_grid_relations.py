@@ -8,7 +8,6 @@ import pytest
 
 from comaxlab.capacity import enumerate_capacities
 from comaxlab.grid import Chain, GridFn, all_functions, relations
-from comaxlab.integral import tnorm_integral
 from comaxlab.properties import is_comonotone_maxitive, is_monotone, is_scale_homogeneous
 from comaxlab.tnorms import TNorm
 
@@ -19,6 +18,7 @@ from grid_oracles import (
     enumerate_functionals,
     grid_table,
     homogeneity_table,
+    integral_value,
     join,
     leq,
     oracle_comonotone_maxitive,
@@ -94,7 +94,7 @@ def seeded_tables(chain, n, seed, count):
     for _ in range(count):
         yield TabulatedFunctional(chain, n, domain, tuple(rng.choice(chain.values) for _ in domain))
         cap, norm = rng.choice(caps), rng.choice([TNorm.MINIMUM, TNorm.LUKASIEWICZ])
-        row = [tnorm_integral(cap, norm, f) for f in domain]
+        row = [integral_value(cap, norm, f) for f in domain]
         yield TabulatedFunctional(chain, n, domain, tuple(row))
         row[rng.randrange(len(row))] = rng.choice(chain.values)
         yield TabulatedFunctional(chain, n, domain, tuple(row))
@@ -113,7 +113,7 @@ def test_checkers_match_oracle_on_every_capacity_integral(n, norm):
     rel = relations(CHAIN3, n)
     for cap in enumerate_capacities(CHAIN3.values, n):
         # Memoized only to keep the oracle's repeated evaluations cheap.
-        functional = cache(partial(tnorm_integral, cap, norm))
+        functional = cache(partial(integral_value, cap, norm))
         assert_checkers_agree(functional, CHAIN3, n, rel)
         values, scale, inputs, cases = homogeneity_table(functional, norm, CHAIN3, n)
         got = is_scale_homogeneous(values, scale, norm, inputs, cases)

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from comaxlab import properties
+from comaxlab.capacity import enumerate_capacities
 from comaxlab.grid import Chain, GridFn, relations
 from comaxlab.integral import tnorm_integral
 from comaxlab.properties import (
@@ -19,7 +21,14 @@ from comaxlab.properties import (
 )
 from comaxlab.tnorms import TNorm
 
-from grid_oracles import grid_table, homogeneity_table, join, satisfies_all_axioms, uniform
+from grid_oracles import (
+    grid_table,
+    homogeneity_table,
+    integral_value,
+    join,
+    satisfies_all_axioms,
+    uniform,
+)
 
 F = Fraction
 
@@ -37,7 +46,7 @@ def test_normalized_examples():
     assert is_normalized(*grid_table(first_coord, REL3), REL3)
     assert not is_normalized(*grid_table(lambda f: F(0), REL3), REL3)
     cap = uniform(2)
-    integral = grid_table(lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), REL3)
+    integral = grid_table(lambda f: integral_value(cap, TNorm.MINIMUM, f), REL3)
     assert is_normalized(*integral, REL3)
 
 
@@ -55,7 +64,7 @@ def test_maxitive_examples():
     ok, _ = is_comonotone_maxitive(*grid_table(first_coord, REL3), REL3)
     assert ok
     cap = uniform(2)
-    integral = grid_table(lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), REL3)
+    integral = grid_table(lambda f: integral_value(cap, TNorm.MINIMUM, f), REL3)
     ok, _ = is_comonotone_maxitive(*integral, REL3)
     assert ok
 
@@ -102,7 +111,7 @@ def test_integral_homogeneous_for_every_norm():
     cap = uniform(2)
     for norm in TNorm:
         values, scale, inputs, cases = homogeneity_table(
-            lambda f, _n=norm: tnorm_integral(cap, _n, f), norm, CHAIN3, 2, seed=7
+            lambda f, _n=norm: integral_value(cap, _n, f), norm, CHAIN3, 2, seed=7
         )
         ok, witness = is_scale_homogeneous(values, scale, norm, inputs, cases)
         assert ok, witness
@@ -122,7 +131,7 @@ def test_integral_homogeneous_for_every_norm():
 def test_axiom_bundle():
     cap = uniform(2)
     assert satisfies_all_axioms(
-        lambda f: tnorm_integral(cap, TNorm.MINIMUM, f), TNorm.MINIMUM, CHAIN3, 2
+        lambda f: integral_value(cap, TNorm.MINIMUM, f), TNorm.MINIMUM, CHAIN3, 2
     )
     assert satisfies_all_axioms(first_coord, TNorm.MINIMUM, CHAIN3, 2)
     assert not satisfies_all_axioms(lambda f: F(0), TNorm.MINIMUM, CHAIN3, 2)
@@ -132,6 +141,32 @@ def test_integral_property_suite_passes():
     report = integral_property_suite(CHAIN3, 2, TNorm.MINIMUM)
     assert report.status == "pass"
     assert report.counts["capacities"] == 9
+
+
+@pytest.mark.parametrize("norm", list(TNorm), ids=lambda t: t.value)
+def test_checkers_read_a_table_alike_at_every_multiple_of_its_scale(norm):
+    # The suite puts a capacity's table over common * cap.den, a multiple of
+    # its least scale.  The integral passes every check; the reversed and the
+    # squared integral give witnesses too.
+    def verdicts(values, scale, inputs, cases):
+        return (
+            is_normalized(values, scale, REL3),
+            is_comonotone_maxitive(values, scale, REL3),
+            is_monotone(values, scale, REL3),
+            is_scale_homogeneous(values, scale, norm, inputs, cases),
+        )
+
+    failed = 0
+    for cap in enumerate_capacities(CHAIN3.values, 2):
+        value = partial(integral_value, cap, norm)
+        for functional in (value, lambda f: 1 - value(f), lambda f: value(f) ** 2):
+            values, scale, inputs, cases = homogeneity_table(functional, norm, CHAIN3, 2)
+            expected = verdicts(values, scale, inputs, cases)
+            failed += expected != (True, (True, None), (True, None), (True, None))
+            for k in (2, 3, 7):
+                scaled = [k * v for v in values]
+                assert verdicts(scaled, k * scale, inputs, cases) == expected, (cap.to_json(), k)
+    assert failed > 0
 
 
 @pytest.mark.parametrize("norm, calls", [(TNorm.MINIMUM, 3_483), (TNorm.PRODUCT, 36_765)])
