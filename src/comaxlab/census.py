@@ -29,9 +29,9 @@ from fractions import Fraction
 
 from .grid import Chain, Relations, relations
 from .parallel import run_shards
-from .properties import capped_power, check_budget, join_break, join_witness, order_break
+from .properties import join_break, join_witness, order_break
 from .rational import over_lcm
-from .report import FINDING, PASS, VerificationReport
+from .report import FINDING, PASS, VerificationReport, capped_power, check_budget
 
 
 WITNESS_CAP = 5  # maxitive-but-not-monotone tables kept, the first in row order

@@ -2,12 +2,13 @@
 
 Every subcommand runs one suite and serializes one JSON report; stdout
 (or the --output file) receives exactly the report, so scripts can
-assert on the file instead of scraping text.  Every report, a budget
-refusal too, gets its ``seed`` and ``config_echo`` from the flags here.
-Exit codes: 0 when no check failed, 1 when the report status is
-``fail``, 2 for malformed input, bad flags, an unwritable --output, or a
-refused enumeration budget.  Every exit-2 path but argparse's usage
-error raises one ``InputError``, which ``main`` prints as one line.
+assert on the file instead of scraping text.  Every report, the refusal
+a suite's ``BudgetExceededError`` builds too, gets its ``seed`` and
+``config_echo`` from the flags here.  Exit codes: 0 when no check
+failed, 1 when the report status is ``fail``, 2 for malformed input,
+bad flags, an unwritable --output, or a refused enumeration budget.
+Every exit-2 path but argparse's usage error raises one ``InputError``,
+which ``main`` prints as one line.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from typing import Any, NoReturn, Sequence
 
 from .census import functional_census
 from .grid import Chain
-from .properties import BudgetExceededError, check_budget, integral_property_suite
+from .properties import integral_property_suite
 from .rational import RationalFormatError, parse_grid
-from .report import FAIL, INCONCLUSIVE, PASS, FINDING, VerificationReport
+from .report import FAIL, FINDING, PASS, BudgetExceededError, VerificationReport
 from .seq_comonotone import comonotone_witness, defining_product
 from .seqspace import SeqFn
 from .suites import counterexample_suite, normalized_search
-from .tnorms import TNorm, axiom_check_count, check_axioms
+from .tnorms import TNorm, axiom_suite
 
 # The flags each subcommand takes, besides --output, --norm and the
 # files; argparse refuses any other.
@@ -131,22 +132,6 @@ def _chain_from_args(args: argparse.Namespace) -> Chain:
         raise InputError(str(exc)) from exc
 
 
-def _run_tnorm_axioms(chain: Chain, budget: int) -> VerificationReport:
-    check_budget(axiom_check_count(len(chain)), budget, "t-norm axiom checks")
-    counts = {"grid_size": len(chain)}
-    witnesses = []
-    for norm in TNorm:
-        norm_counts, norm_witnesses = check_axioms(norm, chain.values)
-        counts.update((f"{norm.value}_{key}", value) for key, value in norm_counts.items())
-        witnesses.extend({"norm": norm.value, **w} for w in norm_witnesses)
-    return VerificationReport(
-        claim_id="tnorm-axioms",
-        status=FAIL if witnesses else PASS,
-        counts=counts,
-        witnesses=witnesses,
-    )
-
-
 def _run_comonotone_check(files: Sequence[str]) -> VerificationReport:
     if len(files) < 2:
         raise InputError("comonotone-check needs at least two function files")
@@ -201,7 +186,7 @@ def _dispatch(args: argparse.Namespace, chain: Chain) -> VerificationReport:
             seed=args.seed,
         )
     if args.subcommand == "tnorm-axioms":
-        return _run_tnorm_axioms(chain, args.budget)
+        return axiom_suite(chain.values, args.budget)
     if args.subcommand == "comonotone-check":
         return _run_comonotone_check(args.files)
     return normalized_search(
@@ -249,13 +234,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             report = _dispatch(args, chain)
         except BudgetExceededError as exc:
-            refusal = VerificationReport(
-                claim_id=args.subcommand,
-                status=INCONCLUSIVE,
-                counts=exc.counts,
-                witnesses=[{"kind": "budget_refusal", "what": exc.what}],
-            )
-            _emit(refusal, args, chain)
+            _emit(exc.refusal(args.subcommand), args, chain)
             raise InputError(str(exc)) from exc
         _emit(report, args, chain)
     except InputError as exc:

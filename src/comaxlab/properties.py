@@ -8,10 +8,11 @@ Fraction is built only for a witness.  Only ``join_break`` and
 ``order_break`` decide maxitivity and monotonicity; the census runs
 them on its rows of chain indices too.  ``integral_property_suite``
 bundles the four checks for the t-normed integral across every chain
-capacity: it builds the relations, the homogeneity cases and the lcm
-``common`` of their inputs' denominators once, tabulates the integral
-once per capacity on those inputs (the grid domain first) as numerators
-over ``common * cap.den``, hands all four checkers what they read, and
+capacity, refused over budget by ``report.check_budget``: it builds the
+relations, the homogeneity cases and the lcm ``common`` of their
+inputs' denominators once, tabulates the integral once per capacity on
+those inputs (the grid domain first) as numerators over
+``common * cap.den``, hands all four checkers what they read, and
 counts each property's failures as its witnesses.  The checkers
 cross-multiply and reduce witnesses, so any common scale will do.
 """
@@ -28,51 +29,10 @@ from .capacity import enumerate_capacities
 from .grid import Chain, GridFn, Relations, relations
 from .integral import tnorm_integral
 from .rational import random_unit_rational
-from .report import FAIL, PASS, VerificationReport
+from .report import FAIL, PASS, VerificationReport, capped_power, check_budget
 from .tnorms import TNorm, apply, apply_scaled
 
 Witness = dict
-
-
-COUNT_DIGITS = 4300
-_COUNT_CAP = 10**COUNT_DIGITS
-
-
-def capped_power(base: int, exponent: int) -> int:
-    """``base ** exponent`` for ``base >= 2``, saturating at ``10**COUNT_DIGITS``.
-
-    The exact product stops at the cap: Python will not print a longer
-    integer.  A count built from a saturated power is only known to be
-    at least the cap, and ``check_budget`` refuses it without the count.
-    """
-    power = 1
-    for _ in range(exponent):
-        power *= base
-        if power >= _COUNT_CAP:
-            return _COUNT_CAP
-    return power
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration over budget; ``counts`` holds the refusal report's counts."""
-
-    def __init__(self, required: int | None, budget: int, what: str):
-        needs = f"more than 10**{COUNT_DIGITS}" if required is None else required
-        allowed = budget if budget < _COUNT_CAP else f"10**{COUNT_DIGITS} or more"
-        super().__init__(f"{what} needs {needs} items, over the budget of {allowed}")
-        self.what = what
-        if required is None:
-            self.counts = {"required_digits_over": COUNT_DIGITS, "budget": budget}
-        else:
-            self.counts = {"required": required, "budget": budget}
-
-
-def check_budget(required: int, budget: int, what: str) -> None:
-    """Refuse a count over the budget; one at or past the cap, without the count."""
-    if required >= _COUNT_CAP:
-        raise BudgetExceededError(None, budget, what)
-    if required > budget:
-        raise BudgetExceededError(required, budget, what)
 
 
 def join_break(values: list, joins: tuple) -> tuple[int, int, int] | None:

@@ -7,6 +7,10 @@ as ``"p/q"`` strings, trailing newline.  Suites hand over plain
 Fractions; only ``to_json`` writes them, and it refuses floats and any
 other value ``json`` cannot write exactly.  Reports never carry
 wall-clock or host data.
+
+The budget contract lives here too: every enumerating suite counts its
+work (``capped_power``) and calls ``check_budget`` before running, and
+the ``BudgetExceededError`` it raises builds the refusal report.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ FINDING = "finding"
 INCONCLUSIVE = "inconclusive"
 
 _STATUSES = (PASS, FAIL, FINDING, INCONCLUSIVE)
+
+COUNT_DIGITS = 4300
+_COUNT_CAP = 10**COUNT_DIGITS
 
 
 @dataclass
@@ -75,3 +82,45 @@ def _exact(value: Any) -> Any:
     if value is None or isinstance(value, (str, int)):
         return value
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+
+
+def capped_power(base: int, exponent: int) -> int:
+    """``base ** exponent`` for ``base >= 2``, saturating at ``10**COUNT_DIGITS``.
+
+    The exact product stops at the cap: Python will not print a longer
+    integer.  A count built from a saturated power is only known to be
+    at least the cap, and ``check_budget`` refuses it without the count.
+    """
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power >= _COUNT_CAP:
+            return _COUNT_CAP
+    return power
+
+
+class BudgetExceededError(RuntimeError):
+    """An enumeration over budget; ``counts`` holds the refusal report's counts."""
+
+    def __init__(self, required: int | None, budget: int, what: str):
+        needs = f"more than 10**{COUNT_DIGITS}" if required is None else required
+        allowed = budget if budget < _COUNT_CAP else f"10**{COUNT_DIGITS} or more"
+        super().__init__(f"{what} needs {needs} items, over the budget of {allowed}")
+        self.what = what
+        if required is None:
+            self.counts = {"required_digits_over": COUNT_DIGITS, "budget": budget}
+        else:
+            self.counts = {"required": required, "budget": budget}
+
+    def refusal(self, claim_id: str) -> VerificationReport:
+        """The ``inconclusive`` report of this refusal, with one ``budget_refusal`` witness."""
+        witness = {"kind": "budget_refusal", "what": self.what}
+        return VerificationReport(claim_id, INCONCLUSIVE, self.counts, [witness])
+
+
+def check_budget(required: int, budget: int, what: str) -> None:
+    """Refuse a count over the budget; one at or past the cap, without the count."""
+    if required >= _COUNT_CAP:
+        raise BudgetExceededError(None, budget, what)
+    if required > budget:
+        raise BudgetExceededError(required, budget, what)

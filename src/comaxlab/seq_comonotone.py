@@ -118,15 +118,12 @@ class PairRelations:
             return True
         return comonotone_witness(self._fns[i], self._fns[j]) is None
 
-    def leq(self, i: int, j: int) -> bool:
-        """Is ``fns[i] <= fns[j]`` pointwise on the whole space?"""
-        return all(a <= b for a, b in zip(self._vectors[i], self._vectors[j]))
-
     def order(self, i: int, j: int) -> int:
-        """-1 when ``fns[i] <= fns[j]``, 1 when only ``fns[j] <= fns[i]``, else 0."""
-        if self.leq(i, j):
+        """-1 when ``fns[i] <= fns[j]`` everywhere, 1 when only the reverse holds, else 0."""
+        u, v = self._vectors[i], self._vectors[j]
+        if all(a <= b for a, b in zip(u, v)):
             return -1
-        return 1 if self.leq(j, i) else 0
+        return 1 if all(b <= a for a, b in zip(u, v)) else 0
 
 
 def comonotone_truncated(f: SeqFn, g: SeqFn, depth: int = 50) -> tuple[Point, Point] | None:

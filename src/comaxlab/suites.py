@@ -24,9 +24,10 @@ from typing import Callable, Sequence
 from .classify import Membership, membership, step_value
 from .pairgen import GeneratorParams, generate_pair, pair_seed, random_seqfn
 from .parallel import run_shards, split_range
-from .properties import capped_power, check_budget
 from .rational import ONE, ZERO
-from .report import FAIL, FINDING, INCONCLUSIVE, PASS, VerificationReport
+from .report import (
+    FAIL, FINDING, INCONCLUSIVE, PASS, VerificationReport, capped_power, check_budget,
+)
 from .seq_comonotone import PairRelations, comonotone_witness
 from .seqspace import SeqFn, constant, join, leq, make, ramp, seq
 
@@ -151,13 +152,6 @@ def _check_family_budget(grid: Sequence[Fraction], prefix_max: int, budget: int)
     return size, pairs
 
 
-def _order(f: SeqFn, g: SeqFn) -> int:
-    """-1 when f <= g, 1 when only g <= f, 0 when they are incomparable."""
-    if leq(f, g):
-        return -1
-    return 1 if leq(g, f) else 0
-
-
 def _check_pair(
     f: SeqFn,
     g: SeqFn,
@@ -172,8 +166,8 @@ def _check_pair(
 ) -> None:
     """Maxitivity and restricted-monotonicity checks for one comonotone pair.
 
-    ``nu_join`` is the step value of ``join(f, g)``; ``order`` is as
-    returned by :func:`_order`.
+    ``nu_join`` is the step value of ``join(f, g)``; ``order`` is -1
+    when f <= g, 1 when only g <= f, and 0 when they are incomparable.
     """
     tally[f"branch_{branch_tag(mf, mg)}"] += 1
     nu_f, nu_g = mf.step, mg.step
@@ -212,8 +206,9 @@ def _check_new_pair(
 ) -> None:
     """Count a named or generated pair under ``{source}_pairs`` and check it from scratch."""
     tally[f"{source}_pairs"] += 1
+    order = -1 if leq(f, g) else 1 if leq(g, f) else 0
     _check_pair(
-        f, g, membership(f), membership(g), step_value(join(f, g)), _order(f, g),
+        f, g, membership(f), membership(g), step_value(join(f, g)), order,
         tally, violations, source, index,
     )
 

@@ -9,9 +9,9 @@ pick a finite grid and every required tuple on it is tested, with up
 to ``WITNESS_CAP`` violating tuples per axiom reported verbatim as
 Fractions, which only the report serializer writes out.  It evaluates
 the norm once per grid pair; only associativity's outer calls are made
-anew.  ``axiom_check_counts`` gives its check counts, and their sum the
-``--budget`` total, by formula.  It returns its counts and witnesses;
-the ``tnorm-axioms`` subcommand builds the one report.
+anew.  ``axiom_check_counts`` gives its check counts by formula;
+``axiom_suite`` refuses their total over the budget, then checks every
+built-in norm into the one ``tnorm-axioms`` report.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import enum
 from fractions import Fraction
 
 from .rational import ONE, ZERO, check_unit_interval
+from .report import FAIL, PASS, VerificationReport, check_budget
 
 WITNESS_CAP = 10  # witnesses kept per axiom; every violation is still counted
 
@@ -120,3 +121,20 @@ def check_axioms(norm: TNorm, grid: tuple[Fraction, ...]) -> tuple[dict[str, int
 
     order = ("closure", "unit", "commutativity", "monotonicity", "associativity")
     return counts, [w for axiom in order for w in by_axiom.get(axiom, [])]
+
+
+def axiom_suite(grid: tuple[Fraction, ...], budget: int) -> VerificationReport:
+    """Check the axioms of every built-in norm on ``grid``, refused over ``budget`` checks."""
+    check_budget(axiom_check_count(len(grid)), budget, "t-norm axiom checks")
+    counts = {"grid_size": len(grid)}
+    witnesses = []
+    for norm in TNorm:
+        norm_counts, norm_witnesses = check_axioms(norm, grid)
+        counts.update((f"{norm.value}_{key}", value) for key, value in norm_counts.items())
+        witnesses.extend({"norm": norm.value, **w} for w in norm_witnesses)
+    return VerificationReport(
+        claim_id="tnorm-axioms",
+        status=FAIL if witnesses else PASS,
+        counts=counts,
+        witnesses=witnesses,
+    )

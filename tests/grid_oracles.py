@@ -42,7 +42,6 @@ from comaxlab.census import WITNESS_CAP, table_count
 from comaxlab.grid import Chain, GridFn, all_functions, relations
 from comaxlab.integral import tnorm_integral
 from comaxlab.properties import (
-    BudgetExceededError,
     _homogeneity_cases,
     chain_closed_under,
     is_comonotone_maxitive,
@@ -52,6 +51,7 @@ from comaxlab.properties import (
     order_break,
 )
 from comaxlab.rational import ONE, ZERO, check_unit_interval, over_lcm, random_unit_rational
+from comaxlab.report import BudgetExceededError
 from comaxlab.tnorms import TNorm
 
 

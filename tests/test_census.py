@@ -7,7 +7,7 @@ import pytest
 from comaxlab import census
 from comaxlab.census import functional_census, table_count
 from comaxlab.grid import Chain, GridFn
-from comaxlab.properties import BudgetExceededError
+from comaxlab.report import BudgetExceededError
 
 from grid_oracles import (
     enumerate_functionals,

@@ -559,7 +559,7 @@ SUITES = {
     "verify-counterexample": "counterexample_suite",
     "finite-census": "functional_census",
     "integral-properties": "integral_property_suite",
-    "tnorm-axioms": "_run_tnorm_axioms",
+    "tnorm-axioms": "axiom_suite",
     "comonotone-check": "_run_comonotone_check",
     "explore-problem1": "normalized_search",
 }

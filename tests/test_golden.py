@@ -120,6 +120,35 @@ GOLDEN = [
     ),
 ]
 
+# Budget refusals: the inconclusive report on stdout, one error: line, exit 2.
+REFUSALS = [
+    (
+        ("finite-census", "--n", "9"),
+        "f194cc29bb80c8d278dae1f6321d569a69a210f37dd84b35f0b059f6a393976a",
+        "functional enumeration needs more than 10**4300 items, over the budget of 10000000",
+    ),
+    (
+        ("integral-properties", "--n", "4", "--budget", "100"),
+        "fe7ee4000ba42cb658a005de5670727e315f3e98b61aac72ee2fe88c87d2a562",
+        "capacity enumeration needs 4782969 items, over the budget of 100",
+    ),
+    (
+        ("tnorm-axioms", "--budget", "1"),
+        "8df4560e782ac7b25ffa35b90d1eb337a57ee44d329d07f9551134054c828a36",
+        "t-norm axiom checks needs 57 items, over the budget of 1",
+    ),
+    (
+        ("verify-counterexample", "--prefix-max", "5000"),
+        "4411dbdf0544aa364a896b5761ffd6cd0c554faaa0b7a679f09a226c912c6da9",
+        "structured family pairs needs more than 10**4300 items, over the budget of 10000000",
+    ),
+    (
+        ("explore-problem1", "--budget", "10"),
+        "5cdbfe0d38f90606b91592e35a88fcbedcba11edda1a40ea06d977483dd82d54",
+        "structured family pairs needs 5050 items, over the budget of 10",
+    ),
+]
+
 # Witnesses deep in the tail (seq(61), seq(63)) and a redundant prefix
 # entry in r79.json, which loading must trim.
 FUNCTION_FILES = {
@@ -152,6 +181,17 @@ def test_report_bytes_are_pinned(argv, digest, capsys):
     text = capsys.readouterr().out
     exact_report(text)
     assert sha256(text) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest, message", REFUSALS, ids=[" ".join(a) for a, _, _ in REFUSALS]
+)
+def test_refusal_bytes_are_pinned(argv, digest, message, capsys):
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    exact_report(captured.out)
+    assert sha256(captured.out) == digest
+    assert captured.err == f"error: {message}\n"
 
 
 def test_traced_integral_step_writes_the_untraced_bytes(tmp_path):

@@ -349,3 +349,27 @@ def test_only_grid_signs_builds_bitmasks():
     both decide comonotonicity of finite rows on its masks.
     """
     assert _package_scopes(_or_assigns) == {"grid.signs"}
+
+
+def _raises_budget_error(node: ast.AST) -> bool:
+    return isinstance(node, ast.Raise) and _callee(node.exc) == "BudgetExceededError"
+
+
+def test_only_check_budget_refuses_and_the_cli_decides_no_budget():
+    """One budget decision.
+
+    ``BudgetExceededError`` is raised in the package only inside
+    ``report.check_budget``; each enumerating suite counts its own work
+    and calls it.  The CLI imports no count, no budget check, no axiom
+    checker and no ``INCONCLUSIVE``: it catches the error and writes the
+    refusal report the error builds.
+    """
+    assert _package_scopes(_raises_budget_error) == {"report.check_budget"}
+    imported = {
+        alias.name
+        for node in ast.walk(_parse(PACKAGE / "cli.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    deciders = {"check_budget", "capped_power", "axiom_check_count", "check_axioms", "INCONCLUSIVE"}
+    assert not imported & deciders

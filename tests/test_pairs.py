@@ -21,8 +21,8 @@ def assert_matches_reference(fns):
             g = fns[j]
             expected = comonotone_witness(f, g) is None
             assert relations.comonotone(i, j) == expected == relations.comonotone(j, i), (f, g)
-            assert relations.leq(i, j) == leq(f, g), (f, g)
-            assert relations.leq(j, i) == leq(g, f), (f, g)
+            assert (relations.order(i, j) == -1) == leq(f, g), (f, g)
+            assert (relations.order(j, i) == -1) == leq(g, f), (f, g)
 
 
 def test_acceptance_family_matches_reference_on_every_pair():

@@ -8,10 +8,7 @@ from comaxlab.capacity import enumerate_capacities
 from comaxlab.grid import Chain, GridFn, relations
 from comaxlab.integral import tnorm_integral
 from comaxlab.properties import (
-    BudgetExceededError,
     _homogeneity_cases,
-    capped_power,
-    check_budget,
     chain_closed_under,
     integral_property_suite,
     is_comonotone_maxitive,
@@ -19,6 +16,7 @@ from comaxlab.properties import (
     is_normalized,
     is_scale_homogeneous,
 )
+from comaxlab.report import BudgetExceededError, capped_power, check_budget
 from comaxlab.tnorms import TNorm
 
 from grid_oracles import (

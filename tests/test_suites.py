@@ -5,7 +5,7 @@ import pytest
 
 from comaxlab import suites
 from comaxlab.classify import membership
-from comaxlab.properties import BudgetExceededError
+from comaxlab.report import BudgetExceededError
 from comaxlab.seqspace import constant, join, ramp
 from comaxlab.suites import (
     ALL_BRANCHES,
