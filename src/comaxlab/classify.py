@@ -6,6 +6,14 @@ already attained at the isolated point, and whether its maximum stays
 strictly below 1.  Functions below the ramp whose peak is tame in
 either sense form the zero class; the functional maps the zero class to
 0 and everything else to 1.
+
+All three are read from one integer row, ``attained_max``'s
+``scaled_values(f, f.head_len + 1)``: the isolated point,
+``seq(1..head_len + 1)`` and the limit, times one positive scale.  The
+unit ramp is 1 at the isolated point and at the limit and
+``(k - 1)/k`` at ``seq(k)``, and both tails are affine past the head,
+so f is below it iff it is at the limit and at each ``seq(k)`` of the
+row (the isolated value is at most 1 anyway).
 """
 
 from __future__ import annotations
@@ -14,9 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import ONE, ZERO
-from .seqspace import SeqFn, attained_max, leq, ramp
-
-RAMP_ONE = ramp(ONE)
+from .seqspace import SeqFn, attained_max
 
 
 @dataclass(frozen=True)
@@ -38,11 +44,12 @@ class Membership:
 
 
 def membership(f: SeqFn) -> Membership:
-    peak = attained_max(f)
+    peak, scale, row = attained_max(f)
+    heads = enumerate(row[1:-1], start=1)  # v = scale * f(seq(k))
     return Membership(
-        below_ramp=leq(f, RAMP_ONE),
-        capped_at_iso=peak <= f.iso,
-        below_one=peak < ONE,
+        below_ramp=row[-1] <= scale and all(v * k <= scale * (k - 1) for k, v in heads),
+        capped_at_iso=peak <= row[0],
+        below_one=peak < scale,
     )
 
 

@@ -13,7 +13,8 @@ a map keeps its knots as integer pairs ``(X, Y)`` over ``den``, every
 drawn rational is put over ``lcm(1..max(2, max_denominator))``, and
 composition scales the head values of h to one denominator
 (``scaled_values``) and maps each through its segment by integer
-cross-multiplication.
+cross-multiplication.  Every draw is ``rational.draw_int``: the value
+``rng.randint`` would give, taken straight from ``rng.getrandbits``.
 
 Every output is still post-validated with the exact comonotonicity
 decision; a validation failure would mean a bug in the construction and
@@ -26,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .rational import draw_int
 from .seq_comonotone import comonotone_witness
 from .seqspace import SeqFn, _reduced, scaled_values
 
@@ -121,21 +123,21 @@ def _draw_denominator(max_denominator: int) -> int:
 
 def _unit_num(rng: random.Random, max_denominator: int, den: int) -> int:
     """``random_unit_rational``'s draw, as an integer over ``den``."""
-    d = rng.randint(1, max_denominator)
-    return rng.randint(0, d) * (den // d)
+    d = draw_int(rng, 1, max_denominator)
+    return draw_int(rng, 0, d) * (den // d)
 
 
 def _interior_num(rng: random.Random, max_denominator: int, den: int) -> int:
     """A draw strictly inside (0, 1), with denominator 2..max(2, max_denominator), over ``den``."""
-    d = rng.randint(2, max(2, max_denominator))
-    return rng.randint(1, d - 1) * (den // d)
+    d = draw_int(rng, 2, max(2, max_denominator))
+    return draw_int(rng, 1, d - 1) * (den // d)
 
 
 def random_seqfn(rng: random.Random, params: GeneratorParams) -> SeqFn:
     """A random representable function within the size bounds."""
     maxd = params.max_denominator
     den = _draw_denominator(maxd)
-    head_len = rng.randint(0, params.prefix_max)
+    head_len = draw_int(rng, 0, params.prefix_max)
     iso = _unit_num(rng, maxd, den)
     head = [_unit_num(rng, maxd, den) for _ in range(head_len)]
     # Tail from its two endpoint values; affine between in-range endpoints
@@ -149,7 +151,7 @@ def random_seqfn(rng: random.Random, params: GeneratorParams) -> SeqFn:
 def random_monotone_map(rng: random.Random, params: GeneratorParams) -> MonotoneMap:
     maxd = params.max_denominator
     den = _draw_denominator(maxd)
-    count = rng.randint(0, params.max_breakpoints)
+    count = draw_int(rng, 0, params.max_breakpoints)
     inner = sorted({_interior_num(rng, maxd, den) for _ in range(count)})
     xs = [0, *inner, den]
     ys = sorted(_unit_num(rng, maxd, den) for _ in xs)

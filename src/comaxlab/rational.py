@@ -7,7 +7,8 @@ rationals travel as strings, ``"p/q"`` in lowest terms with a positive
 denominator, or a bare integer string when the denominator is 1
 (``"0"``, ``"1"``, ``"3/4"``), exactly ``str`` of a Fraction.  This
 module reads that format; only the report serializer and the codecs
-write it.  ``over_lcm`` puts rationals over one common denominator.
+write it.  ``over_lcm`` puts rationals over one common denominator, and
+``draw_int`` is the one seeded integer draw.
 """
 
 from __future__ import annotations
@@ -65,10 +66,29 @@ def parse_grid(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(piece) for piece in pieces)
 
 
+def draw_int(rng: random.Random, a: int, b: int) -> int:
+    """``rng.randint(a, b)``: the same value, and the same state of ``rng`` after it.
+
+    CPython 3.10-3.13 all draw ``randint(a, b)`` as ``a + r``, where ``r``
+    is the first ``rng.getrandbits(k)`` below ``n = b - a + 1``, with
+    ``k = n.bit_length()``.  Written out here, the draw skips the
+    ``randint`` -> ``randrange`` -> ``_randbelow`` frames, and every
+    seeded draw of the package comes from ``getrandbits`` alone.
+    """
+    n = b - a + 1
+    if n < 1:
+        raise ValueError(f"empty range [{a}, {b}]")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
 def random_unit_rational(rng: random.Random, max_denominator: int) -> Fraction:
     """A seeded rational in [0,1]: a denominator in 1..max_denominator, then its numerator."""
-    den = rng.randint(1, max_denominator)
-    return Fraction(rng.randint(0, den), den)
+    den = draw_int(rng, 1, max_denominator)
+    return Fraction(draw_int(rng, 0, den), den)
 
 
 def over_lcm(values: Collection[Fraction]) -> tuple[list[int], int]:

@@ -33,9 +33,10 @@ integers over one common scale (``scaled_values``, brought to the
   coordinate; if it opposes g's fixed sign at some ``seq(n)``, it
   already does at ``seq(D + 1)`` or at the limit, both in the masks.
 * **Fallback.** Otherwise the pair goes to ``comonotone_witness``.
-* **Order.** ``f <= g`` is a compare of the integer vectors: both
-  tails are affine past ``seq(D)``, so their difference is nonnegative
-  on the whole tail iff it is at ``seq(D + 1)`` and at the limit.
+* **Order.** ``f <= g`` is a compare of the integer vectors
+  (``seqspace.order_rows``): both tails are affine past ``seq(D)``, so
+  their difference is nonnegative on the whole tail iff it is at
+  ``seq(D + 1)`` and at the limit.
 
 Callers walk the pairs ``i <= j`` as ``combinations_with_replacement``.
 
@@ -50,7 +51,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .grid import comonotone, signs
-from .seqspace import Point, SeqFn, points_upto, scaled_values, seq
+from .seqspace import Point, SeqFn, order_rows, points_upto, scaled_values, seq
 
 
 def _first_opposed(af: int, bf: int, ag: int, bg: int, n_min: int) -> int | None:
@@ -120,10 +121,7 @@ class PairRelations:
 
     def order(self, i: int, j: int) -> int:
         """-1 when ``fns[i] <= fns[j]`` everywhere, 1 when only the reverse holds, else 0."""
-        u, v = self._vectors[i], self._vectors[j]
-        if all(a <= b for a, b in zip(u, v)):
-            return -1
-        return 1 if all(b <= a for a, b in zip(u, v)) else 0
+        return order_rows(self._vectors[i], self._vectors[j])
 
 
 def comonotone_truncated(f: SeqFn, g: SeqFn, depth: int = 50) -> tuple[Point, Point] | None:

@@ -14,6 +14,8 @@ equality is function equality, and every decision here -- pointwise
 order, attained maximum, join -- is exact integer arithmetic.
 Joins stay inside the class: two affine tails cross at most once, so
 extending the head past the crossing leaves a single dominant tail.
+``order_rows`` compares two integer rows over one scale, for
+``pointwise_order`` here and for ``seq_comonotone.PairRelations``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from .rational import check_unit, check_unit_interval, over_lcm, parse_rational
 
@@ -228,10 +230,33 @@ def leq(f: SeqFn, g: SeqFn) -> bool:
     return all(a * g_scale <= b * f_scale for a, b in zip(fv, gv))
 
 
-def attained_max(f: SeqFn) -> Fraction:
-    """Largest value of f: a tail peaks at its first point or at the limit."""
+def order_rows(u: Sequence[int], v: Sequence[int]) -> int:
+    """-1 when ``u <= v`` entry by entry, 1 when only ``v <= u`` does, else 0."""
+    if all(a <= b for a, b in zip(u, v)):
+        return -1
+    return 1 if all(b <= a for a, b in zip(u, v)) else 0
+
+
+def pointwise_order(f: SeqFn, g: SeqFn) -> int:
+    """-1 when f <= g everywhere, 1 when only g <= f, else 0.
+
+    ``leq`` both ways, decided on one pair of rows, cross-multiplied
+    onto one scale.
+    """
+    count = max(f.head_len, g.head_len) + 1
+    f_scale, fv = scaled_values(f, count)
+    g_scale, gv = scaled_values(g, count)
+    return order_rows([a * g_scale for a in fv], [b * f_scale for b in gv])
+
+
+def attained_max(f: SeqFn) -> tuple[int, int, list[int]]:
+    """Largest value of f as ``(peak, scale, values)``: the value is ``peak / scale``.
+
+    ``scale, values`` is ``scaled_values(f, f.head_len + 1)`` and
+    ``peak`` its maximum: a tail peaks at its first point or at the limit.
+    """
     scale, values = scaled_values(f, f.head_len + 1)
-    return Fraction(max(values), scale)
+    return max(values), scale, values
 
 
 def join(f: SeqFn, g: SeqFn) -> SeqFn:

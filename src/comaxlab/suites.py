@@ -29,7 +29,7 @@ from .report import (
     FAIL, FINDING, INCONCLUSIVE, PASS, VerificationReport, capped_power, check_budget,
 )
 from .seq_comonotone import PairRelations, comonotone_witness
-from .seqspace import SeqFn, constant, join, leq, make, ramp, seq
+from .seqspace import SeqFn, constant, join, leq, make, pointwise_order, ramp, seq
 
 DEFAULT_GRID = (ZERO, Fraction(1, 2), ONE)
 
@@ -206,9 +206,8 @@ def _check_new_pair(
 ) -> None:
     """Count a named or generated pair under ``{source}_pairs`` and check it from scratch."""
     tally[f"{source}_pairs"] += 1
-    order = -1 if leq(f, g) else 1 if leq(g, f) else 0
     _check_pair(
-        f, g, membership(f), membership(g), step_value(join(f, g)), order,
+        f, g, membership(f), membership(g), step_value(join(f, g)), pointwise_order(f, g),
         tally, violations, source, index,
     )
 

@@ -24,7 +24,9 @@ functionals as explicit tables, walked in the census's order;
 the checkers read it, as integers over one scale, on the relations or
 the homogeneity cases a suite would build and hand them; ``uniform``
 gives the tests the counting capacity and ``constant`` the constant
-functions.
+functions.  The sampled homogeneity cases draw with
+``seq_oracles.fraction_unit``, which calls ``rng.randint`` itself, so
+the package's own draw is checked against it.
 """
 
 from __future__ import annotations
@@ -50,9 +52,11 @@ from comaxlab.properties import (
     join_break,
     order_break,
 )
-from comaxlab.rational import ONE, ZERO, check_unit_interval, over_lcm, random_unit_rational
+from comaxlab.rational import ONE, ZERO, check_unit_interval, over_lcm
 from comaxlab.report import BudgetExceededError
 from comaxlab.tnorms import TNorm
+
+from seq_oracles import fraction_unit
 
 
 def comonotone(f: GridFn, g: GridFn) -> bool:
@@ -254,8 +258,8 @@ def oracle_scale_homogeneous(functional, norm, chain, n, samples=200, seed=0, ma
         rng = random.Random(seed)
         cases = (
             (
-                random_unit_rational(rng, max_denominator),
-                GridFn(tuple(random_unit_rational(rng, max_denominator) for _ in range(n))),
+                fraction_unit(rng, max_denominator),
+                GridFn(tuple(fraction_unit(rng, max_denominator) for _ in range(n))),
             )
             for _ in range(samples)
         )

@@ -21,7 +21,11 @@ and ``fraction_random_seqfn`` are the seeded generator of
 ``comaxlab.pairgen`` in ``Fraction`` arithmetic: a map's
 knots are ``Fraction`` pairs, a drawn rational is a ``Fraction``, and
 composition evaluates the head point by point.  Fed the same seed they
-make the same ``randint`` calls as the integer generator.
+make the same ``randint`` calls as the integer generator, which draws
+through ``rational.draw_int``; ``fraction_unit`` is the unit draw, written
+with ``rng.randint`` so that the stream is checked against it.
+``fraction_membership`` is ``comaxlab.classify.membership`` from
+``fraction_leq`` against the unit ramp and ``fraction_attained_max``.
 
 ``list_normalized_search`` is ``comaxlab.suites.normalized_search``
 written as lists: every comonotone family pair with its join, every
@@ -30,9 +34,9 @@ stored first, then rescanned once per candidate through a cache of the
 candidate's values.  It reads ``suites._candidate_zoo`` at call time,
 so a test may swap the zoo for both.
 
-``comonotone``, ``constant_map``, ``IDENTITY_MAP`` and ``fraction_map``
-are small helpers only the tests need, and ``seq_fns`` is the one
-Hypothesis strategy for sequence-space functions.
+``comonotone``, ``attained_value``, ``constant_map``, ``IDENTITY_MAP``
+and ``fraction_map`` are small helpers only the tests need, and
+``seq_fns`` is the one Hypothesis strategy for sequence-space functions.
 """
 
 from __future__ import annotations
@@ -47,11 +51,11 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from comaxlab import suites
+from comaxlab.classify import Membership
 from comaxlab.pairgen import GeneratorParams, MonotoneMap, generate_pair, pair_seed, random_seqfn
-from comaxlab.rational import random_unit_rational
 from comaxlab.report import FINDING, INCONCLUSIVE, VerificationReport
 from comaxlab.seq_comonotone import PairRelations, comonotone_witness
-from comaxlab.seqspace import constant, join, make, points_upto, seq
+from comaxlab.seqspace import attained_max, constant, join, make, points_upto, ramp, seq
 
 Bound = Fraction | None  # None stands for the unbounded side
 
@@ -131,6 +135,12 @@ def comonotone(f, g):
     return comonotone_witness(f, g) is None
 
 
+def attained_value(f):
+    """``attained_max``'s peak as a Fraction."""
+    peak, scale, _ = attained_max(f)
+    return Fraction(peak, scale)
+
+
 def constant_map(c):
     return MonotoneMap(c.denominator, ((0, c.numerator), (c.denominator, c.numerator)))
 
@@ -203,6 +213,20 @@ def fraction_attained_max(f):
     return max(candidates)
 
 
+UNIT_RAMP = ramp(Fraction(1))
+
+
+def fraction_membership(f):
+    """``classify.membership`` from ``fraction_leq`` against the unit ramp
+    and ``fraction_attained_max``."""
+    peak = fraction_attained_max(f)
+    return Membership(
+        below_ramp=fraction_leq(f, UNIT_RAMP),
+        capped_at_iso=peak <= f.iso,
+        below_one=peak < 1,
+    )
+
+
 def fraction_join(f, g):
     a, b = fields(f), fields(g)
     extend_to = max(len(a[1]), len(b[1]))
@@ -262,6 +286,12 @@ def fraction_compose(phi, h):
     return fraction_make(phi(iso), new_head, tail_slope, tail_intercept)
 
 
+def fraction_unit(rng, max_denominator):
+    """``rational.random_unit_rational``'s draw, written with ``rng.randint`` itself."""
+    den = rng.randint(1, max_denominator)
+    return Fraction(rng.randint(0, den), den)
+
+
 def fraction_interior(rng, max_denominator):
     den = rng.randint(2, max(2, max_denominator))
     return Fraction(rng.randint(1, den - 1), den)
@@ -269,10 +299,10 @@ def fraction_interior(rng, max_denominator):
 
 def fraction_random_seqfn(rng, params):
     head_len = rng.randint(0, params.prefix_max)
-    iso = random_unit_rational(rng, params.max_denominator)
-    head = [random_unit_rational(rng, params.max_denominator) for _ in range(head_len)]
-    y_first = random_unit_rational(rng, params.max_denominator)
-    y_limit = random_unit_rational(rng, params.max_denominator)
+    iso = fraction_unit(rng, params.max_denominator)
+    head = [fraction_unit(rng, params.max_denominator) for _ in range(head_len)]
+    y_first = fraction_unit(rng, params.max_denominator)
+    y_limit = fraction_unit(rng, params.max_denominator)
     slope = (y_limit - y_first) * (head_len + 1)
     return fraction_make(iso, head, slope, y_limit - slope)
 
@@ -281,7 +311,7 @@ def fraction_random_monotone_map(rng, params):
     count = rng.randint(0, params.max_breakpoints)
     inner = sorted({fraction_interior(rng, params.max_denominator) for _ in range(count)})
     xs = [Fraction(0), *inner, Fraction(1)]
-    ys = sorted(random_unit_rational(rng, params.max_denominator) for _ in xs)
+    ys = sorted(fraction_unit(rng, params.max_denominator) for _ in xs)
     return FractionMap(tuple(zip(xs, ys)))
 
 

@@ -1,11 +1,16 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
+import pytest
 from hypothesis import given, settings
 
-from comaxlab.classify import membership, step_value
-from comaxlab.seqspace import constant, join, leq, make, ramp
+from comaxlab.classify import Membership, membership, step_value
+from comaxlab.pairgen import GeneratorParams, generate_pair, pair_seed
+from comaxlab.seq_comonotone import PairRelations
+from comaxlab.seqspace import constant, join, leq, make, ramp, scaled_values
+from comaxlab.suites import structured_family
 
-from seq_oracles import comonotone, seq_fns
+from seq_oracles import comonotone, fraction_membership, seq_fns
 
 F = Fraction
 
@@ -91,3 +96,51 @@ def test_step_monotone_along_comonotone_ordered_pairs(f, g):
         return
     if leq(f, g):
         assert step_value(f) <= step_value(g)
+
+
+FAMILIES = {
+    "halves": ((F(0), F(1, 2), F(1)), 2),
+    "thirds": ((F(0), F(1, 3), F(2, 3), F(1)), 2),
+    "quarters": ((F(0), F(1, 4), F(1, 2), F(3, 4), F(1)), 1),
+}
+
+
+@pytest.mark.parametrize("grid, prefix_max", FAMILIES.values(), ids=FAMILIES.keys())
+def test_membership_matches_fraction_oracle_on_family_and_comonotone_joins(grid, prefix_max):
+    family = structured_family(grid, prefix_max)
+    relations = PairRelations(family)
+    joins = {
+        join(family[i], family[j])
+        for i, j in combinations_with_replacement(range(len(family)), 2)
+        if relations.comonotone(i, j)
+    }
+    assert len(joins) > len(family) // 2
+    for f in [*family, *joins]:
+        assert membership(f) == fraction_membership(f), f
+
+
+def test_membership_matches_fraction_oracle_on_generated_pairs_and_joins():
+    params = GeneratorParams()
+    for index in range(5000):
+        f, g = generate_pair(pair_seed(0, index), params)
+        for h in (f, g, join(f, g)):
+            assert membership(h) == fraction_membership(h), (index, h)
+
+
+@given(seq_fns(4, 12))
+@settings(max_examples=300)
+def test_membership_matches_fraction_oracle(f):
+    assert membership(f) == fraction_membership(f)
+
+
+def test_below_ramp_at_a_head_point_whose_index_does_not_divide_the_scale():
+    # Head length 3 over denominator 2: the scale is 2 * 4 = 8, and the
+    # ramp's 2/3 at seq(3) is not a whole number over it.
+    below = make(F(0), [F(0), F(1, 2), F(1, 2)], F(0), F(0))
+    above = make(F(0), [F(0), F(1, 2), F(1)], F(0), F(0))
+    for f in (below, above):
+        scale, _ = scaled_values(f, f.head_len + 1)
+        assert scale == 8
+        assert membership(f) == fraction_membership(f)
+    assert membership(below) == Membership(True, False, True)
+    assert membership(above) == Membership(False, False, False)

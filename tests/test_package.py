@@ -351,6 +351,25 @@ def test_only_grid_signs_builds_bitmasks():
     assert _package_scopes(_or_assigns) == {"grid.signs"}
 
 
+def _draws_an_integer(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"randint", "randrange", "getrandbits"}
+    )
+
+
+def test_only_draw_int_draws_integers():
+    """One seeded integer draw.
+
+    No ``.randint(``, ``.randrange(`` or ``.getrandbits(`` call appears
+    in the package outside ``rational.draw_int``, which draws what
+    ``randint`` draws from ``getrandbits``; the generator's stream is
+    that one helper's.
+    """
+    assert _package_scopes(_draws_an_integer) == {"rational.draw_int"}
+
+
 def _raises_budget_error(node: ast.AST) -> bool:
     return isinstance(node, ast.Raise) and _callee(node.exc) == "BudgetExceededError"
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from comaxlab.pairgen import GeneratorParams, random_seqfn
 from comaxlab.seq_comonotone import PairRelations, comonotone_witness
-from comaxlab.seqspace import leq
+from comaxlab.seqspace import leq, pointwise_order
 from comaxlab.suites import structured_family
 
 F = Fraction
@@ -15,20 +16,28 @@ ACCEPTANCE_GRID = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
 
 
 def assert_matches_reference(fns):
+    """Both relations against the one-pair deciders on every pair, both ways;
+    returns how often each answer of ``order`` came up."""
     relations = PairRelations(fns)
+    answers = Counter()
     for i, f in enumerate(fns):
         for j in range(i, len(fns)):
             g = fns[j]
             expected = comonotone_witness(f, g) is None
             assert relations.comonotone(i, j) == expected == relations.comonotone(j, i), (f, g)
-            assert (relations.order(i, j) == -1) == leq(f, g), (f, g)
-            assert (relations.order(j, i) == -1) == leq(g, f), (f, g)
+            below, above = leq(f, g), leq(g, f)
+            forward = -1 if below else 1 if above else 0
+            backward = -1 if above else 1 if below else 0
+            assert relations.order(i, j) == forward == pointwise_order(f, g), (f, g)
+            assert relations.order(j, i) == backward == pointwise_order(g, f), (f, g)
+            answers[forward] += 1
+    return answers
 
 
 def test_acceptance_family_matches_reference_on_every_pair():
     family = structured_family(ACCEPTANCE_GRID, 2)
     assert len(family) * (len(family) + 1) // 2 == 263_175
-    assert_matches_reference(family)
+    assert set(assert_matches_reference(family)) == {-1, 0, 1}
 
 
 @given(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,42 @@ from hypothesis import strategies as st
 from comaxlab.rational import (
     RationalFormatError,
     check_unit_interval,
+    draw_int,
     parse_grid,
     parse_rational,
 )
+
+# (a, b) ranges for draw_int: widths 1 and 2, every power of two from 4
+# to 2**70 with its neighbours, negative and huge offsets, and the
+# generator's own ranges (denominators up to 12, numerators under them,
+# head lengths and breakpoint counts).
+POWERS = [(1 << e) + d for e in range(2, 71) for d in (-1, 0, 1)]
+DRAW_RANGES = sorted(
+    {(0, 0), (5, 5), (0, 1), (-1, 0)}
+    | {(0, n - 1) for n in POWERS}
+    | {(-7, n - 8) for n in POWERS[::5]}
+    | {(10**30, 10**30 + n - 1) for n in POWERS[::7]}
+    | {(lo, hi) for hi in range(1, 13) for lo in (0, 1, 2) if lo <= hi}
+    | {(1, d - 1) for d in range(2, 13)}
+    | {(0, m) for m in range(0, 9)}
+)
+
+
+def test_draw_int_is_randint_value_for_value_and_state_for_state():
+    for seed in range(2000):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for k in range(150):
+            a, b = DRAW_RANGES[(seed * 150 + k) % len(DRAW_RANGES)]
+            assert draw_int(ours, a, b) == ref.randint(a, b), (seed, k, a, b)
+        assert ours.getstate() == ref.getstate(), seed
+
+
+def test_draw_int_refuses_an_empty_range_as_randint_does():
+    for a, b in ((1, 0), (5, -5)):
+        with pytest.raises(ValueError):
+            random.Random(0).randint(a, b)
+        with pytest.raises(ValueError, match="empty range"):
+            draw_int(random.Random(0), a, b)
 
 
 def test_parse_plain_and_fraction():

@@ -21,7 +21,7 @@ from comaxlab.seqspace import (
     seq,
 )
 
-from seq_oracles import seq_fns
+from seq_oracles import attained_value, seq_fns
 
 F = Fraction
 
@@ -121,14 +121,17 @@ def test_leq_antisymmetry_is_equality(f, g):
 
 
 def test_attained_max_examples():
-    assert attained_max(ramp(F(1))) == 1
-    assert attained_max(ramp(F(0))) == 1  # reached only at the limit
-    assert attained_max(constant(F(1, 3))) == F(1, 3)
+    assert attained_value(ramp(F(1))) == 1
+    assert attained_value(ramp(F(0))) == 1  # reached only at the limit
+    assert attained_value(constant(F(1, 3))) == F(1, 3)
+    f = make(F(1, 2), [F(0), F(1, 3)], F(1, 4), F(0))
+    scale, values = scaled_values(f, f.head_len + 1)
+    assert attained_max(f) == (max(values), scale, values)
 
 
 def test_attained_max_decreasing_tail_peaks_at_first_tail_point():
     f = make(F(0), [F(0)], F(-1, 2), F(1, 2))  # tail falls from 1/4 toward 0
-    assert attained_max(f) == f.tail_value(2) == F(1, 4)
+    assert attained_value(f) == f.tail_value(2) == F(1, 4)
 
 
 @given(seq_fns(3, 6))
@@ -136,7 +139,7 @@ def test_attained_max_decreasing_tail_peaks_at_first_tail_point():
 def test_attained_max_matches_truncated_oracle(f):
     depth = f.head_len + 12
     best = max(f.at(p) for p in points_upto(depth))
-    assert attained_max(f) == best
+    assert attained_value(f) == best
 
 
 def test_join_of_ramps_collapses():
