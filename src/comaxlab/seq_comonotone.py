@@ -38,7 +38,9 @@ integers over one common scale (``scaled_values``, brought to the
   their difference is nonnegative on the whole tail iff it is at
   ``seq(D + 1)`` and at the limit.
 
-Callers walk the pairs ``i <= j`` as ``combinations_with_replacement``.
+The sequence suites walk the pairs ``i <= j`` in
+``combinations_with_replacement`` order in one place,
+``suites.comonotone_pairs``.
 
 ``comonotone_truncated`` is the independent brute-force oracle over a
 finite depth, kept deliberately dumb.

@@ -218,16 +218,8 @@ def scaled_values(f: SeqFn, count: int) -> tuple[int, list[int]]:
 
 
 def leq(f: SeqFn, g: SeqFn) -> bool:
-    """Pointwise f <= g over the whole space, decided exactly.
-
-    The head region is compared pointwise; on the common tail the
-    difference is affine in the coordinate, so checking it at the first
-    shared tail point and at the limit covers every later point.
-    """
-    count = max(f.head_len, g.head_len) + 1
-    f_scale, fv = scaled_values(f, count)
-    g_scale, gv = scaled_values(g, count)
-    return all(a * g_scale <= b * f_scale for a, b in zip(fv, gv))
+    """Pointwise f <= g over the whole space, decided exactly by ``pointwise_order``."""
+    return pointwise_order(f, g) < 0
 
 
 def order_rows(u: Sequence[int], v: Sequence[int]) -> int:
@@ -240,8 +232,8 @@ def order_rows(u: Sequence[int], v: Sequence[int]) -> int:
 def pointwise_order(f: SeqFn, g: SeqFn) -> int:
     """-1 when f <= g everywhere, 1 when only g <= f, else 0.
 
-    ``leq`` both ways, decided on one pair of rows, cross-multiplied
-    onto one scale.
+    The difference is affine on the common tail, so the rows run to its
+    first shared point and the limit, cross-multiplied onto one scale.
     """
     count = max(f.head_len, g.head_len) + 1
     f_scale, fv = scaled_values(f, count)

@@ -10,6 +10,10 @@ membership analysis), and a stream of seeded generated pairs.
 comonotone maxitivity already forces monotonicity: it screens a small
 zoo of candidate functionals and reports what happened, deliberately
 never claiming to settle the question.
+
+Both take their comonotone pairs from one walk, ``comonotone_pairs``,
+which evaluates each function once (``membership``, or the screened
+zoo); every counterexample pair is checked by ``_check_pair``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .classify import Membership, membership, step_value
 from .pairgen import GeneratorParams, generate_pair, pair_seed, random_seqfn
@@ -30,6 +34,10 @@ from .report import (
 )
 from .seq_comonotone import PairRelations, comonotone_witness
 from .seqspace import SeqFn, constant, join, leq, make, pointwise_order, ramp, seq
+
+V = TypeVar("V")
+# A family, its PairRelations, and a value of each member.
+Table = tuple[list[SeqFn], PairRelations, list]
 
 DEFAULT_GRID = (ZERO, Fraction(1, 2), ONE)
 
@@ -47,13 +55,18 @@ ALL_BRANCHES = (
     BRANCH_PEAK_ONE,
 )
 
+# The count of checked pairs from each source.
+PAIR_COUNTS = {
+    "named": "named_pairs",
+    "family": "family_comonotone_pairs",
+    "generated": "generated_pairs",
+}
+
 # Counts that every verify-counterexample report carries, zero or not.
 REPORTED_COUNTS = (
     *(f"branch_{branch}" for branch in ALL_BRANCHES),
     "ordered_comonotone_checks",
-    "family_comonotone_pairs",
-    "generated_pairs",
-    "named_pairs",
+    *PAIR_COUNTS.values(),
 )
 
 
@@ -152,98 +165,90 @@ def _check_family_budget(grid: Sequence[Fraction], prefix_max: int, budget: int)
     return size, pairs
 
 
+def _family_table(
+    grid: Sequence[Fraction], prefix_max: int, evaluate: Callable[[SeqFn], V]
+) -> Table:
+    """The structured family, its ``PairRelations``, and ``evaluate`` of each member."""
+    family = structured_family(grid, prefix_max)
+    return family, PairRelations(family), [evaluate(f) for f in family]
+
+
+def comonotone_pairs(
+    evaluate: Callable[[SeqFn], V], table: Table | None = None, lo: int = 0, hi: int = 0,
+    seed: int = 0, first: int = 0, last: int = 0, params: GeneratorParams | None = None,
+) -> Iterator[tuple[str, int, SeqFn, SeqFn, V, V, int]]:
+    """The comonotone pairs of family pairs ``lo..hi``, then generated pairs ``first..last``.
+
+    Each is ``(source, index, f, g, evaluate(f), evaluate(g), order)``:
+    ``index`` counts family pairs ``i <= j`` in
+    ``combinations_with_replacement`` order, or generated ones by
+    ``pair_seed(seed, index)``; ``order`` is -1 when f <= g, 1 when only
+    g <= f, else 0.  Family values come from ``table``; a generated pair
+    is not held past the next draw.
+    """
+    if table is not None:
+        family, relations, values = table
+        pairs = combinations_with_replacement(range(len(family)), 2)
+        for index, (i, j) in enumerate(islice(pairs, lo, hi), lo):
+            if relations.comonotone(i, j):
+                yield ("family", index, family[i], family[j], values[i], values[j],
+                       relations.order(i, j))
+    for index in range(first, last):
+        f, g = generate_pair(pair_seed(seed, index), params)
+        yield "generated", index, f, g, evaluate(f), evaluate(g), pointwise_order(f, g)
+
+
 def _check_pair(
-    f: SeqFn,
-    g: SeqFn,
-    mf: Membership,
-    mg: Membership,
-    nu_join: Fraction,
-    order: int,
+    pair: tuple[str, int, SeqFn, SeqFn, Membership, Membership, int],
+    step_of: Callable[[SeqFn], Fraction],
     tally: Counter,
     violations: list[dict],
-    source: str,
-    index: int,
 ) -> None:
-    """Maxitivity and restricted-monotonicity checks for one comonotone pair.
+    """Count one comonotone pair under its source and check the step functional on it.
 
-    ``nu_join`` is the step value of ``join(f, g)``; ``order`` is -1
-    when f <= g, 1 when only g <= f, and 0 when they are incomparable.
+    ``pair`` is as ``comonotone_pairs`` yields it, with memberships for
+    values; ``step_of`` gives the step value of ``join(f, g)``, which
+    must be the larger step value, and an ordered pair's lower step
+    value must not exceed its upper one.
     """
+    source, index, f, g, mf, mg, order = pair
+    tally[PAIR_COUNTS[source]] += 1
     tally[f"branch_{branch_tag(mf, mg)}"] += 1
     nu_f, nu_g = mf.step, mg.step
-    expected = max(nu_f, nu_g)
+    nu_join, expected = step_of(join(f, g)), max(nu_f, nu_g)
+    where = {"source": source, "index": index}
     if nu_join != expected:
-        violations.append(
-            {
-                "kind": "maxitivity",
-                "source": source,
-                "index": index,
-                "f": f.to_json(),
-                "g": g.to_json(),
-                "step_join": nu_join,
-                "max_steps": expected,
-            }
-        )
+        violations.append({"kind": "maxitivity", **where, "f": f.to_json(), "g": g.to_json(),
+                           "step_join": nu_join, "max_steps": expected})
     if order:
         lower, upper, nu_lo, nu_hi = (f, g, nu_f, nu_g) if order < 0 else (g, f, nu_g, nu_f)
         tally["ordered_comonotone_checks"] += 1
         if nu_lo > nu_hi:
-            violations.append(
-                {
-                    "kind": "restricted_monotonicity",
-                    "source": source,
-                    "index": index,
-                    "lower": lower.to_json(),
-                    "upper": upper.to_json(),
-                    "step_lower": nu_lo,
-                    "step_upper": nu_hi,
-                }
-            )
+            violations.append({"kind": "restricted_monotonicity", **where,
+                               "lower": lower.to_json(), "upper": upper.to_json(),
+                               "step_lower": nu_lo, "step_upper": nu_hi})
 
 
-def _check_new_pair(
-    f: SeqFn, g: SeqFn, tally: Counter, violations: list[dict], source: str, index: int
-) -> None:
-    """Count a named or generated pair under ``{source}_pairs`` and check it from scratch."""
-    tally[f"{source}_pairs"] += 1
-    _check_pair(
-        f, g, membership(f), membership(g), step_value(join(f, g)), pointwise_order(f, g),
-        tally, violations, source, index,
-    )
+def _check_pairs(pairs: Iterable[tuple], step_of: Callable[[SeqFn], Fraction]) -> dict:
+    tally: Counter = Counter()
+    violations: list[dict] = []
+    for pair in pairs:
+        _check_pair(pair, step_of, tally, violations)
+    return {"tally": tally, "violations": violations}
 
 
 def _family_shard(args: tuple) -> dict:
     grid, prefix_max, lo, hi = args
-    family = structured_family(grid, prefix_max)
-    relations = PairRelations(family)
-    memberships = [membership(f) for f in family]
-    # Joins of different pairs often coincide; their step value is a
-    # pure function of the joined function.
-    step_of = functools.cache(step_value)
-
-    tally: Counter = Counter()
-    violations: list[dict] = []
-    pairs = combinations_with_replacement(range(len(family)), 2)
-    for flat, (i, j) in enumerate(islice(pairs, lo, hi), lo):
-        if not relations.comonotone(i, j):
-            continue
-        tally["family_comonotone_pairs"] += 1
-        f, g = family[i], family[j]
-        _check_pair(
-            f, g, memberships[i], memberships[j], step_of(join(f, g)),
-            relations.order(i, j), tally, violations, "family", flat,
-        )
-    return {"tally": tally, "violations": violations}
+    table = _family_table(grid, prefix_max, membership)
+    # Joins of different family pairs often coincide; their step value
+    # is a pure function of the joined function.
+    return _check_pairs(comonotone_pairs(membership, table, lo, hi), functools.cache(step_value))
 
 
 def _sample_shard(args: tuple) -> dict:
     seed, lo, hi, params = args
-    tally: Counter = Counter()
-    violations: list[dict] = []
-    for index in range(lo, hi):
-        f, g = generate_pair(pair_seed(seed, index), params)
-        _check_new_pair(f, g, tally, violations, "generated", index)
-    return {"tally": tally, "violations": violations}
+    pairs = comonotone_pairs(membership, seed=seed, first=lo, last=hi, params=params)
+    return _check_pairs(pairs, step_value)
 
 
 def counterexample_suite(
@@ -288,7 +293,9 @@ def counterexample_suite(
                 {"kind": "named_pair_not_comonotone", "branch": tag, "f": f.to_json()}
             )
             continue
-        _check_new_pair(f, g, tally, violations, "named", tally["named_pairs"])
+        pair = ("named", tally["named_pairs"], f, g, membership(f), membership(g),
+                pointwise_order(f, g))
+        _check_pair(pair, step_value, tally, violations)
 
     tally["family_functions"] = size
     tally["family_pairs"] = total_pairs
@@ -310,9 +317,7 @@ def counterexample_suite(
     kinds = Counter(v["kind"] for v in violations)
     tally["maxitivity_violations"] = kinds["maxitivity"]
     tally["ordered_violations"] = kinds["restricted_monotonicity"]
-    tally["maxitivity_checks"] = (
-        tally["named_pairs"] + tally["family_comonotone_pairs"] + tally["generated_pairs"]
-    )
+    tally["maxitivity_checks"] = sum(tally[count] for count in PAIR_COUNTS.values())
     return VerificationReport(
         claim_id="verify-counterexample",
         status=FAIL if violations else PASS,
@@ -347,14 +352,14 @@ def normalized_search(
     """Look for a normalized, comonotonically maxitive, non-monotone functional.
 
     Candidates failing normalization on some constant are rejected.  The
-    rest are screened together in one walk of each pair source (the
-    structured family, generated comonotone pairs, sampled ordered
-    pairs), keeping no pair past its check: a maxitivity break rejects a
+    rest are screened together on the comonotone pairs of
+    ``comonotone_pairs``, then on ordered family and sampled pairs,
+    keeping no pair past its check: a maxitivity break rejects a
     candidate, a monotonicity break alone would be a finding.  The
     expected outcome is ``inconclusive``, never a settled question.  A
     family over ``budget`` pairs is refused before anything runs.
     """
-    _check_family_budget(grid, prefix_max, budget)
+    _, total_pairs = _check_family_budget(grid, prefix_max, budget)
     params = GeneratorParams(prefix_max=prefix_max)
     probe_constants = sorted({*grid, Fraction(1, 3), Fraction(2, 3)})
 
@@ -377,34 +382,30 @@ def normalized_search(
     def evaluate(fn: SeqFn) -> list[Fraction]:
         return [functional(fn) for functional in functionals]
 
-    def check_join(f: SeqFn, g: SeqFn, vf: list, vg: list) -> None:
-        joined = join(f, g)
-        for k, functional in enumerate(functionals):
-            if k not in maxitivity_breaks and functional(joined) != max(vf[k], vg[k]):
-                maxitivity_breaks[k] = {"f": f.to_json(), "g": g.to_json()}
-
     def check_order(lower: SeqFn, upper: SeqFn, v_lower: list, v_upper: list) -> None:
         for k in range(len(functionals)):
             if k not in monotonicity_breaks and v_lower[k] > v_upper[k]:
                 monotonicity_breaks[k] = {"lower": lower.to_json(), "upper": upper.to_json()}
 
-    family = structured_family(grid, prefix_max)
-    relations = PairRelations(family)
-    values = [evaluate(f) for f in family]
-    family_pairs = ordered_pairs = 0
+    table = _family_table(grid, prefix_max, evaluate)
+    sources: Counter = Counter()
+    for source, _, f, g, vf, vg, _ in comonotone_pairs(
+        evaluate, table, 0, total_pairs, seed, 0, samples, params
+    ):
+        sources[source] += 1
+        joined = join(f, g)
+        for k, functional in enumerate(functionals):
+            if k not in maxitivity_breaks and functional(joined) != max(vf[k], vg[k]):
+                maxitivity_breaks[k] = {"f": f.to_json(), "g": g.to_json()}
+
+    family, relations, values = table
+    ordered_pairs = 0
     for i, j in combinations_with_replacement(range(len(family)), 2):
-        if relations.comonotone(i, j):
-            family_pairs += 1
-            check_join(family[i], family[j], values[i], values[j])
         order = relations.order(i, j)
         if order:
             ordered_pairs += 1
             lo, hi = (i, j) if order < 0 else (j, i)
             check_order(family[lo], family[hi], values[lo], values[hi])
-
-    for index in range(samples):
-        f, g = generate_pair(pair_seed(seed, index), params)
-        check_join(f, g, evaluate(f), evaluate(g))
     rng = random.Random(pair_seed(seed, samples))
     for _ in range(samples):
         f = random_seqfn(rng, params)
@@ -426,8 +427,8 @@ def normalized_search(
         "rejected_not_maxitive": outcomes["rejected_not_maxitive"],
         "monotone_at_this_scale": outcomes["monotone_at_this_scale"],
         "candidates_found": outcomes["candidate_found"],
-        "family_pairs_screened": family_pairs,
-        "generated_pairs_screened": samples,
+        "family_pairs_screened": sources["family"],
+        "generated_pairs_screened": sources["generated"],
         "ordered_pairs_screened": ordered_pairs + samples,
     }
     return VerificationReport(

@@ -2,13 +2,14 @@
 
 Every suite is correct on the configurations the CLI runs by default,
 so no other test sees a ``fail`` report.  Here a wrong step functional,
-a wrong integral or a broken norm is patched in at ``--jobs 1`` (the
-fault lives in this process only), and the report must keep its bytes
-and exit 1.  Each count of violations or failures must equal the number
+a wrong integral or a broken norm is patched in (the fault lives in this
+process only, so shards at ``--jobs`` above 1 run on an inline pool),
+and the report must keep its bytes and exit 1.  Each count of violations or failures must equal the number
 of witnesses of its kind.
 """
 
 import hashlib
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -63,12 +64,19 @@ def failing_report(argv, capsys):
     return hashlib.sha256(text.encode("utf-8")).hexdigest(), report
 
 
-def test_failing_counterexample_report_is_pinned(monkeypatch, capsys):
+FAILING_COUNTEREXAMPLE_DIGEST = "5d2726cc5630e4871600e0dd9ec6b984887d3bc9a617df03be9e6db49c7d5a9b"
+
+
+def failing_counterexample_report(monkeypatch, capsys, jobs):
     monkeypatch.setattr(suites, "step_value", wrong_step_value)
     monkeypatch.setattr(suites, "membership", wrong_membership)
     argv = ("verify-counterexample", "--grid", "0,1", "--prefix-max", "1", "--samples", "30",
-            "--jobs", "1")
-    digest, report = failing_report(argv, capsys)
+            "--jobs", str(jobs))
+    return failing_report(argv, capsys)
+
+
+def test_failing_counterexample_report_is_pinned(monkeypatch, capsys):
+    digest, report = failing_counterexample_report(monkeypatch, capsys, 1)
     counts = report["counts"]
     kinds = Counter(w["kind"] for w in report["witnesses"])
     assert set(kinds) == {"exact_fact", "maxitivity", "restricted_monotonicity",
@@ -82,7 +90,18 @@ def test_failing_counterexample_report_is_pinned(monkeypatch, capsys):
     assert {w["source"] for w in report["witnesses"] if "source" in w} == {
         "named", "family", "generated"
     }
-    assert digest == "5d2726cc5630e4871600e0dd9ec6b984887d3bc9a617df03be9e6db49c7d5a9b"
+    assert digest == FAILING_COUNTEREXAMPLE_DIGEST
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_failing_counterexample_report_keeps_its_bytes_over_shards(
+    monkeypatch, capsys, pool_sizes, jobs
+):
+    # Every violation's source and index must survive the cut into shards.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    digest, _ = failing_counterexample_report(monkeypatch, capsys, jobs)
+    assert pool_sizes == [jobs, jobs]
+    assert digest == FAILING_COUNTEREXAMPLE_DIGEST
 
 
 FAILURE_COUNTS = {

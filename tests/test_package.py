@@ -370,6 +370,20 @@ def test_only_draw_int_draws_integers():
     assert _package_scopes(_draws_an_integer) == {"rational.draw_int"}
 
 
+def _calls_generate_pair(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and _callee(node.func) == "generate_pair"
+
+
+def test_only_the_pair_walk_generates_pairs():
+    """One walk of comonotone pairs.
+
+    ``generate_pair`` is called in the package only inside
+    ``suites.comonotone_pairs``, which hands both sequence suites their
+    family and generated pairs; neither suite draws a pair of its own.
+    """
+    assert _package_scopes(_calls_generate_pair) == {"suites.comonotone_pairs"}
+
+
 def _raises_budget_error(node: ast.AST) -> bool:
     return isinstance(node, ast.Raise) and _callee(node.exc) == "BudgetExceededError"
 

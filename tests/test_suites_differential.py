@@ -1,8 +1,9 @@
 """``suites.normalized_search`` against the list-based reference in
 ``seq_oracles``: the same report bytes for the real candidate zoo and
-for a hand-built zoo that reaches every outcome, and no generated pair
-kept once it has been checked."""
+for a hand-built zoo that reaches every outcome.  Both sequence suites
+keep no generated pair once it has been checked."""
 
+import functools
 import random
 import weakref
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from comaxlab import suites
 from comaxlab.pairgen import GeneratorParams, pair_seed, random_seqfn
 from comaxlab.seqspace import join
-from comaxlab.suites import normalized_search, structured_family
+from comaxlab.suites import counterexample_suite, normalized_search, structured_family
 
 from seq_oracles import list_normalized_search
 
@@ -114,18 +115,23 @@ def test_hand_built_zoo_matches_list_reference(grid, seed, monkeypatch):
 
 
 def test_generated_pairs_are_freed_once_checked(monkeypatch):
-    refs = []
-    held = []
+    # Both sequence suites draw their generated pairs through the one walk.
     real_generate_pair = suites.generate_pair
+    for name, suite in [
+        ("normalized_search", normalized_search),
+        ("counterexample_suite", functools.partial(counterexample_suite, jobs=1)),
+    ]:
+        refs = []
+        held = []
 
-    def tracking_generate_pair(*args):
-        if len(refs) >= 2:
-            held.append(any(ref() is not None for ref in refs[-2]))
-        pair = real_generate_pair(*args)
-        refs.append([weakref.ref(fn) for fn in pair])
-        return pair
+        def tracking_generate_pair(*args):
+            if len(refs) >= 2:
+                held.append(any(ref() is not None for ref in refs[-2]))
+            pair = real_generate_pair(*args)
+            refs.append([weakref.ref(fn) for fn in pair])
+            return pair
 
-    monkeypatch.setattr(suites, "generate_pair", tracking_generate_pair)
-    normalized_search(seed=0, samples=50, grid=GRIDS["0,1/2,1"], prefix_max=1)
-    assert len(refs) == 50
-    assert not any(held), f"pairs from two calls back still held at {sum(held)} calls"
+        monkeypatch.setattr(suites, "generate_pair", tracking_generate_pair)
+        suite(seed=0, samples=50, grid=GRIDS["0,1/2,1"], prefix_max=1)
+        assert len(refs) == 50, name
+        assert not any(held), f"{name}: pairs from two calls back still held at {sum(held)} calls"
