@@ -14,18 +14,18 @@ tally.  Witnesses are translated back to real functions for the
 report, the maxitivity break by the checkers' ``join_witness``.
 
 Rows are walked in lexicographic order by backtracking (Knuth, TAOCP
-Vol. 4B, 7.2.2), without recursion: entries are set in domain order,
-and each join triple and ordered pair is checked as soon as its largest
-index is set.  Once a prefix breaks both maxitivity and monotonicity,
-every row below it is counted as neither without being visited.  One
-walk covers every row index, in one process; the budget still counts
+Vol. 4B, 7.2.2), without recursion: the walk starts at the zero row,
+entries are set in domain order, and each join triple and ordered pair
+is checked as soon as its largest index is set.  Once a prefix breaks
+both maxitivity and monotonicity, every row below it is counted as
+neither without being visited.  One walk, in one process, covers every
+row over the relations the suite builds once; the budget still counts
 every row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from .grid import Chain, Relations, relations
 from .parallel import run_shards
@@ -43,13 +43,11 @@ def table_count(chain: Chain, n: int) -> int:
     return capped_power(m, capped_power(m, n))
 
 
-def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
-    """Tally tables with lexicographic indices in [lo, hi) by ``(maxitive, monotone)``."""
-    chain_values, n, lo, hi = args
-    chain = Chain(chain_values)
-    structure = relations(chain, n)
-    m, size = len(chain_values), len(structure.domain)
-    nums, scale = over_lcm(chain_values)
+def _census_shard(args: tuple[Chain, Relations]) -> dict:
+    """Tally every table on the relations ``structure`` by ``(maxitive, monotone)``."""
+    chain, structure = args
+    m, size = len(chain), len(structure.domain)
+    nums, scale = over_lcm(chain.values)
 
     # Each check waits for the largest index it reads.
     joins_at: list[list] = [[] for _ in range(size)]
@@ -64,13 +62,13 @@ def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
     bad_maxitive: list[dict] = []
     first_monotone_only: dict | None = None
 
-    # row holds the digits of table ``index``; maxitive[d] and monotone[d] hold
-    # whether its first d entries pass every check they can decide.
-    row = [lo // step % m for step in below]
+    # maxitive[d] and monotone[d] hold whether the first d entries of row pass
+    # every check they can decide; every entry past depth d is 0.
+    row = [0] * size
     maxitive = [True] * (size + 1)
     monotone = [True] * (size + 1)
-    index, d = lo, 0
-    while index < hi:
+    d = 0
+    while True:
         while d < size:
             mx = maxitive[d] and join_break(row, joins_at[d]) is None
             mo = monotone[d] and order_break(row, order_at[d]) is None
@@ -81,10 +79,7 @@ def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
 
         if d < size:
             # No row below this prefix is maxitive or monotone.
-            step = below[d]
-            after = (index // step + 1) * step
-            classes[False, False] += min(after, hi) - index
-            row[d + 1 :] = [0] * (size - 1 - d)
+            classes[False, False] += below[d]
         else:
             mx, mo = maxitive[size], monotone[size]
             classes[mx, mo] += 1
@@ -107,10 +102,9 @@ def _census_shard(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
                         *join_break(row, structure.joins),
                     ),
                 }
-            d, after = size - 1, index + 1
+            d = size - 1
 
         # Step to the next prefix of d + 1 entries, carrying into shorter ones.
-        index = after
         while d >= 0 and row[d] == m - 1:
             row[d] = 0
             d -= 1
@@ -136,13 +130,13 @@ def functional_census(chain: Chain, n: int, budget: int = 10**7) -> Verification
     that every maxitive table is monotone along comonotone ordered
     pairs, which maxitivity forces.
     """
-    total = table_count(chain, n)
-    check_budget(total, budget, "functional enumeration")
+    check_budget(table_count(chain, n), budget, "functional enumeration")
 
-    # One walk over every row: pruning leaves almost all of the work in the
-    # first of any lexicographic cut, so more shards would buy no speed.
-    # It still goes through run_shards, where the bench tracer counts shards.
-    [result] = run_shards(_census_shard, [(chain.values, n, 0, total)], 1)
+    # One walk over the relations built here, handed to run_shards at one
+    # job so that the bench tracer times it as a shard.  Pruning leaves
+    # almost all of the work in the first of any lexicographic cut, so
+    # more shards would buy no speed.
+    [result] = run_shards(_census_shard, [(chain, relations(chain, n))], 1)
     classes = result["classes"]
     witnesses = result["bad_maxitive"]
     if result["first_monotone_only"] is not None:

@@ -76,14 +76,15 @@ def _first_opposed(af: int, bf: int, ag: int, bg: int, n_min: int) -> int | None
 def comonotone_witness(f: SeqFn, g: SeqFn) -> tuple[Point, Point] | None:
     """First point pair ordered oppositely by f and g, or None if comonotone."""
     shared = max(f.head_len, g.head_len)
-    fixed = points_upto(shared)
     f_scale, fv = scaled_values(f, shared)
     g_scale, gv = scaled_values(g, shared)
 
+    # The values sit at points_upto(shared), named only for a witness returned.
     # Literal, not grid.signs: it stops at the first opposed pair, and masking them all was slower.
-    for i in range(len(fixed)):
-        for j in range(i + 1, len(fixed)):
+    for i in range(len(fv)):
+        for j in range(i + 1, len(fv)):
             if (fv[i] - fv[j]) * (gv[i] - gv[j]) < 0:
+                fixed = points_upto(shared)
                 return (fixed[i], fixed[j])
 
     bf = f.slope_num * (f_scale // f.den)
@@ -92,10 +93,10 @@ def comonotone_witness(f: SeqFn, g: SeqFn) -> tuple[Point, Point] | None:
         return (seq(shared + 1), seq(shared + 2))
 
     # n * scale * (f(seq(n)) - f(x0)) == n * (fv[-1] - fv[x0]) - bf, and likewise for g.
-    for x0, fx, gx in zip(fixed, fv, gv):
+    for x0, (fx, gx) in enumerate(zip(fv, gv)):
         n = _first_opposed(fv[-1] - fx, bf, gv[-1] - gx, bg, shared + 1)
         if n is not None:
-            return (x0, seq(n))
+            return (points_upto(shared)[x0], seq(n))
 
     return None
 

@@ -17,7 +17,11 @@ to in turn.
 ``grid.relations``; ``walk_capacities`` is the product-and-filter
 walk that ``capacity.enumerate_capacities`` prunes, and
 ``oracle_census_shard`` the scan of every ``product`` row, checked
-whole, that the census shard's backtracking walk prunes.
+whole, that the census shard's backtracking walk prunes; both take the
+chain and the relations to walk.  ``level_set_count`` counts the
+comonotone maxitive tables without walking any, from the level steps
+that fix such a table, and ``macmahon_box`` the monotone ones on two
+points, by MacMahon's box formula.
 ``TabulatedFunctional`` and ``enumerate_functionals`` give the tests
 functionals as explicit tables, walked in the census's order;
 ``grid_table`` and ``homogeneity_table`` tabulate a functional the way
@@ -35,10 +39,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from typing import Iterator
 
-from comaxlab import census
 from comaxlab.capacity import Capacity, subsets
 from comaxlab.census import WITNESS_CAP, table_count
 from comaxlab.grid import Chain, GridFn, all_functions, relations
@@ -177,18 +180,58 @@ def satisfies_all_axioms(functional, norm, chain, n, seed=0):
     return ok
 
 
-def oracle_census_shard(args):
-    """A census shard by the literal scan: each ``product`` row in [lo, hi), checked whole.
+def macmahon_box(a: int, b: int, c: int) -> int:
+    """Plane partitions in an a x b x c box.
 
-    Takes and returns what ``census._census_shard`` does.  It builds the
-    relations through ``census.relations``, so a test that patches them
-    there patches them here too.
+    They are the monotone maps from the a x b grid into a chain of c + 1
+    values.
     """
-    chain_values, n, lo, hi = args
-    chain = Chain(chain_values)
-    structure = census.relations(chain, n)
+    num = den = 1
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            for k in range(1, c + 1):
+                num *= i + j + k - 1
+                den *= i + j + k - 2
+    return num // den
+
+
+def level_set_count(m: int, n: int) -> int:
+    """Comonotone maxitive tables for an m-value chain on n points, walking no table.
+
+    Every function is the comonotone join of its level steps, the chain's
+    k-th value on the set where it reaches that value, so such a table is
+    fixed by its value index v at the zero function and, for k = 1..m-1,
+    the value indices g_k of the k-th value's steps on the nonempty
+    subsets.  Each g_k is monotone under inclusion with values >= v, and
+    g_1 <= ... <= g_{m-1} pointwise.  The count sums these chains over v.
+    """
+    sets = [s for s in subsets(n) if s]
+    nested = [(a, b) for a, s in enumerate(sets) for b, t in enumerate(sets) if s < t]
+    total = 0
+    for v in range(m):
+        maps = [
+            g
+            for g in product(range(v, m), repeat=len(sets))
+            if all(g[a] <= g[b] for a, b in nested)
+        ]
+        ending = [1] * len(maps)  # chains of one map, ending at each map
+        for _ in range(m - 2):
+            ending = [
+                sum(c for g, c in zip(maps, ending) if all(x <= y for x, y in zip(g, h)))
+                for h in maps
+            ]
+        total += sum(ending)
+    return total
+
+
+def oracle_census_shard(args):
+    """A census shard by the literal scan: every ``product`` row, checked whole.
+
+    Takes and returns what ``census._census_shard`` does: the chain and
+    the relations to walk, and the tally with its witnesses.
+    """
+    chain, structure = args
     domain = structure.domain
-    rows = product(range(len(chain_values)), repeat=len(domain))
 
     def table(row):
         return {",".join(map(str, f.values)): chain.values[x] for f, x in zip(domain, row)}
@@ -196,7 +239,7 @@ def oracle_census_shard(args):
     classes = Counter()
     bad_maxitive = []
     first_monotone_only = None
-    for row in islice(rows, lo, hi):
+    for row in product(range(len(chain)), repeat=len(domain)):
         maxitivity_break = join_break(row, structure.joins)
         maxitive = maxitivity_break is None
         monotone = order_break(row, structure.order) is None

@@ -6,11 +6,13 @@ import pytest
 
 from comaxlab import census
 from comaxlab.census import functional_census, table_count
-from comaxlab.grid import Chain, GridFn
+from comaxlab.grid import Chain, GridFn, Relations, all_functions
 from comaxlab.report import BudgetExceededError
 
 from grid_oracles import (
     enumerate_functionals,
+    level_set_count,
+    macmahon_box,
     oracle_census_shard,
     oracle_comonotone_maxitive,
     oracle_monotone,
@@ -83,16 +85,6 @@ def test_census_three_chain_finds_monotone_not_maxitive_witness():
     assert Fraction(pair["F_join"]) != Fraction(pair["max_F"])
 
 
-def macmahon_box(a: int, b: int, c: int) -> int:
-    num = den = 1
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                num *= i + j + k - 1
-                den *= i + j + k - 2
-    return num // den
-
-
 def test_monotone_count_matches_macmahon_oracle():
     assert macmahon_box(3, 3, 2) == 175
     assert macmahon_box(2, 2, 1) == 6  # the two-point chain case
@@ -114,22 +106,6 @@ def test_census_agrees_with_checker_path():
     assert monotone == report.counts["monotone"]
 
 
-def test_census_sampled_cross_check_on_three_chain():
-    # The first 243 tables of the 3-chain census and every 977th one, each
-    # classified by a one-table census shard and by the literal oracle loops.
-    # Tables 0, 3 and 4 are maxitive and monotone, neither, and monotone only.
-    seen = set()
-    for index, table in enumerate(enumerate_functionals(CHAIN3, 2)):
-        if index >= 243 and index % 977:
-            continue
-        ok_max, _ = oracle_comonotone_maxitive(table, CHAIN3, 2)
-        ok_mon, _ = oracle_monotone(table, CHAIN3, 2)
-        classes = census._census_shard((CHAIN3.values, 2, index, index + 1))["classes"]
-        assert classes == {(ok_max, ok_mon): 1}, index
-        seen.add((ok_max, ok_mon))
-    assert seen == {(True, True), (False, False), (False, True)}
-
-
 # The census of CHAIN3, n = 2 once the first ordered pair that is not
 # comonotone is ordered both ways: 71 maxitive tables are then not
 # monotone.  Pinned while the census still merged the witnesses of
@@ -139,7 +115,7 @@ FORCED_FINDING_DIGEST = "65f586888b53bddbf39125ea40c11fb7d21aedf2ecb9c5f156bb987
 
 @pytest.fixture
 def reversed_non_comonotone_pair(monkeypatch):
-    """Order the first non-comonotone ordered pair both ways in every shard's relations."""
+    """Order the first non-comonotone ordered pair both ways in the census's relations."""
     real = census.relations
 
     def patched(chain, n):
@@ -151,10 +127,7 @@ def reversed_non_comonotone_pair(monkeypatch):
     monkeypatch.setattr(census, "relations", patched)
 
 
-@pytest.mark.parametrize("pieces, sources", [(1, [5]), (3, [5]), (200, [3, 2]), (1000, [2, 1, 2])])
-def test_census_finding_merges_capped_witnesses_across_shards(
-    pieces, sources, reversed_non_comonotone_pair
-):
+def test_census_finding_keeps_the_first_capped_witnesses(reversed_non_comonotone_pair):
     report = functional_census(CHAIN3, 2)
     assert report.status == "finding"
     assert report.counts == {
@@ -170,20 +143,6 @@ def test_census_finding_merges_capped_witnesses_across_shards(
         "monotone_not_maxitive"
     ]
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == FORCED_FINDING_DIGEST
-    # The one walk keeps the witnesses that the walks of `pieces` balanced
-    # contiguous ranges give when their capped lists are joined in range
-    # order; `sources` is how many of the five each range gives.
-    base, extra = divmod(19_683, pieces)
-    cuts = [i * base + min(i, extra) for i in range(pieces + 1)]
-    joined, taken = [], []
-    for lo, hi in zip(cuts, cuts[1:]):
-        found = census._census_shard((CHAIN3.values, 2, lo, hi))["bad_maxitive"]
-        take = found[: census.WITNESS_CAP - len(joined)]
-        if take:
-            joined += take
-            taken.append(len(take))
-    assert taken == sources
-    assert joined == report.witnesses[:5]
 
 
 def test_census_refuses_a_maxitive_table_not_monotone_on_a_comonotone_ordered_pair(
@@ -197,18 +156,33 @@ def test_census_refuses_a_maxitive_table_not_monotone_on_a_comonotone_ordered_pa
         functional_census(CHAIN3, 2)
 
 
+def break_first_comonotone_join(rel):
+    """``rel`` with the first comonotone ordered pair's join set to its lower function."""
+    lower, upper = rel.comonotone_order[0]
+    joins = tuple((i, j, lower if (i, j) == (lower, upper) else k) for i, j, k in rel.joins)
+    return replace(rel, joins=joins)
+
+
 @pytest.fixture
 def broken_comonotone_join(monkeypatch):
-    """Give the first comonotone ordered pair the lower function as its join in every shard."""
+    """Give the first comonotone ordered pair the lower function as its join."""
     real = census.relations
 
     def patched(chain, n):
-        rel = real(chain, n)
-        lower, upper = rel.comonotone_order[0]
-        joins = tuple(
-            (i, j, lower if (i, j) == (lower, upper) else k) for i, j, k in rel.joins
-        )
-        return replace(rel, joins=joins)
+        return break_first_comonotone_join(real(chain, n))
+
+    monkeypatch.setattr(census, "relations", patched)
+
+
+@pytest.fixture
+def hidden_broken_comonotone_join(monkeypatch):
+    """Break the join as ``broken_comonotone_join`` does, and drop the pair from
+    ``comonotone_order``, so that no table trips the census's check."""
+    real = census.relations
+
+    def patched(chain, n):
+        rel = break_first_comonotone_join(real(chain, n))
+        return replace(rel, comonotone_order=rel.comonotone_order[1:])
 
     monkeypatch.setattr(census, "relations", patched)
 
@@ -225,48 +199,60 @@ GRIDS = {(2, 2): CHAIN2, (3, 2): CHAIN3, (2, 3): CHAIN2, (2, 4): CHAIN2, (4, 1):
 
 
 def assert_walk_matches_the_literal_scan(chain, n):
-    # Under a broken join a range raises once it holds a maxitive table the
-    # patch makes non-monotone; halves, quarters and sixteenths keep long
-    # ranges that hold none.
-    total = table_count(chain, n)
-    cuts = [(0, total), (0, 1), (total // 3, total - 7), (total - 1, total)]
-    for parts in (2, 4, 16):
-        cuts += [(total * s // parts, total * (s + 1) // parts) for s in range(parts)]
-    for lo, hi in cuts:
-        args = (chain.values, n, lo, hi)
-        walked = shard_outcome(census._census_shard, args)
-        assert walked == shard_outcome(oracle_census_shard, args), (lo, hi)
+    # Whole shard results: the tally, the kept witnesses and the first
+    # monotone-only table, or the message of the check that stopped both.
+    args = (chain, census.relations(chain, n))
+    assert shard_outcome(census._census_shard, args) == shard_outcome(oracle_census_shard, args)
 
 
 @pytest.mark.parametrize("m, n", list(GRIDS))
 def test_census_walk_matches_the_literal_scan(m, n):
-    # Whole shard results: the tally, the kept witnesses and the first
-    # monotone-only table, over full ranges and odd cuts.
     assert_walk_matches_the_literal_scan(GRIDS[m, n], n)
 
 
 @pytest.mark.parametrize(
     "patch, m, n",
     [("reversed_non_comonotone_pair", 3, 2)]
-    + [("broken_comonotone_join", m, n) for m, n in GRIDS],
+    + [("broken_comonotone_join", m, n) for m, n in GRIDS]
+    + [("hidden_broken_comonotone_join", m, n) for m, n in [(2, 2), (3, 2), (2, 3), (4, 1)]],
 )
 def test_census_walk_matches_the_literal_scan_on_patched_relations(patch, m, n, request):
-    # Both patches add a check whose largest index is not its last entry
+    # Every patch adds a check whose largest index is not its last entry
     # (a reversed pair j > i, a join k < j): the walk must still make it
     # only once every entry it reads is set.  Only the three-chain on two
-    # points has an ordered pair that is not comonotone.
+    # points has an ordered pair that is not comonotone.  The broken join
+    # stops both at the first maxitive table it makes non-monotone; the
+    # hidden one stops neither, so the whole tally is compared.
     request.getfixturevalue(patch)
     assert_walk_matches_the_literal_scan(GRIDS[m, n], n)
 
 
 def test_census_walk_needs_no_recursion_on_a_thousand_positions():
-    # The two-point chain on 10 points: 1,024 entries per row, past the
-    # interpreter's default recursion limit.  The first and the last
-    # table are the constants 0 and 1, maxitive and monotone.
-    total = table_count(CHAIN2, 10)
-    for lo in (0, total - 1):
-        result = census._census_shard((CHAIN2.values, 10, lo, lo + 1))
-        assert result["classes"] == {(True, True): 1}, lo
+    # 1,024 entries per row, past the interpreter's default recursion
+    # limit, on relations that tie every entry to entry 0 both ways: a
+    # table passes either check only where it is constant.  The all-0 and
+    # the all-1 tables each descend every entry.
+    rest = range(1, 1024)
+    structure = Relations(
+        domain=tuple(all_functions(CHAIN2, 10)),
+        joins=tuple((0, 0, x) for x in rest),
+        order=tuple(pair for x in rest for pair in ((x, 0), (0, x))),
+        comonotone_order=(),
+        constants=(0, 1023),
+    )
+    result = census._census_shard((CHAIN2, structure))
+    assert result["classes"] == {(True, True): 2, (False, False): 2**1024 - 2}
+
+
+@pytest.mark.parametrize(
+    "m, n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)]
+)
+def test_census_maxitive_count_matches_the_level_set_count(m, n):
+    # The level-set count reads no table: an independent check of the
+    # census's headline count.
+    chain = {2: CHAIN2, 3: CHAIN3, 4: CHAIN4}[m]
+    report = functional_census(chain, n, budget=4**16)
+    assert report.counts["comonotone_maxitive"] == level_set_count(m, n)
 
 
 def test_census_of_the_four_chain_on_two_points():

@@ -51,6 +51,19 @@ def test_comonotone_check_finding_with_witness(tmp_path):
     assert witness["product"] == "-1/4"
 
 
+def test_comonotone_check_witness_names_the_limit(tmp_path):
+    # f rises to 1 at seq(1) and ends at 0; g sits at 0 there and ends at 1.
+    a = write_json(tmp_path / "f.json", {"vP": "0", "prefix": ["1"], "alpha": "0", "beta": "0"})
+    b = write_json(tmp_path / "g.json", {"vP": "0", "prefix": ["0"], "alpha": "0", "beta": "1"})
+    result = run_cli("comonotone-check", a, b)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["status"] == "finding"
+    witness = report["witnesses"][0]
+    assert witness["points"] == ["seq(1)", "limit"]
+    assert witness["product"] == "-1"
+
+
 def test_comonotone_check_pass_for_comonotone_files(tmp_path):
     a = write_json(tmp_path / "ramp1.json", RAMP1_JSON)
     b = write_json(tmp_path / "const.json", {"vP": "1/3", "prefix": [], "alpha": "0", "beta": "1/3"})
