@@ -39,7 +39,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
 from comaxlab.capacity import Capacity, subsets
@@ -224,11 +224,12 @@ def level_set_count(m: int, n: int) -> int:
     return total
 
 
-def oracle_census_shard(args):
-    """A census shard by the literal scan: every ``product`` row, checked whole.
+def oracle_census_shard(args, lo=0, hi=None):
+    """A census shard by the literal scan: each ``product`` row in [lo, hi), checked whole.
 
     Takes and returns what ``census._census_shard`` does: the chain and
-    the relations to walk, and the tally with its witnesses.
+    the relations to walk, and the tally with its witnesses.  By default
+    it scans every row.
     """
     chain, structure = args
     domain = structure.domain
@@ -239,7 +240,7 @@ def oracle_census_shard(args):
     classes = Counter()
     bad_maxitive = []
     first_monotone_only = None
-    for row in product(range(len(chain)), repeat=len(domain)):
+    for row in islice(product(range(len(chain)), repeat=len(domain)), lo, hi):
         maxitivity_break = join_break(row, structure.joins)
         maxitive = maxitivity_break is None
         monotone = order_break(row, structure.order) is None

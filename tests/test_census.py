@@ -127,7 +127,10 @@ def reversed_non_comonotone_pair(monkeypatch):
     monkeypatch.setattr(census, "relations", patched)
 
 
-def test_census_finding_keeps_the_first_capped_witnesses(reversed_non_comonotone_pair):
+@pytest.mark.parametrize("pieces, sources", [(1, [5]), (3, [5]), (200, [3, 2]), (1000, [2, 1, 2])])
+def test_census_finding_merges_capped_witnesses_across_shards(
+    pieces, sources, reversed_non_comonotone_pair
+):
     report = functional_census(CHAIN3, 2)
     assert report.status == "finding"
     assert report.counts == {
@@ -143,6 +146,22 @@ def test_census_finding_keeps_the_first_capped_witnesses(reversed_non_comonotone
         "monotone_not_maxitive"
     ]
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == FORCED_FINDING_DIGEST
+    # The one walk keeps the witnesses that literal scans of `pieces`
+    # balanced contiguous row ranges give when their capped lists are
+    # joined in range order; `sources` is how many of the five each range
+    # gives.
+    structure = census.relations(CHAIN3, 2)
+    base, extra = divmod(19_683, pieces)
+    cuts = [i * base + min(i, extra) for i in range(pieces + 1)]
+    joined, taken = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        found = oracle_census_shard((CHAIN3, structure), lo, hi)["bad_maxitive"]
+        take = found[: census.WITNESS_CAP - len(joined)]
+        if take:
+            joined += take
+            taken.append(len(take))
+    assert taken == sources
+    assert joined == report.witnesses[:5]
 
 
 def test_census_refuses_a_maxitive_table_not_monotone_on_a_comonotone_ordered_pair(
