@@ -13,12 +13,13 @@ never claiming to settle the question.
 
 Both take their comonotone pairs from one walk, ``comonotone_pairs``,
 which evaluates each function once (``membership``, or the screened
-zoo); every counterexample pair is checked by ``_check_pair``.
+zoo); every counterexample pair is checked by ``_check_pair``.  The
+join of an ordered comonotone pair is its upper member, so both build
+and evaluate a join only for an unordered pair.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -200,28 +201,28 @@ def comonotone_pairs(
 
 def _check_pair(
     pair: tuple[str, int, SeqFn, SeqFn, Membership, Membership, int],
-    step_of: Callable[[SeqFn], Fraction],
     tally: Counter,
     violations: list[dict],
 ) -> None:
     """Count one comonotone pair under its source and check the step functional on it.
 
     ``pair`` is as ``comonotone_pairs`` yields it, with memberships for
-    values; ``step_of`` gives the step value of ``join(f, g)``, which
-    must be the larger step value, and an ordered pair's lower step
-    value must not exceed its upper one.
+    values.  The step value of ``join(f, g)`` must be the larger step
+    value; an ordered pair's join is its upper member, so only an
+    unordered pair builds one.  An ordered pair's lower step value must
+    not exceed its upper one.
     """
     source, index, f, g, mf, mg, order = pair
     tally[PAIR_COUNTS[source]] += 1
     tally[f"branch_{branch_tag(mf, mg)}"] += 1
     nu_f, nu_g = mf.step, mg.step
-    nu_join, expected = step_of(join(f, g)), max(nu_f, nu_g)
+    lower, upper, nu_lo, nu_hi = (f, g, nu_f, nu_g) if order <= 0 else (g, f, nu_g, nu_f)
+    nu_join, expected = step_value(upper if order else join(f, g)), max(nu_f, nu_g)
     where = {"source": source, "index": index}
     if nu_join != expected:
         violations.append({"kind": "maxitivity", **where, "f": f.to_json(), "g": g.to_json(),
                            "step_join": nu_join, "max_steps": expected})
     if order:
-        lower, upper, nu_lo, nu_hi = (f, g, nu_f, nu_g) if order < 0 else (g, f, nu_g, nu_f)
         tally["ordered_comonotone_checks"] += 1
         if nu_lo > nu_hi:
             violations.append({"kind": "restricted_monotonicity", **where,
@@ -229,26 +230,23 @@ def _check_pair(
                                "step_lower": nu_lo, "step_upper": nu_hi})
 
 
-def _check_pairs(pairs: Iterable[tuple], step_of: Callable[[SeqFn], Fraction]) -> dict:
+def _check_pairs(pairs: Iterable[tuple]) -> dict:
     tally: Counter = Counter()
     violations: list[dict] = []
     for pair in pairs:
-        _check_pair(pair, step_of, tally, violations)
+        _check_pair(pair, tally, violations)
     return {"tally": tally, "violations": violations}
 
 
 def _family_shard(args: tuple) -> dict:
     grid, prefix_max, lo, hi = args
     table = _family_table(grid, prefix_max, membership)
-    # Joins of different family pairs often coincide; their step value
-    # is a pure function of the joined function.
-    return _check_pairs(comonotone_pairs(membership, table, lo, hi), functools.cache(step_value))
+    return _check_pairs(comonotone_pairs(membership, table, lo, hi))
 
 
 def _sample_shard(args: tuple) -> dict:
     seed, lo, hi, params = args
-    pairs = comonotone_pairs(membership, seed=seed, first=lo, last=hi, params=params)
-    return _check_pairs(pairs, step_value)
+    return _check_pairs(comonotone_pairs(membership, seed=seed, first=lo, last=hi, params=params))
 
 
 def counterexample_suite(
@@ -295,7 +293,7 @@ def counterexample_suite(
             continue
         pair = ("named", tally["named_pairs"], f, g, membership(f), membership(g),
                 pointwise_order(f, g))
-        _check_pair(pair, step_value, tally, violations)
+        _check_pair(pair, tally, violations)
 
     tally["family_functions"] = size
     tally["family_pairs"] = total_pairs
@@ -389,13 +387,14 @@ def normalized_search(
 
     table = _family_table(grid, prefix_max, evaluate)
     sources: Counter = Counter()
-    for source, _, f, g, vf, vg, _ in comonotone_pairs(
+    for source, _, f, g, vf, vg, order in comonotone_pairs(
         evaluate, table, 0, total_pairs, seed, 0, samples, params
     ):
         sources[source] += 1
-        joined = join(f, g)
-        for k, functional in enumerate(functionals):
-            if k not in maxitivity_breaks and functional(joined) != max(vf[k], vg[k]):
+        # An ordered pair's join is its upper member, already evaluated.
+        v_join = (vg if order < 0 else vf) if order else evaluate(join(f, g))
+        for k in range(len(functionals)):
+            if k not in maxitivity_breaks and v_join[k] != max(vf[k], vg[k]):
                 maxitivity_breaks[k] = {"f": f.to_json(), "g": g.to_json()}
 
     family, relations, values = table

@@ -144,7 +144,7 @@ def test_package_has_no_unused_import_or_unreferenced_definition():
 
 
 def _callee(node: ast.expr) -> str | None:
-    """The name a decorator refers to: ``lru_cache`` for ``@functools.lru_cache(4096)``."""
+    """The name a decorator or call refers to: ``lru_cache`` for ``@functools.lru_cache(4096)``."""
     if isinstance(node, ast.Call):
         node = node.func
     if isinstance(node, ast.Attribute):
@@ -152,20 +152,26 @@ def _callee(node: ast.expr) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def test_no_module_level_function_is_cached():
-    """No process-wide memo: a suite builds its tables and hands them over.
+def _applied(node: ast.AST) -> list[ast.expr]:
+    """What a node applies to a function: a definition's decorators, or a call's callee."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.decorator_list
+    return [node.func] if isinstance(node, ast.Call) else []
 
-    A top-level function of the package may not be decorated with
-    ``functools.cache`` or ``lru_cache``.  A cache local to one call
-    (``functools.cache(step_value)`` in a shard) is fine.
+
+def test_no_module_level_function_is_cached():
+    """No memo anywhere: a suite builds its tables and hands them over.
+
+    Nothing in the package, at any depth, is decorated with
+    ``functools.cache`` or ``lru_cache`` or wraps a function by calling
+    either (``functools.cache(step_value)``).
     """
-    cached = [
-        f"{path.name}: {node.name}"
+    cached = sorted({
+        f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for node in _parse(path).body
-        if isinstance(node, ast.FunctionDef)
-        and any(_callee(d) in {"cache", "lru_cache"} for d in node.decorator_list)
-    ]
+        for node in ast.walk(_parse(path))
+        if any(_callee(f) in {"cache", "lru_cache"} for f in _applied(node))
+    })
     assert not cached
 
 

@@ -190,6 +190,9 @@ def test_lattice_laws(f, g, h):
     assert join(f, f) == f
     assert join(f, g) == join(g, f)
     assert join(join(f, g), h) == join(f, join(g, h))
+    assert join(f, join(f, g)) == join(f, g)
+    if leq(f, g):
+        assert join(f, g) == g
 
 
 def test_json_round_trip():

@@ -5,12 +5,15 @@ import pytest
 
 from comaxlab import suites
 from comaxlab.classify import membership
+from comaxlab.pairgen import GeneratorParams
 from comaxlab.report import BudgetExceededError
+from comaxlab.seq_comonotone import PairRelations
 from comaxlab.seqspace import constant, join, ramp
 from comaxlab.suites import (
     ALL_BRANCHES,
     BRANCH_PEAK_ONE,
     branch_tag,
+    comonotone_pairs,
     counterexample_suite,
     family_size,
     named_witness_pairs,
@@ -50,6 +53,23 @@ def test_structured_family_contains_key_functions():
     assert len(family) == len(set(family))
     # deterministic ordering
     assert family == structured_family(GRID3, 2)
+
+
+def test_an_ordered_comonotone_pair_joins_to_its_upper_member():
+    # Both sequence suites take an ordered pair's join to be its upper member.
+    family = structured_family((F(0), F(1, 3), F(2, 3), F(1)), 2)
+    table = (family, PairRelations(family), [None] * len(family))
+    total = len(family) * (len(family) + 1) // 2
+    pairs = comonotone_pairs(lambda f: None, table, 0, total, 0, 0, 2_000, GeneratorParams())
+    seen = set()
+    for source, _, f, g, _, _, order in pairs:
+        joined = join(f, g)
+        if order:
+            assert joined == (g if order < 0 else f), (source, f, g)
+        else:
+            assert joined not in (f, g), (source, f, g)
+        seen.add((source, order))
+    assert seen == {(source, order) for source in ("family", "generated") for order in (-1, 0, 1)}
 
 
 def test_counterexample_suite_passes_and_hits_every_branch():
