@@ -18,15 +18,14 @@ row (the isolated value is at most 1 anyway).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rational import ONE, ZERO
 from .seqspace import SeqFn, attained_max
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     """Exact classification flags for one function."""
 
     below_ramp: bool  # f <= unit ramp pointwise

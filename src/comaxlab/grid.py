@@ -14,28 +14,28 @@ once and hands it to the checkers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
-from .rational import ONE, ZERO, check_unit_interval, over_lcm
+from .rational import ONE, ZERO, Record, check_unit_interval, over_lcm
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """Strictly increasing rational values from 0 to 1, closed under min/max."""
 
+    __slots__ = _fields = ("values",)
     values: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) < 2:
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
+        if len(values) < 2:
             raise ValueError("chain needs at least the endpoints 0 and 1")
-        if self.values[0] != ZERO or self.values[-1] != ONE:
+        if values[0] != ZERO or values[-1] != ONE:
             raise ValueError("chain must start at 0 and end at 1")
-        for a, b in zip(self.values, self.values[1:]):
+        for a, b in zip(values, values[1:]):
             if a >= b:
                 raise ValueError("chain values must be strictly increasing")
+        self.values = values
 
     def __len__(self) -> int:
         return len(self.values)
@@ -47,28 +47,29 @@ class Chain:
         return value in self.values
 
 
-@dataclass(frozen=True)
-class GridFn:
+class GridFn(Record):
     """Function on a finite n-point space: its values, and its level sets over their lcm ``den``.
 
     ``levels`` pairs each threshold of ``values + {0, 1}``, ascending and
     as a numerator over ``den``, with the points where the function
-    reaches it; ``integral.tnorm_integral`` sweeps them.
+    reaches it; ``integral.tnorm_integral`` sweeps them.  Equality, hash
+    and repr read ``values`` alone.
     """
 
+    __slots__ = ("values", "den", "levels")
+    _fields = ("values",)
     values: tuple[Fraction, ...]
-    den: int = field(init=False, repr=False, compare=False)
-    levels: tuple[tuple[int, frozenset[int]], ...] = field(init=False, repr=False, compare=False)
+    den: int
+    levels: tuple[tuple[int, frozenset[int]], ...]
 
-    def __post_init__(self) -> None:
-        for v in self.values:
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
+        for v in values:
             check_unit_interval(v, "function value")
-        nums, den = over_lcm(self.values)
-        levels = tuple(
+        nums, den = over_lcm(values)
+        self.values, self.den = values, den
+        self.levels = tuple(
             (t, frozenset(i for i, v in enumerate(nums) if v >= t)) for t in sorted({*nums, 0, den})
         )
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "levels", levels)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -106,8 +107,7 @@ def all_functions(chain: Chain, n: int) -> list[GridFn]:
     return [GridFn(vals) for vals in product(chain.values, repeat=n)]
 
 
-@dataclass(frozen=True)
-class Relations:
+class Relations(NamedTuple):
     """Index form of the pair relations over ``all_functions(chain, n)``."""
 
     domain: tuple[GridFn, ...]

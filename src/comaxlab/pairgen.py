@@ -25,39 +25,39 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
-from .rational import draw_int
+from .rational import Record, draw_int
 from .seq_comonotone import comonotone_witness
 from .seqspace import SeqFn, _reduced, scaled_values
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
+class GeneratorParams(Record):
     """Size bounds for generated objects."""
 
-    prefix_max: int = 2
-    max_denominator: int = 6
-    max_breakpoints: int = 3
+    __slots__ = _fields = ("prefix_max", "max_denominator", "max_breakpoints")
+    prefix_max: int
+    max_denominator: int
+    max_breakpoints: int
 
-    def __post_init__(self) -> None:
-        if self.prefix_max < 0 or self.max_denominator < 1 or self.max_breakpoints < 0:
+    def __init__(self, prefix_max: int = 2, max_denominator: int = 6, max_breakpoints: int = 3):
+        if prefix_max < 0 or max_denominator < 1 or max_breakpoints < 0:
             raise ValueError("generator parameters must be nonnegative (denominator >= 1)")
+        self.prefix_max, self.max_denominator = prefix_max, max_denominator
+        self.max_breakpoints = max_breakpoints
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(Record):
     """Nondecreasing piecewise-linear self-map of [0,1]; knot ``(X, Y)`` is ``(X/den, Y/den)``."""
 
+    __slots__ = _fields = ("den", "knots")
     den: int
     knots: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        den = self.den
+    def __init__(self, den: int, knots: tuple[tuple[int, int], ...]) -> None:
         if den < 1:
             raise ValueError(f"denominator {den} must be positive")
-        xs = [x for x, _ in self.knots]
-        ys = [y for _, y in self.knots]
+        xs = [x for x, _ in knots]
+        ys = [y for _, y in knots]
         if xs[0] != 0 or xs[-1] != den:
             raise ValueError("knot abscissas must run from 0 to 1")
         if any(a >= b for a, b in zip(xs, xs[1:])):
@@ -67,6 +67,7 @@ class MonotoneMap:
         for y in ys:
             if not 0 <= y <= den:
                 raise ValueError("knot ordinates must lie in [0,1]")
+        self.den, self.knots = den, knots
 
 
 def _segment(knots: tuple[tuple[int, int], ...], w: int, q: int) -> tuple[int, int, int, int]:

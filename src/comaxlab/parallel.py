@@ -1,10 +1,11 @@
 """Deterministic fan-out of shard work across processes.
 
-The counterexample suite cuts its work into one contiguous shard per
-worker, so shard bounds depend on the configuration and the usable
-CPUs.  The merge runs in shard order, never completion order, which
-keeps the report independent of both: jobs=4 gives exactly the report
-of jobs=1.  The census hands its one walk to ``run_shards`` at one job.
+The counterexample suite cuts its family pairs and its samples each into
+one contiguous shard per worker, so shard bounds depend on the
+configuration and the usable CPUs, and runs all of them in one pool.
+The merge runs in shard order, never completion order, which keeps the
+report independent of both: jobs=4 gives exactly the report of jobs=1.
+The census hands its one walk to ``run_shards`` at one job.
 """
 
 from __future__ import annotations

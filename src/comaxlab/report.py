@@ -16,9 +16,10 @@ the ``BudgetExceededError`` it raises builds the refusal report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
+
+from .rational import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -31,27 +32,37 @@ COUNT_DIGITS = 4300
 _COUNT_CAP = 10**COUNT_DIGITS
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one verification suite.
 
     ``counts`` holds integer tallies, ``witnesses`` holds dictionaries of
     JSON values and Fractions describing violations or findings.  A report
-    whose status is ``fail`` must exhibit at least one witness.
+    whose status is ``fail`` must exhibit at least one witness.  The CLI
+    fills in ``seed`` and ``config_echo``, so a report is not hashable.
     """
 
+    __slots__ = _fields = ("claim_id", "status", "counts", "witnesses", "seed", "config_echo")
+    __hash__ = None
     claim_id: str
     status: str
-    counts: dict[str, int] = field(default_factory=dict)
-    witnesses: list[dict[str, Any]] = field(default_factory=list)
-    seed: int = 0
-    config_echo: dict[str, Any] | None = None
+    counts: dict[str, int]
+    witnesses: list[dict[str, Any]]
+    seed: int
+    config_echo: dict[str, Any] | None
 
-    def __post_init__(self) -> None:
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status == FAIL and not self.witnesses:
+    def __init__(
+        self, claim_id: str, status: str, counts: dict[str, int] | None = None,
+        witnesses: list[dict[str, Any]] | None = None, seed: int = 0,
+        config_echo: dict[str, Any] | None = None,
+    ) -> None:
+        if status not in _STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        if status == FAIL and not witnesses:
             raise ValueError("a failing report must carry a witness")
+        self.claim_id, self.status = claim_id, status
+        self.counts = {} if counts is None else counts
+        self.witnesses = [] if witnesses is None else witnesses
+        self.seed, self.config_echo = seed, config_echo
 
     def to_dict(self) -> dict[str, Any]:
         return {

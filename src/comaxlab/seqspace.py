@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .rational import check_unit, check_unit_interval, over_lcm, parse_rational
+from .rational import Record, check_unit, check_unit_interval, over_lcm, parse_rational
 
 
 class PointKind(enum.Enum):
@@ -35,18 +34,19 @@ class PointKind(enum.Enum):
     LIMIT = "limit"
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """A point of the space: isolated, n-th sequence point, or the limit."""
 
+    __slots__ = _fields = ("kind", "index")
     kind: PointKind
-    index: int = 0
+    index: int
 
-    def __post_init__(self) -> None:
-        if self.kind is PointKind.SEQ and self.index < 1:
+    def __init__(self, kind: PointKind, index: int = 0) -> None:
+        if kind is PointKind.SEQ and index < 1:
             raise ValueError("sequence points are numbered from 1")
-        if self.kind is not PointKind.SEQ and self.index != 0:
+        if kind is not PointKind.SEQ and index != 0:
             raise ValueError("only sequence points carry an index")
+        self.kind, self.index = kind, index
 
     def __str__(self) -> str:
         if self.kind is PointKind.SEQ:
@@ -62,8 +62,7 @@ def seq(n: int) -> Point:
     return Point(PointKind.SEQ, n)
 
 
-@dataclass(frozen=True)
-class SeqFn:
+class SeqFn(Record):
     """Canonical finitely-presented continuous function on the space.
 
     Values are integers over ``den``: ``iso_num / den`` at the isolated
@@ -74,26 +73,32 @@ class SeqFn:
     from Fractions with :func:`make`.
     """
 
+    _fields = ("den", "iso_num", "head_nums", "slope_num", "intercept_num")
+    __slots__ = (*_fields, "__weakref__")
     den: int
     iso_num: int
     head_nums: tuple[int, ...]
     slope_num: int
     intercept_num: int
 
-    def __post_init__(self) -> None:
-        den, s, i = self.den, self.slope_num, self.intercept_num
+    def __init__(
+        self, den: int, iso_num: int, head_nums: tuple[int, ...], slope_num: int, intercept_num: int
+    ) -> None:
+        s, i = slope_num, intercept_num
         if den < 1:
             raise ValueError(f"denominator {den} must be positive")
-        check_unit(self.iso_num, den, "value at the isolated point")
-        for k, num in enumerate(self.head_nums, start=1):
+        check_unit(iso_num, den, "value at the isolated point")
+        for k, num in enumerate(head_nums, start=1):
             check_unit(num, den, f"head value at seq({k})")
-        n = len(self.head_nums)
+        n = len(head_nums)
         check_unit(s * n + i * (n + 1), den * (n + 1), f"tail value at seq({n + 1})")
         check_unit(s + i, den, "limit value")
-        if math.gcd(den, self.iso_num, s, i, *self.head_nums) != 1:
+        if math.gcd(den, iso_num, s, i, *head_nums) != 1:
             raise ValueError("denominator is not reduced")
-        if n and self.head_nums[-1] * n == s * (n - 1) + i * n:
+        if n and head_nums[-1] * n == s * (n - 1) + i * n:
             raise ValueError("head is not canonical: last entry matches the tail rule")
+        self.den, self.iso_num, self.head_nums = den, iso_num, head_nums
+        self.slope_num, self.intercept_num = s, i
 
     @property
     def head_len(self) -> int:

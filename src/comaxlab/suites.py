@@ -249,6 +249,12 @@ def _sample_shard(args: tuple) -> dict:
     return _check_pairs(comonotone_pairs(membership, seed=seed, first=lo, last=hi, params=params))
 
 
+def _run_shard(job: tuple) -> dict:
+    """One ``(worker, args)`` job: a family shard or a sample shard."""
+    worker, args = job
+    return worker(args)
+
+
 def counterexample_suite(
     seed: int = 0,
     samples: int = 10_000,
@@ -297,14 +303,13 @@ def counterexample_suite(
 
     tally["family_functions"] = size
     tally["family_pairs"] = total_pairs
+    # Family and sample shards share one pool; results merge in list order.
     shards = [
-        (tuple(grid), prefix_max, lo, hi) for lo, hi in split_range(total_pairs, jobs)
+        (_family_shard, (tuple(grid), prefix_max, lo, hi))
+        for lo, hi in split_range(total_pairs, jobs)
     ]
-    sample_shards = [
-        (seed, lo, hi, params) for lo, hi in split_range(samples, jobs)
-    ]
-    for result in [*run_shards(_family_shard, shards, jobs),
-                   *run_shards(_sample_shard, sample_shards, jobs)]:
+    shards += [(_sample_shard, (seed, lo, hi, params)) for lo, hi in split_range(samples, jobs)]
+    for result in run_shards(_run_shard, shards, jobs):
         tally.update(result["tally"])
         violations.extend(result["violations"])
 

@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -122,7 +121,7 @@ def reversed_non_comonotone_pair(monkeypatch):
         rel = real(chain, n)
         together = {(i, j) for i, j, _ in rel.joins}
         i, j = next(pair for pair in rel.order if pair not in together)
-        return replace(rel, order=(*rel.order, (j, i)))
+        return rel._replace(order=(*rel.order, (j, i)))
 
     monkeypatch.setattr(census, "relations", patched)
 
@@ -179,7 +178,7 @@ def break_first_comonotone_join(rel):
     """``rel`` with the first comonotone ordered pair's join set to its lower function."""
     lower, upper = rel.comonotone_order[0]
     joins = tuple((i, j, lower if (i, j) == (lower, upper) else k) for i, j, k in rel.joins)
-    return replace(rel, joins=joins)
+    return rel._replace(joins=joins)
 
 
 @pytest.fixture
@@ -201,7 +200,7 @@ def hidden_broken_comonotone_join(monkeypatch):
 
     def patched(chain, n):
         rel = break_first_comonotone_join(real(chain, n))
-        return replace(rel, comonotone_order=rel.comonotone_order[1:])
+        return rel._replace(comonotone_order=rel.comonotone_order[1:])
 
     monkeypatch.setattr(census, "relations", patched)
 

@@ -100,7 +100,7 @@ def test_failing_counterexample_report_keeps_its_bytes_over_shards(
     # Every violation's source and index must survive the cut into shards.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     digest, _ = failing_counterexample_report(monkeypatch, capsys, jobs)
-    assert pool_sizes == [jobs, jobs]
+    assert pool_sizes == [jobs]  # one pool serves family and sample shards
     assert digest == FAILING_COUNTEREXAMPLE_DIGEST
 
 

@@ -21,9 +21,11 @@ def rows(n):
 
 def test_chain_validation():
     Chain((F(0), F(1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^chain needs at least the endpoints 0 and 1$"):
+        Chain((F(0),))
+    with pytest.raises(ValueError, match="^chain must start at 0 and end at 1$"):
         Chain((F(0), F(1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^chain values must be strictly increasing$"):
         Chain((F(0), F(1, 2), F(1, 2), F(1)))
 
 

@@ -58,13 +58,13 @@ def test_relations_match_definitions(chain, n):
 
 def test_relations_build_no_grid_fn_beyond_the_domain(monkeypatch):
     built = []
-    post_init = GridFn.__post_init__
+    init = GridFn.__init__
 
-    def counted(f):
+    def counted(f, values):
         built.append(f)
-        post_init(f)
+        init(f, values)
 
-    monkeypatch.setattr(GridFn, "__post_init__", counted)
+    monkeypatch.setattr(GridFn, "__init__", counted)
     rel = relations(CHAIN4, 3)
     assert len(built) == len(rel.domain) == 4**3
 

@@ -51,11 +51,13 @@ def test_every_traced_name_resolves_after_import_comaxlab():
     assert int(result.stdout) > 0
 
 
-def test_import_cli_loads_no_process_pool():
-    # The pool is imported where run_shards starts one, so runs that need
+def test_import_cli_loads_no_dataclasses_or_process_pool():
+    # Every CLI process pays for what the import loads.  The value classes
+    # are plain classes, so dataclasses (with inspect and ast) stays out;
+    # the pool is imported where run_shards starts one, so runs that need
     # no pool, --help among them, skip loading multiprocessing.
-    pools = ("multiprocessing", "concurrent")
-    loaded = f"sorted(m for m in sys.modules if m.startswith({pools}))"
+    heavy = ("dataclasses", "multiprocessing", "concurrent")
+    loaded = f"sorted(m for m in sys.modules if m.partition('.')[0] in {heavy})"
     result = run_python("-c", f"import sys, comaxlab.cli; print({loaded})")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
@@ -175,6 +177,18 @@ def test_no_module_level_function_is_cached():
     assert not cached
 
 
+def test_no_module_imports_dataclasses():
+    """The value classes are plain classes: ``dataclasses`` costs every CLI process its import."""
+    imports = sorted({
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    })
+    assert not imports
+
+
 def _attributes_read(tree: ast.AST) -> Counter:
     return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
 
@@ -242,7 +256,7 @@ def _attributes_loaded(trees) -> Counter:
 
 
 def test_every_class_field_is_read_by_attribute():
-    """The dead-code lint for class-level annotated fields (dataclass fields).
+    """The dead-code lint for class-level annotated fields (value-class fields).
 
     Every such field of a class in the package is read (loaded, not
     only assigned) as an attribute (``x.field``) from ``src/`` or

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,6 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from comaxlab.classify import Membership
+from comaxlab.grid import Chain, GridFn, relations
+from comaxlab.pairgen import GeneratorParams, MonotoneMap
 from comaxlab.rational import (
     RationalFormatError,
     check_unit_interval,
@@ -12,6 +16,10 @@ from comaxlab.rational import (
     parse_grid,
     parse_rational,
 )
+from comaxlab.report import PASS, VerificationReport
+from comaxlab.seqspace import make, seq
+
+F = Fraction
 
 # (a, b) ranges for draw_int: widths 1 and 2, every power of two from 4
 # to 2**70 with its neighbours, negative and huge offsets, and the
@@ -129,3 +137,37 @@ def test_unit_interval_rejects_with_message(value, text):
     with pytest.raises(ValueError) as excinfo:
         check_unit_interval(value, "head value")
     assert str(excinfo.value) == f"head value {text} outside [0,1]"
+
+
+# Per value class: a build that two calls make equal, and one that differs
+# in a field.  Keywords are used where the package and the bench use them.
+VALUE_CLASSES = {
+    "Chain": (lambda: Chain((F(0), F(1, 2), F(1))), lambda: Chain((F(0), F(1)))),
+    "GridFn": (lambda: GridFn((F(2, 4), F(1))), lambda: GridFn((F(1, 2), F(0)))),
+    "Relations": (lambda: relations(Chain((F(0), F(1))), 2),
+                  lambda: relations(Chain((F(0), F(1))), 1)),
+    "Point": (lambda: seq(3), lambda: seq(4)),
+    "SeqFn": (lambda: make(F(1, 3), [F(1, 2)], F(1, 4), F(1, 4)),
+              lambda: make(F(1, 3), [F(1, 2)], F(1, 4), F(1, 2))),
+    "VerificationReport": (lambda: VerificationReport("c", PASS, {"pairs": 1}),
+                           lambda: VerificationReport("c", PASS, {"pairs": 2})),
+    "Membership": (lambda: Membership(True, capped_at_iso=False, below_one=True),
+                   lambda: Membership(True, capped_at_iso=True, below_one=True)),
+    "GeneratorParams": (lambda: GeneratorParams(prefix_max=3), lambda: GeneratorParams()),
+    "MonotoneMap": (lambda: MonotoneMap(2, ((0, 0), (2, 2))),
+                    lambda: MonotoneMap(2, ((0, 0), (1, 2), (2, 2)))),
+}
+
+
+@pytest.mark.parametrize("build, other", VALUE_CLASSES.values(), ids=VALUE_CLASSES.keys())
+def test_value_classes_compare_hash_and_pickle_by_their_fields(build, other):
+    a, b = build(), build()
+    assert a == b and not a != b and a is not b
+    assert a != other()
+    copy = pickle.loads(pickle.dumps(a))
+    assert type(copy) is type(a) and copy == a and repr(copy) == repr(a)
+    if isinstance(a, VerificationReport):  # filled in after construction
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) and {a: 1}[b] == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from comaxlab.report import PASS, VerificationReport
+from comaxlab.report import FAIL, PASS, VerificationReport
 from comaxlab.seqspace import ramp
 
 F = Fraction
@@ -65,3 +65,14 @@ def test_a_float_anywhere_is_refused(fields):
     report = VerificationReport(claim_id="c", status=PASS, **fields)
     with pytest.raises(TypeError, match="cannot serialize float"):
         report.to_json()
+
+
+@pytest.mark.parametrize(
+    "status, witnesses, message",
+    [("passed", [], "unknown status 'passed'"), (FAIL, [], "a failing report must carry a witness")],
+)
+def test_a_report_refuses_an_unknown_status_and_a_failure_without_witness(status, witnesses, message):
+    with pytest.raises(ValueError) as exc:
+        VerificationReport(claim_id="c", status=status, witnesses=witnesses)
+    assert str(exc.value) == message
+    assert VerificationReport("c", FAIL, witnesses=[{"kind": "x"}]).counts == {}

@@ -9,6 +9,8 @@ from comaxlab.pairgen import GeneratorParams, random_seqfn
 from comaxlab.seqspace import (
     ISOLATED,
     LIMIT,
+    Point,
+    PointKind,
     SeqFn,
     attained_max,
     constant,
@@ -55,6 +57,10 @@ def test_constructor_validation():
         make(F(0), [], F(2), F(0))  # limit value 2
     with pytest.raises(ValueError, match="not canonical"):
         SeqFn(2, 0, (1,), 0, 1)  # head entry equals tail rule
+    with pytest.raises(ValueError, match="^sequence points are numbered from 1$"):
+        Point(PointKind.SEQ)
+    with pytest.raises(ValueError, match="^only sequence points carry an index$"):
+        Point(PointKind.LIMIT, index=2)
 
 
 @pytest.mark.parametrize(
