@@ -43,9 +43,6 @@ class Chain(Record):
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.values)
 
-    def __contains__(self, value: Fraction) -> bool:
-        return value in self.values
-
 
 class GridFn(Record):
     """Function on a finite n-point space: its values, and its level sets over their lcm ``den``.

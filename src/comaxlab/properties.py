@@ -101,7 +101,8 @@ def is_monotone(values: list[int], scale: int, rel: Relations) -> tuple[bool, Wi
 
 
 def chain_closed_under(norm: TNorm, chain: Chain) -> bool:
-    return all(apply(norm, s, t) in chain for s in chain for t in chain)
+    values = set(chain)
+    return all(apply(norm, s, t) in values for s in chain for t in chain)
 
 
 HOMOGENEITY_SAMPLES = 200

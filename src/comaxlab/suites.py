@@ -11,11 +11,10 @@ comonotone maxitivity already forces monotonicity: it screens a small
 zoo of candidate functionals and reports what happened, deliberately
 never claiming to settle the question.
 
-Both take their comonotone pairs from one walk, ``comonotone_pairs``,
-which evaluates each function once (``membership``, or the screened
-zoo); every counterexample pair is checked by ``_check_pair``.  The
-join of an ordered comonotone pair is its upper member, so both build
-and evaluate a join only for an unordered pair.
+Both take their comonotone pairs, with the value of each join, from
+one walk, ``comonotone_pairs``, which evaluates each function once
+(``membership``, or the screened zoo); ``_pair`` alone decides a join's
+value, and ``_check_pair`` checks every counterexample pair.
 """
 
 from __future__ import annotations
@@ -174,14 +173,21 @@ def _family_table(
     return family, PairRelations(family), [evaluate(f) for f in family]
 
 
+def _pair(evaluate: Callable[[SeqFn], V], source: str, index: int, f: SeqFn, g: SeqFn,
+          vf: V, vg: V, order: int) -> tuple[str, int, SeqFn, SeqFn, V, V, V, int]:
+    """A comonotone pair with the value of its join: an ordered pair's is its upper member's."""
+    v_join = (vg if order < 0 else vf) if order else evaluate(join(f, g))
+    return source, index, f, g, vf, vg, v_join, order
+
+
 def comonotone_pairs(
     evaluate: Callable[[SeqFn], V], table: Table | None = None, lo: int = 0, hi: int = 0,
     seed: int = 0, first: int = 0, last: int = 0, params: GeneratorParams | None = None,
-) -> Iterator[tuple[str, int, SeqFn, SeqFn, V, V, int]]:
+) -> Iterator[tuple[str, int, SeqFn, SeqFn, V, V, V, int]]:
     """The comonotone pairs of family pairs ``lo..hi``, then generated pairs ``first..last``.
 
-    Each is ``(source, index, f, g, evaluate(f), evaluate(g), order)``:
-    ``index`` counts family pairs ``i <= j`` in
+    Each is ``(source, index, f, g, evaluate(f), evaluate(g), evaluate(f v g), order)``,
+    as ``_pair`` builds it: ``index`` counts family pairs ``i <= j`` in
     ``combinations_with_replacement`` order, or generated ones by
     ``pair_seed(seed, index)``; ``order`` is -1 when f <= g, 1 when only
     g <= f, else 0.  Family values come from ``table``; a generated pair
@@ -192,32 +198,29 @@ def comonotone_pairs(
         pairs = combinations_with_replacement(range(len(family)), 2)
         for index, (i, j) in enumerate(islice(pairs, lo, hi), lo):
             if relations.comonotone(i, j):
-                yield ("family", index, family[i], family[j], values[i], values[j],
-                       relations.order(i, j))
+                yield _pair(evaluate, "family", index, family[i], family[j], values[i], values[j],
+                            relations.order(i, j))
     for index in range(first, last):
         f, g = generate_pair(pair_seed(seed, index), params)
-        yield "generated", index, f, g, evaluate(f), evaluate(g), pointwise_order(f, g)
+        yield _pair(evaluate, "generated", index, f, g, evaluate(f), evaluate(g),
+                    pointwise_order(f, g))
 
 
-def _check_pair(
-    pair: tuple[str, int, SeqFn, SeqFn, Membership, Membership, int],
-    tally: Counter,
-    violations: list[dict],
-) -> None:
+def _check_pair(pair: tuple[str, int, SeqFn, SeqFn, Membership, Membership, Membership, int],
+                tally: Counter, violations: list[dict]) -> None:
     """Count one comonotone pair under its source and check the step functional on it.
 
-    ``pair`` is as ``comonotone_pairs`` yields it, with memberships for
-    values.  The step value of ``join(f, g)`` must be the larger step
-    value; an ordered pair's join is its upper member, so only an
-    unordered pair builds one.  An ordered pair's lower step value must
-    not exceed its upper one.
+    ``pair`` is as ``_pair`` builds it, with memberships for values, so
+    every step value is read from a membership in hand.  The join's step
+    value must be the larger step value, and an ordered pair's lower step
+    value must not exceed its upper one.
     """
-    source, index, f, g, mf, mg, order = pair
+    source, index, f, g, mf, mg, m_join, order = pair
     tally[PAIR_COUNTS[source]] += 1
     tally[f"branch_{branch_tag(mf, mg)}"] += 1
     nu_f, nu_g = mf.step, mg.step
     lower, upper, nu_lo, nu_hi = (f, g, nu_f, nu_g) if order <= 0 else (g, f, nu_g, nu_f)
-    nu_join, expected = step_value(upper if order else join(f, g)), max(nu_f, nu_g)
+    nu_join, expected = m_join.step, max(nu_f, nu_g)
     where = {"source": source, "index": index}
     if nu_join != expected:
         violations.append({"kind": "maxitivity", **where, "f": f.to_json(), "g": g.to_json(),
@@ -283,8 +286,8 @@ def counterexample_suite(
     ramp0, ramp1 = ramp(ZERO), ramp(ONE)
     facts = {
         "ramp0_below_ramp1": leq(ramp0, ramp1),
-        "step_of_ramp1_is_zero": step_value(ramp1) == ZERO,
-        "step_of_ramp0_is_one": step_value(ramp0) == ONE,
+        "step_of_ramp1_is_zero": membership(ramp1).step == ZERO,
+        "step_of_ramp0_is_one": membership(ramp0).step == ONE,
     }
     for name, ok in facts.items():
         tally[f"fact_{name}"] = int(ok)
@@ -297,9 +300,8 @@ def counterexample_suite(
                 {"kind": "named_pair_not_comonotone", "branch": tag, "f": f.to_json()}
             )
             continue
-        pair = ("named", tally["named_pairs"], f, g, membership(f), membership(g),
-                pointwise_order(f, g))
-        _check_pair(pair, tally, violations)
+        _check_pair(_pair(membership, "named", tally["named_pairs"], f, g, membership(f),
+                          membership(g), pointwise_order(f, g)), tally, violations)
 
     tally["family_functions"] = size
     tally["family_pairs"] = total_pairs
@@ -392,12 +394,10 @@ def normalized_search(
 
     table = _family_table(grid, prefix_max, evaluate)
     sources: Counter = Counter()
-    for source, _, f, g, vf, vg, order in comonotone_pairs(
+    for source, _, f, g, vf, vg, v_join, _ in comonotone_pairs(
         evaluate, table, 0, total_pairs, seed, 0, samples, params
     ):
         sources[source] += 1
-        # An ordered pair's join is its upper member, already evaluated.
-        v_join = (vg if order < 0 else vf) if order else evaluate(join(f, g))
         for k in range(len(functionals)):
             if k not in maxitivity_breaks and v_join[k] != max(vf[k], vg[k]):
                 maxitivity_breaks[k] = {"f": f.to_json(), "g": g.to_json()}

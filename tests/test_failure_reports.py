@@ -1,11 +1,15 @@
 """Failing reports, reached by injecting a fault, with their bytes pinned by sha256.
 
 Every suite is correct on the configurations the CLI runs by default,
-so no other test sees a ``fail`` report.  Here a wrong step functional,
-a wrong integral or a broken norm is patched in (the fault lives in this
+so no other test sees a ``fail`` report.  Here a wrong membership, a
+wrong integral or a broken norm is patched in (the fault lives in this
 process only, so shards at ``--jobs`` above 1 run on an inline pool),
-and the report must keep its bytes and exit 1.  Each count of violations or failures must equal the number
-of witnesses of its kind.
+and the report must keep its bytes and exit 1.  Each count of violations
+or failures must equal the number of witnesses of its kind.
+
+``verify-counterexample`` reads every step value, of members, joins
+and the exact facts alike, from ``suites.membership``, so that one name
+is the fault's only injection point.
 """
 
 import hashlib
@@ -16,27 +20,21 @@ from fractions import Fraction
 import pytest
 
 from comaxlab import cli, properties, suites, tnorms
-from comaxlab.classify import Membership, membership, step_value
+from comaxlab.classify import Membership, membership
 from comaxlab.integral import tnorm_integral
-from comaxlab.rational import ONE, ZERO
-from comaxlab.seqspace import ramp
+from comaxlab.rational import ZERO
 from comaxlab.tnorms import TNorm, apply
 from test_golden import exact_report
 
 F = Fraction
 
-RAMPS = (ramp(ZERO), ramp(ONE))
-
-
-def wrong_step_value(f):
-    """The step functional with the values of the two ramps swapped."""
-    return ONE - step_value(f) if f in RAMPS else step_value(f)
-
 
 def wrong_membership(f):
-    """Never capped at the isolated point, and never below 1 where the isolated value is 0."""
+    """Never capped at the isolated point, never below 1 where the isolated value is 0,
+    and below the ramp wherever the head is nonempty."""
     m = membership(f)
-    return Membership(m.below_ramp, capped_at_iso=False, below_one=m.below_one and f.iso != 0)
+    return Membership(m.below_ramp or bool(f.head), capped_at_iso=False,
+                      below_one=m.below_one and f.iso != 0)
 
 
 def wrong_integral(cap, norm, f):
@@ -64,11 +62,10 @@ def failing_report(argv, capsys):
     return hashlib.sha256(text.encode("utf-8")).hexdigest(), report
 
 
-FAILING_COUNTEREXAMPLE_DIGEST = "5d2726cc5630e4871600e0dd9ec6b984887d3bc9a617df03be9e6db49c7d5a9b"
+FAILING_COUNTEREXAMPLE_DIGEST = "beecab91fba1f70536a278e2296f480971901f8213cbddac5da252f897546cac"
 
 
 def failing_counterexample_report(monkeypatch, capsys, jobs):
-    monkeypatch.setattr(suites, "step_value", wrong_step_value)
     monkeypatch.setattr(suites, "membership", wrong_membership)
     argv = ("verify-counterexample", "--grid", "0,1", "--prefix-max", "1", "--samples", "30",
             "--jobs", str(jobs))

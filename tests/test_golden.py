@@ -63,6 +63,15 @@ GOLDEN = [
         ("explore-problem1", "--samples", "300"),
         "8e0cd7a7e1b963a969ba4edab085cfd4d90cbd168c2c231d2af519d49bff9b78",
     ),
+    # The defaults: 10,000 generated pairs and the family at 0,1/2,1.
+    (
+        ("verify-counterexample",),
+        "e77d2c92e25f6d31f7eaa5465dd22e5259ebb0ce2659c906d06a9c7906c53ffe",
+    ),
+    (
+        ("explore-problem1",),
+        "1def5d0d349abb5bd61c77a7cb189a6ad3753810346d0e368dd142a8a235bf7a",
+    ),
     # Longer heads than the default --prefix-max 2.
     (
         ("verify-counterexample", "--prefix-max", "4", "--samples", "300"),

@@ -404,6 +404,20 @@ def test_only_the_pair_walk_generates_pairs():
     assert _package_scopes(_calls_generate_pair) == {"suites.comonotone_pairs"}
 
 
+def _calls_step_value(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and _callee(node.func) == "step_value"
+
+
+def test_only_the_zoo_calls_step_value():
+    """One step evaluation per function.
+
+    ``step_value`` is called in the package only inside
+    ``suites._candidate_zoo``; ``verify-counterexample`` reads every step,
+    of members, joins and the exact facts, from a ``membership`` it holds.
+    """
+    assert _package_scopes(_calls_step_value) == {"suites._candidate_zoo"}
+
+
 def _raises_budget_error(node: ast.AST) -> bool:
     return isinstance(node, ast.Raise) and _callee(node.exc) == "BudgetExceededError"
 

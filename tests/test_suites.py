@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -56,20 +57,22 @@ def test_structured_family_contains_key_functions():
 
 
 def test_an_ordered_comonotone_pair_joins_to_its_upper_member():
-    # Both sequence suites take an ordered pair's join to be its upper member.
+    # The walk's join value against the literal join: with the identity
+    # for values, every yielded join value must be join(f, g), though an
+    # ordered pair's is taken from its upper member.
     family = structured_family((F(0), F(1, 3), F(2, 3), F(1)), 2)
-    table = (family, PairRelations(family), [None] * len(family))
+    table = (family, PairRelations(family), family)
     total = len(family) * (len(family) + 1) // 2
-    pairs = comonotone_pairs(lambda f: None, table, 0, total, 0, 0, 2_000, GeneratorParams())
-    seen = set()
-    for source, _, f, g, _, _, order in pairs:
-        joined = join(f, g)
-        if order:
-            assert joined == (g if order < 0 else f), (source, f, g)
-        else:
-            assert joined not in (f, g), (source, f, g)
+    pairs = comonotone_pairs(lambda f: f, table, 0, total, 0, 0, 2_000, GeneratorParams())
+    seen, sources = set(), Counter()
+    for source, _, f, g, _, _, v_join, order in pairs:
+        assert v_join == join(f, g), (source, f, g)
+        if not order:
+            assert v_join not in (f, g), (source, f, g)
         seen.add((source, order))
+        sources[source] += 1
     assert seen == {(source, order) for source in ("family", "generated") for order in (-1, 0, 1)}
+    assert sources == {"family": 11_179, "generated": 2_000}
 
 
 def test_counterexample_suite_passes_and_hits_every_branch():
