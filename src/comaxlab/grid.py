@@ -68,12 +68,6 @@ class GridFn(Record):
             (t, frozenset(i for i, v in enumerate(nums) if v >= t)) for t in sorted({*nums, 0, den})
         )
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
-
     def to_json(self) -> dict[str, Any]:
         return {"values": [str(v) for v in self.values]}
 

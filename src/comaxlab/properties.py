@@ -12,9 +12,9 @@ capacity, refused over budget by ``report.check_budget``: it builds the
 relations, the homogeneity cases and the lcm ``common`` of their
 inputs' denominators once, tabulates the integral once per capacity on
 those inputs (the grid domain first) as numerators over
-``common * cap.den``, hands all four checkers what they read, and
-counts each property's failures as its witnesses.  The checkers
-cross-multiply and reduce witnesses, so any common scale will do.
+``common * cap.den``, and hands all four checkers what they read.  The
+checkers cross-multiply and reduce witnesses, so any common scale will
+do.  Only the scaled homogeneity inputs are built with the Fraction norm.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import partial
 from .capacity import enumerate_capacities
 from .grid import Chain, GridFn, Relations, relations
 from .integral import tnorm_integral
-from .rational import random_unit_rational
+from .rational import over_lcm, random_unit_rational
 from .report import FAIL, PASS, VerificationReport, capped_power, check_budget
 from .tnorms import TNorm, apply, apply_scaled
 
@@ -69,7 +69,7 @@ def join_witness(
 def is_normalized(values: list[int], scale: int, rel: Relations) -> bool:
     """Does the table send every constant function to its value?"""
     for k in rel.constants:
-        c = rel.domain[k][0]
+        c = rel.domain[k].values[0]
         if values[k] * c.denominator != c.numerator * scale:
             return False
     return True
@@ -101,8 +101,9 @@ def is_monotone(values: list[int], scale: int, rel: Relations) -> tuple[bool, Wi
 
 
 def chain_closed_under(norm: TNorm, chain: Chain) -> bool:
-    values = set(chain)
-    return all(apply(norm, s, t) in values for s in chain for t in chain)
+    nums, d = over_lcm(chain.values)
+    squared = {v * d for v in nums}  # the chain over d * d, where the norm of two values lands
+    return all(apply_scaled(norm, s, d, t, d) in squared for s in nums for t in nums)
 
 
 HOMOGENEITY_SAMPLES = 200
@@ -111,14 +112,13 @@ HOMOGENEITY_MAX_DENOMINATOR = 8
 
 def _homogeneity_cases(
     norm: TNorm, chain: Chain, domain: tuple[GridFn, ...], seed: int
-) -> tuple[tuple[GridFn, ...], tuple[tuple[Fraction, int, int], ...]]:
-    """Inputs to tabulate, ``domain`` first, and ``(c, index of f, index of c * f)`` per case."""
+) -> tuple[tuple[GridFn, ...], tuple[tuple[Fraction, int, int, int, int], ...]]:
+    """Inputs, ``domain`` first, and per case ``(c, c_num, c_den, index of f, index of c * f)``."""
     if chain_closed_under(norm, chain):
         pairs = [(c, f) for c in chain for f in domain]
     else:
-        rng = random.Random(seed)
-        draw = partial(random_unit_rational, rng, HOMOGENEITY_MAX_DENOMINATOR)
-        n = len(domain[0])
+        draw = partial(random_unit_rational, random.Random(seed), HOMOGENEITY_MAX_DENOMINATOR)
+        n = len(domain[0].values)
         pairs = [
             (draw(), GridFn(tuple(draw() for _ in range(n)))) for _ in range(HOMOGENEITY_SAMPLES)
         ]
@@ -126,8 +126,8 @@ def _homogeneity_cases(
     cases = []
     for c, f in pairs:
         scaled = GridFn(tuple(apply(norm, c, v) for v in f.values))
-        i = positions.setdefault(f, len(positions))
-        cases.append((c, i, positions.setdefault(scaled, len(positions))))
+        i, k = (positions.setdefault(g, len(positions)) for g in (f, scaled))
+        cases.append((c, c.numerator, c.denominator, i, k))
     return tuple(positions), tuple(cases)
 
 
@@ -144,9 +144,8 @@ def is_scale_homogeneous(
     points) scaled functions leave the grid, so the check samples seeded
     rational scalars and functions, and the table holds them too.
     """
-    for c, i, k in cases:
-        c_den = c.denominator
-        rhs = apply_scaled(norm, c.numerator, c_den, values[i], scale)
+    for c, c_num, c_den, i, k in cases:
+        rhs = apply_scaled(norm, c_num, c_den, values[i], scale)
         if values[k] * c_den != rhs:
             return False, {
                 "c": c,

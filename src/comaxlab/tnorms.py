@@ -7,9 +7,9 @@ in ``apply_scaled``, on integer numerators; ``apply`` reads them.  The
 axiom checker takes a built-in norm and is grid-exhaustive: callers
 pick a finite grid and every required tuple on it is tested, with up
 to ``WITNESS_CAP`` violating tuples per axiom reported verbatim as
-Fractions, which only the report serializer writes out.  It evaluates
-the norm once per grid pair; only associativity's outer calls are made
-anew.  ``axiom_check_counts`` gives its check counts by formula;
+Fractions.  It evaluates the norm by ``apply_scaled`` on the grid over
+its lcm, once per grid pair and twice per associativity triple, and
+builds a Fraction only for a witness.  ``axiom_check_counts`` gives its check counts by formula;
 ``axiom_suite`` refuses their total over the budget, then checks every
 built-in norm into the one ``tnorm-axioms`` report.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .rational import ONE, ZERO, check_unit_interval
+from .rational import ONE, check_unit, check_unit_interval, over_lcm
 from .report import FAIL, PASS, VerificationReport, check_budget
 
 WITNESS_CAP = 10  # witnesses kept per axiom; every violation is still counted
@@ -69,39 +69,42 @@ def check_axioms(norm: TNorm, grid: tuple[Fraction, ...]) -> tuple[dict[str, int
     """Exhaustively test the t-norm axioms on a finite grid: the counts and the witnesses.
 
     Checks unit on singles, commutativity on pairs, monotonicity and
-    associativity on triples, and closure of every computed value.
+    associativity on triples, and closure of every computed value.  The
+    values are numerators over the grid's lcm ``d``, ``d2 = d * d`` or ``d2 * d``.
     """
-    for g in grid:
-        check_unit_interval(g, "grid point")
+    nums, d = over_lcm(grid)
+    d2 = d * d
 
     by_axiom: dict[str, list[dict]] = {}
     counts = {**axiom_check_counts(len(grid)), "closure_violations": 0, "violations": 0}
 
-    def record(axiom: str, args: tuple[Fraction, ...], left: Fraction, right: Fraction) -> None:
+    def record(axiom: str, args: tuple[Fraction, ...], left: int, right: int, den: int) -> None:
         counts["violations"] += 1
         bucket = by_axiom.setdefault(axiom, [])
         if len(bucket) < WITNESS_CAP:
-            bucket.append({"axiom": axiom, "args": args, "left": left, "right": right})
+            witness = {"left": Fraction(left, den), "right": Fraction(right, den)}
+            bucket.append({"axiom": axiom, "args": args, **witness})
 
-    def closed(value: Fraction, args: tuple[Fraction, ...]) -> Fraction:
-        if not (ZERO <= value <= ONE):
+    def closed(value: int, den: int, args: tuple[Fraction, ...]) -> int:
+        if not 0 <= value <= den:
             counts["closure_violations"] += 1
-            record("closure", args, value, value)
+            record("closure", args, value, value, den)
         return value
 
-    for s in grid:
-        got = closed(apply(norm, s, ONE), (s, ONE))
-        if got != s:
-            record("unit", (s,), got, s)
+    for s, s_num in zip(grid, nums):
+        check_unit(s_num, d, "grid point")
+        got = closed(apply_scaled(norm, s_num, d, 1, 1), d, (s, ONE))
+        if got != s_num:
+            record("unit", (s,), got, s_num, d)
 
-    # rows[i][j] = apply(norm, grid[i], grid[j]), once per pair; zip(*rows) gives the columns.
-    rows = [[apply(norm, s, t) for t in grid] for s in grid]
+    # rows[i][j] = grid[i] * grid[j] over d2, once per pair; zip(*rows) gives the columns.
+    rows = [[apply_scaled(norm, s, d, t, d) for t in nums] for s in nums]
 
     for s, row, column in zip(grid, rows, zip(*rows)):
         for t, st, ts in zip(grid, row, column):
-            closed(st, (s, t))
+            closed(st, d2, (s, t))
             if st != ts:
-                record("commutativity", (s, t), st, ts)
+                record("commutativity", (s, t), st, ts, d2)
 
     for s, row in zip(grid, rows):
         for s2, row2 in zip(grid, rows):
@@ -109,15 +112,15 @@ def check_axioms(norm: TNorm, grid: tuple[Fraction, ...]) -> tuple[dict[str, int
                 continue
             for t, lo, hi in zip(grid, row, row2):
                 if lo > hi:
-                    record("monotonicity", (s, s2, t), lo, hi)
+                    record("monotonicity", (s, s2, t), lo, hi, d2)
 
-    for s, row in zip(grid, rows):
+    for s, s_num, row in zip(grid, nums, rows):
         for t, st, tu_row in zip(grid, row, rows):
-            for u, tu in zip(grid, tu_row):
-                left = apply(norm, st, u)
-                right = apply(norm, s, tu)
+            for u, u_num, tu in zip(grid, nums, tu_row):
+                left = apply_scaled(norm, st, d2, u_num, d)
+                right = apply_scaled(norm, s_num, d, tu, d2)
                 if left != right:
-                    record("associativity", (s, t, u), left, right)
+                    record("associativity", (s, t, u), left, right, d2 * d)
 
     order = ("closure", "unit", "commutativity", "monotonicity", "associativity")
     return counts, [w for axiom in order for w in by_axiom.get(axiom, [])]

@@ -11,7 +11,11 @@ operation anew for every check; the integer integral, read through
 tabled checker of ``comaxlab.tnorms`` are held to them.  The oracles
 reach the norms through ``fraction_apply``, the three formulas on
 Fractions, which ``tnorms.apply`` and ``tnorms.apply_scaled`` are held
-to in turn.
+to in turn, and decide a chain's closure under a norm with
+``oracle_closed_under``, a scan of the chain's Fractions per pair,
+which ``properties.chain_closed_under`` is held to.  ``on_numerators``
+turns a Fraction operation into a stand-in for ``tnorms.apply_scaled``,
+the one point where a test patches a broken norm in.
 ``comonotone``, ``join`` and ``leq`` decide the pair relations on
 ``GridFn`` values by their definitions, for the oracles and the test of
 ``grid.relations``; ``walk_capacities`` is the product-and-filter
@@ -48,7 +52,6 @@ from comaxlab.grid import Chain, GridFn, all_functions, relations
 from comaxlab.integral import tnorm_integral
 from comaxlab.properties import (
     _homogeneity_cases,
-    chain_closed_under,
     is_comonotone_maxitive,
     is_normalized,
     is_scale_homogeneous,
@@ -64,21 +67,22 @@ from seq_oracles import fraction_unit
 
 def comonotone(f: GridFn, g: GridFn) -> bool:
     """No two points that f puts strictly one way round and g strictly the other."""
-    for i in range(len(f)):
-        for j in range(len(f)):
-            if f[i] < f[j] and g[i] > g[j]:
+    a, b = f.values, g.values
+    for i in range(len(a)):
+        for j in range(len(a)):
+            if a[i] < a[j] and b[i] > b[j]:
                 return False
     return True
 
 
 def join(f: GridFn, g: GridFn) -> GridFn:
     """The pointwise maximum, point by point."""
-    return GridFn(tuple(max(f[i], g[i]) for i in range(len(f))))
+    return GridFn(tuple(max(x, y) for x, y in zip(f.values, g.values)))
 
 
 def leq(f: GridFn, g: GridFn) -> bool:
     """f lies below g at every point."""
-    return all(f[i] <= g[i] for i in range(len(f)))
+    return all(x <= y for x, y in zip(f.values, g.values))
 
 
 def walk_capacities(chain_values, n):
@@ -115,6 +119,24 @@ def fraction_apply(norm: TNorm, s: Fraction, t: Fraction) -> Fraction:
     if norm is TNorm.PRODUCT:
         return s * t
     return max(ZERO, s + t - ONE)
+
+
+def on_numerators(op):
+    """A stand-in for ``tnorms.apply_scaled`` that evaluates ``op(norm, s, t)`` on Fractions.
+
+    It returns the value times both denominators: a Fraction
+    "numerator" whenever that product is not an integer, which the
+    checkers compare and reduce all the same.
+    """
+    def scaled(norm, s, s_den, t, t_den):
+        return op(norm, Fraction(s, s_den), Fraction(t, t_den)) * s_den * t_den
+
+    return scaled
+
+
+def oracle_closed_under(norm: TNorm, chain: Chain) -> bool:
+    """Is the norm of every two chain values on the chain?  A scan of the values per pair."""
+    return all(fraction_apply(norm, s, t) in chain.values for s in chain for t in chain)
 
 
 def grid_table(functional, rel):
@@ -296,7 +318,7 @@ def oracle_monotone(functional, chain, n):
 
 
 def oracle_scale_homogeneous(functional, norm, chain, n, samples=200, seed=0, max_denominator=8):
-    if chain_closed_under(norm, chain):
+    if oracle_closed_under(norm, chain):
         cases = ((c, f) for c in chain for f in all_functions(chain, n))
     else:
         rng = random.Random(seed)
@@ -318,8 +340,8 @@ def oracle_scale_homogeneous(functional, norm, chain, n, samples=200, seed=0, ma
 
 def fraction_integral(cap, norm, f):
     """The t-normed integral, swept over ``values(f) + {0, 1}`` on Fractions."""
-    if len(f) != cap.n:
-        raise ValueError(f"function on {len(f)} points vs capacity on {cap.n}")
+    if len(f.values) != cap.n:
+        raise ValueError(f"function on {len(f.values)} points vs capacity on {cap.n}")
     best = ZERO
     for t in sorted({*f.values, ZERO, ONE}):
         level = frozenset(i for i, v in enumerate(f.values) if v >= t)

@@ -9,7 +9,10 @@ or failures must equal the number of witnesses of its kind.
 
 ``verify-counterexample`` reads every step value, of members, joins
 and the exact facts alike, from ``suites.membership``, so that one name
-is the fault's only injection point.
+is the fault's only injection point.  ``tnorm-axioms`` evaluates every
+norm value through ``tnorms.apply_scaled`` on numerators, so the broken
+norm goes in there, as a Fraction operation that
+``grid_oracles.on_numerators`` scales to that signature.
 """
 
 import hashlib
@@ -23,7 +26,8 @@ from comaxlab import cli, properties, suites, tnorms
 from comaxlab.classify import Membership, membership
 from comaxlab.integral import tnorm_integral
 from comaxlab.rational import ZERO
-from comaxlab.tnorms import TNorm, apply
+from comaxlab.tnorms import TNorm
+from grid_oracles import fraction_apply, on_numerators
 from test_golden import exact_report
 
 F = Fraction
@@ -51,7 +55,7 @@ def broken_apply(norm, s, t):
     """Lukasiewicz with its cutoff moved from 1 to 1/2 and no clamp at 1."""
     if norm is TNorm.LUKASIEWICZ:
         return max(ZERO, s + t - F(1, 2))
-    return apply(norm, s, t)
+    return fraction_apply(norm, s, t)
 
 
 def failing_report(argv, capsys):
@@ -127,7 +131,7 @@ def test_failing_integral_properties_report_is_pinned(monkeypatch, capsys, norm,
 
 
 def test_failing_tnorm_axioms_report_is_pinned(monkeypatch, capsys):
-    monkeypatch.setattr(tnorms, "apply", broken_apply)
+    monkeypatch.setattr(tnorms, "apply_scaled", on_numerators(broken_apply))
     digest, report = failing_report(("tnorm-axioms", "--grid", "0,1/2,1"), capsys)
     counts = report["counts"]
     kinds = Counter((w["norm"], w["axiom"]) for w in report["witnesses"])

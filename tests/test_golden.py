@@ -226,6 +226,24 @@ def test_traced_integral_step_writes_the_untraced_bytes(tmp_path):
     assert stats["grid.join"]["calls"] == 183
 
 
+def test_traced_tnorm_axioms_step_writes_the_untraced_bytes(tmp_path):
+    # The axiom checker runs on numerators: three checks, no call of the Fraction norm.
+    root = Path(__file__).resolve().parents[1]
+    args = ["tnorm-axioms", "--grid", ",".join(str(Fraction(k, 16)) for k in range(17))]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    trace = tmp_path / "trace.json"
+    traced = subprocess.run(
+        [sys.executable, str(root / "bench" / "traced.py"), str(trace), "cli", *args],
+        env=env, capture_output=True, timeout=120, check=True,
+    )
+    digest = "23cd70686b3f30d2881482d4fb68dea1247442c09ae379e1a41a76641062e378"
+    assert (tuple(args), digest) in GOLDEN
+    assert hashlib.sha256(traced.stdout).hexdigest() == digest
+    stats = json.loads(trace.read_text(encoding="utf-8"))["stats"]
+    assert stats["tnorms.check_axioms"]["calls"] == 3
+    assert stats.get("tnorms.apply", {"calls": 0})["calls"] == 0
+
+
 def _load_workloads(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)

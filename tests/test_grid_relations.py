@@ -121,14 +121,26 @@ def test_checkers_match_oracle_on_every_capacity_integral(n, norm):
 
 
 def square_first(f: GridFn) -> Fraction:
-    return f[0] * f[0]
+    return f.values[0] * f.values[0]
 
 
 def capped_first(f: GridFn) -> Fraction:
-    return min(f[0], F(1, 2))
+    return min(f.values[0], F(1, 2))
 
 
-@pytest.mark.parametrize("functional", [square_first, capped_first, max, min])
+def largest(f: GridFn) -> Fraction:
+    return max(f.values)
+
+
+def smallest(f: GridFn) -> Fraction:
+    return min(f.values)
+
+
+FUNCTIONALS = {"square_first": square_first, "capped_first": capped_first,
+               "max": largest, "min": smallest}
+
+
+@pytest.mark.parametrize("functional", list(FUNCTIONALS.values()), ids=list(FUNCTIONALS))
 @pytest.mark.parametrize("norm", list(TNorm))
 @pytest.mark.parametrize("seed", [0, 3])
 def test_homogeneity_matches_oracle(functional, norm, seed):

@@ -418,6 +418,22 @@ def test_only_the_zoo_calls_step_value():
     assert _package_scopes(_calls_step_value) == {"suites._candidate_zoo"}
 
 
+def _calls_apply(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and _callee(node.func) == "apply"
+
+
+def test_only_the_homogeneity_cases_call_apply():
+    """The finite model's norms run on integer numerators.
+
+    ``tnorms.apply``, the norm on Fractions, is called in the package
+    only inside ``properties._homogeneity_cases``, which needs Fraction
+    values to build the scaled ``GridFn`` inputs.  The axiom checker,
+    the closure test and the integral call ``apply_scaled`` or write its
+    formulas out, and build a Fraction only for a witness.
+    """
+    assert _package_scopes(_calls_apply) == {"properties._homogeneity_cases"}
+
+
 def _raises_budget_error(node: ast.AST) -> bool:
     return isinstance(node, ast.Raise) and _callee(node.exc) == "BudgetExceededError"
 

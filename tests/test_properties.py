@@ -2,6 +2,8 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from comaxlab import properties
 from comaxlab.capacity import enumerate_capacities
@@ -24,6 +26,7 @@ from grid_oracles import (
     homogeneity_table,
     integral_value,
     join,
+    oracle_closed_under,
     satisfies_all_axioms,
     uniform,
 )
@@ -37,7 +40,7 @@ REL3 = relations(CHAIN3, 2)
 
 
 def first_coord(f: GridFn) -> Fraction:
-    return f[0]
+    return f.values[0]
 
 
 def test_normalized_examples():
@@ -69,7 +72,7 @@ def test_maxitive_examples():
 
 def test_min_functional_maxitive_but_not_join_preserving_everywhere():
     def min_coords(f: GridFn) -> Fraction:
-        return min(f[0], f[1])
+        return min(f.values[0], f.values[1])
 
     ok, _ = is_comonotone_maxitive(*grid_table(min_coords, REL2), REL2)
     assert ok
@@ -83,7 +86,7 @@ def test_monotone_examples():
     assert ok
 
     def reversed_first(f: GridFn) -> Fraction:
-        return 1 - f[0]
+        return 1 - f.values[0]
 
     ok, witness = is_monotone(*grid_table(reversed_first, REL2), REL2)
     assert not ok
@@ -96,6 +99,22 @@ def test_chain_closure():
     assert chain_closed_under(TNorm.LUKASIEWICZ, CHAIN3)
     assert not chain_closed_under(TNorm.PRODUCT, CHAIN3)
     assert chain_closed_under(TNorm.PRODUCT, CHAIN2)
+
+
+# Interior points with mixed denominators up to 12, between the endpoints 0 and 1.
+drawn_chains = st.lists(
+    st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda v: 0 < v < 1),
+    max_size=8,
+    unique=True,
+).map(lambda interior: Chain((F(0), *sorted(interior), F(1))))
+
+
+@settings(max_examples=200)
+@given(drawn_chains)
+@example(Chain((F(0), F(1, 2), F(1))))  # closed under minimum and Lukasiewicz, not product
+def test_chain_closure_matches_the_literal_oracle(chain):
+    for norm in TNorm:
+        assert chain_closed_under(norm, chain) == oracle_closed_under(norm, chain)
 
 
 def test_homogeneity_examples():
@@ -115,7 +134,7 @@ def test_integral_homogeneous_for_every_norm():
         assert ok, witness
 
     def square_first(f: GridFn) -> Fraction:
-        return f[0] * f[0]
+        return f.values[0] * f.values[0]
 
     values, scale, inputs, cases = homogeneity_table(square_first, TNorm.PRODUCT, CHAIN3, 2, seed=1)
     ok, witness = is_scale_homogeneous(values, scale, TNorm.PRODUCT, inputs, cases)

@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from comaxlab import tnorms
@@ -16,7 +16,7 @@ from comaxlab.tnorms import (
     check_axioms,
 )
 
-from grid_oracles import fraction_apply, oracle_check_axioms
+from grid_oracles import fraction_apply, on_numerators, oracle_check_axioms
 
 F = Fraction
 
@@ -111,10 +111,10 @@ def _op_id(op):
 
 
 def check_op(monkeypatch, op, grid):
-    """``check_axioms`` with the norm's formula swapped for ``op`` (a built-in norm runs as is)."""
+    """``check_axioms`` with ``apply_scaled`` swapped for ``op`` (a built-in norm runs as is)."""
     if isinstance(op, TNorm):
         return check_axioms(op, grid)
-    monkeypatch.setattr(tnorms, "apply", lambda norm, s, t: op(s, t))
+    monkeypatch.setattr(tnorms, "apply_scaled", on_numerators(lambda norm, s, t: op(s, t)))
     return check_axioms(TNorm.PRODUCT, grid)
 
 
@@ -137,11 +137,26 @@ def test_check_axioms_calls_the_op_once_per_pair_and_twice_per_triple(monkeypatc
     def counted(s, t):
         nonlocal calls
         calls += 1
-        return apply(TNorm.PRODUCT, s, t)
+        return fraction_apply(TNorm.PRODUCT, s, t)
 
     check_op(monkeypatch, counted, grid)
     g = len(grid)
     assert calls == g + g * g + 2 * g**3
+
+
+# Sorted grids of 2-6 points; their lcm may be none of their own denominators (12 for 1/3, 1/4).
+drawn_grids = st.lists(unit_fractions, min_size=2, max_size=6, unique=True).map(
+    lambda points: tuple(sorted(points))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_grids)
+@example((F(0), F(1, 4), F(1, 3), F(1)))
+def test_check_axioms_matches_the_literal_oracle_on_drawn_grids(grid):
+    for op in (*TNorm, *BROKEN):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert check_op(monkeypatch, op, grid) == oracle_check_axioms(op, grid)
 
 
 @given(unit_fractions, unit_fractions)
