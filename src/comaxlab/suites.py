@@ -8,8 +8,8 @@ membership analysis), and a stream of seeded generated pairs.
 
 ``normalized_search`` probes whether requiring normalization on top of
 comonotone maxitivity already forces monotonicity: it screens a small
-zoo of candidate functionals and reports what happened, deliberately
-never claiming to settle the question.
+zoo of candidate functionals, settling each one's record at its first
+break, and never claims to settle the question.
 
 Both take their comonotone pairs, with the value of each join, from
 one walk, ``comonotone_pairs``, which evaluates each function once
@@ -356,13 +356,15 @@ def normalized_search(
 ) -> VerificationReport:
     """Look for a normalized, comonotonically maxitive, non-monotone functional.
 
-    Candidates failing normalization on some constant are rejected.  The
+    A candidate failing normalization on some constant is rejected.  The
     rest are screened together on the comonotone pairs of
     ``comonotone_pairs``, then on ordered family and sampled pairs,
-    keeping no pair past its check: a maxitivity break rejects a
-    candidate, a monotonicity break alone would be a finding.  The
-    expected outcome is ``inconclusive``, never a settled question.  A
-    family over ``budget`` pairs is refused before anything runs.
+    keeping no pair past its check.  Each record is settled at its first
+    break: a maxitivity break rejects the candidate (the comonotone walk
+    runs first, so maxitivity wins), a monotonicity break alone would be
+    a finding, and an unbroken record stays ``monotone_at_this_scale``.
+    The expected outcome is ``inconclusive``, never a settled question.
+    A family over ``budget`` pairs is refused before anything runs.
     """
     _, total_pairs = _check_family_budget(grid, prefix_max, budget)
     params = GeneratorParams(prefix_max=prefix_max)
@@ -371,7 +373,7 @@ def normalized_search(
     records: list[dict] = []
     screened = []  # (record, functional) for each normalized candidate
     for name, functional in _candidate_zoo(grid):
-        record = {"candidate": name}
+        record = {"candidate": name, "outcome": "monotone_at_this_scale"}
         records.append(record)
         bad = next((c for c in probe_constants if functional(constant(c)) != c), None)
         if bad is None:
@@ -380,17 +382,14 @@ def normalized_search(
             value = functional(constant(bad))
             record.update(outcome="rejected_not_normalized", constant=bad, value=value)
 
-    functionals = [functional for _, functional in screened]
-    maxitivity_breaks: dict[int, dict] = {}
-    monotonicity_breaks: dict[int, dict] = {}
-
     def evaluate(fn: SeqFn) -> list[Fraction]:
-        return [functional(fn) for functional in functionals]
+        return [functional(fn) for _, functional in screened]
 
     def check_order(lower: SeqFn, upper: SeqFn, v_lower: list, v_upper: list) -> None:
-        for k in range(len(functionals)):
-            if k not in monotonicity_breaks and v_lower[k] > v_upper[k]:
-                monotonicity_breaks[k] = {"lower": lower.to_json(), "upper": upper.to_json()}
+        for (record, _), a, b in zip(screened, v_lower, v_upper):
+            if record["outcome"] == "monotone_at_this_scale" and a > b:
+                record.update(outcome="candidate_found", lower=lower.to_json(),
+                              upper=upper.to_json())
 
     table = _family_table(grid, prefix_max, evaluate)
     sources: Counter = Counter()
@@ -398,9 +397,9 @@ def normalized_search(
         evaluate, table, 0, total_pairs, seed, 0, samples, params
     ):
         sources[source] += 1
-        for k in range(len(functionals)):
-            if k not in maxitivity_breaks and v_join[k] != max(vf[k], vg[k]):
-                maxitivity_breaks[k] = {"f": f.to_json(), "g": g.to_json()}
+        for (record, _), a, b, joined in zip(screened, vf, vg, v_join):
+            if record["outcome"] == "monotone_at_this_scale" and joined != max(a, b):
+                record.update(outcome="rejected_not_maxitive", f=f.to_json(), g=g.to_json())
 
     family, relations, values = table
     ordered_pairs = 0
@@ -415,14 +414,6 @@ def normalized_search(
         f = random_seqfn(rng, params)
         g = join(f, random_seqfn(rng, params))  # g >= f by construction
         check_order(f, g, evaluate(f), evaluate(g))
-
-    for k, (record, _) in enumerate(screened):
-        if k in maxitivity_breaks:
-            record.update(outcome="rejected_not_maxitive", **maxitivity_breaks[k])
-        elif k in monotonicity_breaks:
-            record.update(outcome="candidate_found", **monotonicity_breaks[k])
-        else:
-            record["outcome"] = "monotone_at_this_scale"
 
     outcomes = Counter(record["outcome"] for record in records)
     counts = {

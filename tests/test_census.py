@@ -245,11 +245,25 @@ def test_census_walk_matches_the_literal_scan_on_patched_relations(patch, m, n, 
     assert_walk_matches_the_literal_scan(GRIDS[m, n], n)
 
 
-def test_census_walk_needs_no_recursion_on_a_thousand_positions():
+def test_census_walk_needs_no_recursion_on_a_thousand_positions(monkeypatch):
     # 1,024 entries per row, past the interpreter's default recursion
     # limit, on relations that tie every entry to entry 0 both ways: a
     # table passes either check only where it is constant.  The all-0 and
-    # the all-1 tables each descend every entry.
+    # the all-1 tables each descend every entry.  The walk makes 4,094
+    # calls of each check; a walk that stops pruning fails past 100,000
+    # calls instead of running without end.
+    calls = [0]
+
+    def counted(check):
+        def wrapper(*args):
+            calls[0] += 1
+            if calls[0] > 100_000:
+                raise AssertionError("the census walk made over 100,000 checks")
+            return check(*args)
+        return wrapper
+
+    monkeypatch.setattr(census, "join_break", counted(census.join_break))
+    monkeypatch.setattr(census, "order_break", counted(census.order_break))
     rest = range(1, 1024)
     structure = Relations(
         domain=tuple(all_functions(CHAIN2, 10)),

@@ -7,12 +7,14 @@ import functools
 import random
 import weakref
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from comaxlab import suites
 from comaxlab.pairgen import GeneratorParams, pair_seed, random_seqfn
-from comaxlab.seqspace import join
+from comaxlab.seq_comonotone import PairRelations
+from comaxlab.seqspace import constant, join
 from comaxlab.suites import counterexample_suite, normalized_search, structured_family
 
 from seq_oracles import list_normalized_search
@@ -51,14 +53,30 @@ def test_real_zoo_matches_list_reference(grid, seed, prefix_max):
     assert streamed == listed
 
 
-def first_sampled_upper(seed, samples, prefix_max):
-    """The upper function of the first sampled ordered pair whose lower
-    function has a positive limit, replaying the suite's draws."""
+def sampled_ordered_pairs(seed, samples, prefix_max):
+    """The suite's sampled ordered pairs ``(lower, upper)``, replaying its draws."""
     params = GeneratorParams(prefix_max=prefix_max)
     rng = random.Random(pair_seed(seed, samples))
     for _ in range(samples):
         f = random_seqfn(rng, params)
-        g = join(f, random_seqfn(rng, params))
+        yield f, join(f, random_seqfn(rng, params))
+
+
+def ordered_pairs(grid, seed, samples, prefix_max):
+    """The suite's ordered family pairs, then its sampled ordered pairs."""
+    family = structured_family(grid, prefix_max)
+    relations = PairRelations(family)
+    for i, j in combinations_with_replacement(range(len(family)), 2):
+        order = relations.order(i, j)
+        if order:
+            yield (family[i], family[j]) if order < 0 else (family[j], family[i])
+    yield from sampled_ordered_pairs(seed, samples, prefix_max)
+
+
+def first_sampled_upper(seed, samples, prefix_max):
+    """The upper function of the first sampled ordered pair whose lower
+    function has a positive limit."""
+    for f, g in sampled_ordered_pairs(seed, samples, prefix_max):
         if f.limit > 0:
             return g
     raise AssertionError("no sampled pair with a positive lower limit")
@@ -67,6 +85,8 @@ def first_sampled_upper(seed, samples, prefix_max):
 def hand_built_zoo(seed, samples, prefix_max):
     """Candidates that reach all four outcomes.
 
+    ``constant-only`` is 0 on constants and refuses any other function,
+    so the screen must reject it on the probe constants alone.
     ``new-iso`` is the limit, except that a function whose isolated value
     no family member has is sent to that value: joins of family members
     keep their isolated values, so it can only break maxitivity on
@@ -76,10 +96,16 @@ def hand_built_zoo(seed, samples, prefix_max):
     """
     hidden = first_sampled_upper(seed, samples, prefix_max)
 
+    def constant_only(f):
+        if f != constant(f.iso):
+            raise AssertionError(f"a rejected candidate was evaluated on {f.to_json()}")
+        return F(0)
+
     def zoo(grid):
         family_isos = {f.iso for f in structured_family(grid, prefix_max)}
         return [
             ("constant-half", lambda f: F(1, 2)),
+            ("constant-only", constant_only),
             ("mean-iso-limit", lambda f: (f.iso + f.limit) / 2),
             ("new-iso", lambda f: f.limit if f.iso in family_isos else f.iso),
             ("limit-but-one", lambda f: F(0) if f == hidden else f.limit),
@@ -93,13 +119,15 @@ def hand_built_zoo(seed, samples, prefix_max):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_hand_built_zoo_matches_list_reference(grid, seed, monkeypatch):
     samples, prefix_max = 60, 1
-    monkeypatch.setattr(suites, "_candidate_zoo", hand_built_zoo(seed, samples, prefix_max))
+    zoo = hand_built_zoo(seed, samples, prefix_max)
+    monkeypatch.setattr(suites, "_candidate_zoo", zoo)
     streamed, listed = both(seed, samples, grid, prefix_max)
     assert streamed == listed
 
     report = normalized_search(seed, samples, GRIDS[grid], prefix_max)
     outcomes = {w["candidate"]: w for w in report.witnesses}
     assert outcomes["constant-half"]["outcome"] == "rejected_not_normalized"
+    assert outcomes["constant-only"]["outcome"] == "rejected_not_normalized"
     assert outcomes["mean-iso-limit"]["outcome"] == "rejected_not_maxitive"
     assert outcomes["eval-limit"]["outcome"] == "monotone_at_this_scale"
     assert report.status == "finding"
@@ -108,6 +136,12 @@ def test_hand_built_zoo_matches_list_reference(grid, seed, monkeypatch):
     new_iso = outcomes["new-iso"]
     assert new_iso["outcome"] == "rejected_not_maxitive"
     assert new_iso["f"] not in family_json or new_iso["g"] not in family_json
+    # new-iso breaks monotonicity too: maxitivity must win.
+    new_iso_fn = dict(zoo(GRIDS[grid]))["new-iso"]
+    assert any(
+        new_iso_fn(lower) > new_iso_fn(upper)
+        for lower, upper in ordered_pairs(GRIDS[grid], seed, samples, prefix_max)
+    )
     found = outcomes["limit-but-one"]
     assert found["outcome"] == "candidate_found"
     assert found["upper"] == first_sampled_upper(seed, samples, prefix_max).to_json()
