@@ -5,7 +5,9 @@ whether it sits below the unit ramp everywhere, whether its maximum is
 already attained at the isolated point, and whether its maximum stays
 strictly below 1.  Functions below the ramp whose peak is tame in
 either sense form the zero class; the functional maps the zero class to
-0 and everything else to 1.
+0 and everything else to 1.  ``Membership.step`` is that value as the
+int 0 or 1, which the pair checks compare; only ``step_value`` (and the
+witnesses the checks write) carry it as a ``Fraction``.
 
 All three are read from one integer row, ``attained_max``'s
 ``scaled_values(f, f.head_len + 1)``: the isolated point,
@@ -37,9 +39,9 @@ class Membership(NamedTuple):
         return self.below_ramp and (self.capped_at_iso or self.below_one)
 
     @property
-    def step(self) -> Fraction:
-        """The step functional's value: 0 on the zero class, 1 elsewhere."""
-        return ZERO if self.in_zero_class else ONE
+    def step(self) -> int:
+        """The step functional's value as an int: 0 on the zero class, 1 elsewhere."""
+        return 0 if self.in_zero_class else 1
 
 
 def membership(f: SeqFn) -> Membership:
@@ -53,5 +55,5 @@ def membership(f: SeqFn) -> Membership:
 
 
 def step_value(f: SeqFn) -> Fraction:
-    """0 on the zero class, 1 elsewhere."""
-    return membership(f).step
+    """0 on the zero class, 1 elsewhere, as a ``Fraction``."""
+    return ONE if membership(f).step else ZERO

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -229,9 +230,9 @@ def leq(f: SeqFn, g: SeqFn) -> bool:
 
 def order_rows(u: Sequence[int], v: Sequence[int]) -> int:
     """-1 when ``u <= v`` entry by entry, 1 when only ``v <= u`` does, else 0."""
-    if all(a <= b for a, b in zip(u, v)):
+    if all(map(operator.le, u, v)):
         return -1
-    return 1 if all(b <= a for a, b in zip(u, v)) else 0
+    return 1 if all(map(operator.le, v, u)) else 0
 
 
 def pointwise_order(f: SeqFn, g: SeqFn) -> int:

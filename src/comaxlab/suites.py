@@ -211,26 +211,28 @@ def _check_pair(pair: tuple[str, int, SeqFn, SeqFn, Membership, Membership, Memb
     """Count one comonotone pair under its source and check the step functional on it.
 
     ``pair`` is as ``_pair`` builds it, with memberships for values, so
-    every step value is read from a membership in hand.  The join's step
-    value must be the larger step value, and an ordered pair's lower step
-    value must not exceed its upper one.
+    every step value is read from a membership in hand, as the int 0 or
+    1.  The join's step value must be the larger step value, and an
+    ordered pair's lower step value must not exceed its upper one.  A
+    violation writes its step values as ``Fraction``s.
     """
     source, index, f, g, mf, mg, m_join, order = pair
     tally[PAIR_COUNTS[source]] += 1
     tally[f"branch_{branch_tag(mf, mg)}"] += 1
     nu_f, nu_g = mf.step, mg.step
-    lower, upper, nu_lo, nu_hi = (f, g, nu_f, nu_g) if order <= 0 else (g, f, nu_g, nu_f)
     nu_join, expected = m_join.step, max(nu_f, nu_g)
-    where = {"source": source, "index": index}
     if nu_join != expected:
-        violations.append({"kind": "maxitivity", **where, "f": f.to_json(), "g": g.to_json(),
-                           "step_join": nu_join, "max_steps": expected})
+        violations.append({"kind": "maxitivity", "source": source, "index": index,
+                           "f": f.to_json(), "g": g.to_json(),
+                           "step_join": Fraction(nu_join), "max_steps": Fraction(expected)})
     if order:
         tally["ordered_comonotone_checks"] += 1
+        lower, upper, nu_lo, nu_hi = (f, g, nu_f, nu_g) if order < 0 else (g, f, nu_g, nu_f)
         if nu_lo > nu_hi:
-            violations.append({"kind": "restricted_monotonicity", **where,
-                               "lower": lower.to_json(), "upper": upper.to_json(),
-                               "step_lower": nu_lo, "step_upper": nu_hi})
+            violations.append({"kind": "restricted_monotonicity", "source": source,
+                               "index": index, "lower": lower.to_json(),
+                               "upper": upper.to_json(), "step_lower": Fraction(nu_lo),
+                               "step_upper": Fraction(nu_hi)})
 
 
 def _check_pairs(pairs: Iterable[tuple]) -> dict:
@@ -286,8 +288,8 @@ def counterexample_suite(
     ramp0, ramp1 = ramp(ZERO), ramp(ONE)
     facts = {
         "ramp0_below_ramp1": leq(ramp0, ramp1),
-        "step_of_ramp1_is_zero": membership(ramp1).step == ZERO,
-        "step_of_ramp0_is_one": membership(ramp0).step == ONE,
+        "step_of_ramp1_is_zero": membership(ramp1).step == 0,
+        "step_of_ramp0_is_one": membership(ramp0).step == 1,
     }
     for name, ok in facts.items():
         tally[f"fact_{name}"] = int(ok)

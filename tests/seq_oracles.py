@@ -27,6 +27,11 @@ with ``rng.randint`` so that the stream is checked against it.
 ``fraction_membership`` is ``comaxlab.classify.membership`` from
 ``fraction_leq`` against the unit ramp and ``fraction_attained_max``.
 
+``fraction_check_pair`` is ``comaxlab.suites._check_pair`` with every
+step value ``fraction_step``'s ``Fraction`` ``ZERO`` or ``ONE``: each comparison, the
+``max`` and the violation fields run on ``Fraction``s, so the integer
+check is held to it tally by tally and violation by violation.
+
 ``list_normalized_search`` is ``comaxlab.suites.normalized_search``
 written as lists: every comonotone family pair with its join, every
 ordered family pair, every generated and every sampled ordered pair is
@@ -53,6 +58,7 @@ from hypothesis import strategies as st
 from comaxlab import suites
 from comaxlab.classify import Membership
 from comaxlab.pairgen import GeneratorParams, MonotoneMap, generate_pair, pair_seed, random_seqfn
+from comaxlab.rational import ONE, ZERO
 from comaxlab.report import FINDING, INCONCLUSIVE, VerificationReport
 from comaxlab.seq_comonotone import PairRelations, comonotone_witness
 from comaxlab.seqspace import attained_max, constant, join, make, points_upto, ramp, seq
@@ -225,6 +231,30 @@ def fraction_membership(f):
         capped_at_iso=peak <= f.iso,
         below_one=peak < 1,
     )
+
+
+def fraction_step(m):
+    return ZERO if m.in_zero_class else ONE
+
+
+def fraction_check_pair(pair, tally, violations):
+    """``suites._check_pair`` with ``Fraction`` step values."""
+    source, index, f, g, mf, mg, m_join, order = pair
+    tally[suites.PAIR_COUNTS[source]] += 1
+    tally[f"branch_{suites.branch_tag(mf, mg)}"] += 1
+    nu_f, nu_g = fraction_step(mf), fraction_step(mg)
+    lower, upper, nu_lo, nu_hi = (f, g, nu_f, nu_g) if order <= 0 else (g, f, nu_g, nu_f)
+    nu_join, expected = fraction_step(m_join), max(nu_f, nu_g)
+    where = {"source": source, "index": index}
+    if nu_join != expected:
+        violations.append({"kind": "maxitivity", **where, "f": f.to_json(), "g": g.to_json(),
+                           "step_join": nu_join, "max_steps": expected})
+    if order:
+        tally["ordered_comonotone_checks"] += 1
+        if nu_lo > nu_hi:
+            violations.append({"kind": "restricted_monotonicity", **where,
+                               "lower": lower.to_json(), "upper": upper.to_json(),
+                               "step_lower": nu_lo, "step_upper": nu_hi})
 
 
 def fraction_join(f, g):

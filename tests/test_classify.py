@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +37,20 @@ def test_constant_memberships():
         m = membership(constant(c))
         assert not m.below_ramp  # positive constant exceeds the ramp at seq(1)
         assert step_value(constant(c)) == 1
+
+
+def test_step_is_an_int_for_every_membership():
+    for flags in product((True, False), repeat=3):
+        m = Membership(*flags)
+        assert type(m.step) is int, m
+        assert m.step == (0 if m.in_zero_class else 1), m
+
+
+@pytest.mark.parametrize("f", [ramp(F(0)), ramp(F(1)), constant(F(0))],
+                         ids=["ramp0", "ramp1", "constant0"])
+def test_step_value_is_a_fraction(f):
+    assert type(step_value(f)) is Fraction
+    assert step_value(f) == membership(f).step
 
 
 def test_half_constant_fails_below_ramp_at_first_point():

@@ -17,6 +17,7 @@ from comaxlab.seqspace import (
     join,
     leq,
     make,
+    order_rows,
     points_upto,
     ramp,
     scaled_values,
@@ -199,6 +200,33 @@ def test_lattice_laws(f, g, h):
     assert join(f, join(f, g)) == join(f, g)
     if leq(f, g):
         assert join(f, g) == g
+
+
+def literal_order_rows(u, v):
+    if all(a <= b for a, b in zip(u, v)):
+        return -1
+    return 1 if all(b <= a for a, b in zip(u, v)) else 0
+
+
+# Values in 0..3 make ties and equal rows common.
+equal_length_rows = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(0, 3), min_size=n, max_size=n)] * 2)
+)
+
+
+@given(equal_length_rows)
+@settings(max_examples=300)
+def test_order_rows_matches_zip_definition(rows):
+    u, v = rows
+    assert order_rows(u, v) == literal_order_rows(u, v)
+    assert order_rows(v, u) == literal_order_rows(v, u)
+
+
+def test_order_rows_examples():
+    assert order_rows((), ()) == -1
+    assert order_rows([1, 2], [1, 2]) == -1
+    assert order_rows([1, 3], [1, 2]) == 1
+    assert order_rows([0, 3], [1, 2]) == 0
 
 
 def test_json_round_trip():

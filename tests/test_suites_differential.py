@@ -1,23 +1,28 @@
 """``suites.normalized_search`` against the list-based reference in
 ``seq_oracles``: the same report bytes for the real candidate zoo and
-for a hand-built zoo that reaches every outcome.  Both sequence suites
-keep no generated pair once it has been checked."""
+for a hand-built zoo that reaches every outcome.  ``suites._check_pairs``,
+which compares integer step values, against ``fraction_check_pair``,
+which compares ``Fraction``s: the same tally and violations, with every
+step field a ``Fraction``.  Both sequence suites keep no generated pair
+once it has been checked."""
 
 import functools
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from comaxlab import suites
+from comaxlab.classify import Membership, membership
 from comaxlab.pairgen import GeneratorParams, pair_seed, random_seqfn
 from comaxlab.seq_comonotone import PairRelations
-from comaxlab.seqspace import constant, join
+from comaxlab.seqspace import constant, join, ramp
 from comaxlab.suites import counterexample_suite, normalized_search, structured_family
 
-from seq_oracles import list_normalized_search
+from seq_oracles import fraction_check_pair, list_normalized_search
 
 F = Fraction
 
@@ -169,3 +174,63 @@ def test_generated_pairs_are_freed_once_checked(monkeypatch):
         suite(seed=0, samples=50, grid=GRIDS["0,1/2,1"], prefix_max=1)
         assert len(refs) == 50, name
         assert not any(held), f"{name}: pairs from two calls back still held at {sum(held)} calls"
+
+
+STEP_FIELDS = ("step_join", "max_steps", "step_lower", "step_upper")
+
+
+def family_check_pairs():
+    """Every comonotone pair of the thirds family at prefix length 2."""
+    grid, prefix_max = GRIDS["0,1/3,2/3,1"], 2
+    table = suites._family_table(grid, prefix_max, membership)
+    size = len(table[0])
+    return list(suites.comonotone_pairs(membership, table, 0, size * (size + 1) // 2))
+
+
+def generated_check_pairs():
+    """The first 2,000 generated pairs at seed 0."""
+    params = GeneratorParams(prefix_max=2)
+    return list(suites.comonotone_pairs(membership, seed=0, first=0, last=2000, params=params))
+
+
+def forged_check_pairs():
+    """Every membership of f, g and the join, under every order, so both
+    violation kinds occur; the sources take turns."""
+    memberships = [Membership(*flags) for flags in product((True, False), repeat=3)]
+    f, g = ramp(F(0)), constant(F(1, 2))
+    sources = list(suites.PAIR_COUNTS)
+    cases = product(memberships, memberships, memberships, (-1, 0, 1))
+    return [(sources[index % len(sources)], index, f, g, mf, mg, m_join, order)
+            for index, (mf, mg, m_join, order) in enumerate(cases)]
+
+
+CHECK_PAIR_SETS = {
+    "family": family_check_pairs,
+    "generated": generated_check_pairs,
+    "forged": forged_check_pairs,
+}
+
+
+@pytest.mark.parametrize("name", CHECK_PAIR_SETS)
+def test_check_pairs_match_fraction_reference(name):
+    pairs = CHECK_PAIR_SETS[name]()
+    tally: Counter = Counter()
+    violations: list = []
+    for pair in pairs:
+        fraction_check_pair(pair, tally, violations)
+    result = suites._check_pairs(pairs)
+    assert result["tally"] == tally
+    assert result["violations"] == violations
+    # An int step would still equal its Fraction and still serialize.
+    for violation in result["violations"]:
+        for field in STEP_FIELDS:
+            if field in violation:
+                assert type(violation[field]) is Fraction, (field, violation)
+    kinds = Counter(v["kind"] for v in violations)
+    if name == "forged":
+        assert len(pairs) == 8 * 8 * 8 * 3
+        assert kinds["maxitivity"] and kinds["restricted_monotonicity"]
+    else:
+        assert not violations
+    if name == "family":
+        assert len(pairs) == tally["family_comonotone_pairs"] == 11_179
