@@ -11,9 +11,8 @@ representable once the head is extended past the last breakpoint.
 Everything runs on integers over one denominator, as in ``SeqFn``:
 a map keeps its knots as integer pairs ``(X, Y)`` over ``den``, every
 drawn rational is put over ``lcm(1..max(2, max_denominator))``, and
-composition scales the head values of h to one denominator
-(``scaled_values``) and maps each through its segment by integer
-cross-multiplication.  Every draw is ``rational.draw_int``: the value
+``compose`` maps each value of h through a table of the map's segments,
+all over one denominator.  Every draw is ``rational.draw_int``: the value
 ``rng.randint`` would give, taken straight from ``rng.getrandbits``.
 
 Every output is still post-validated with the exact comonotonicity
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 
 from .rational import Record, draw_int
 from .seq_comonotone import comonotone_witness
@@ -56,27 +56,18 @@ class MonotoneMap(Record):
     def __init__(self, den: int, knots: tuple[tuple[int, int], ...]) -> None:
         if den < 1:
             raise ValueError(f"denominator {den} must be positive")
-        xs = [x for x, _ in knots]
-        ys = [y for _, y in knots]
-        if xs[0] != 0 or xs[-1] != den:
+        (x_first, y_first), (x_last, y_last) = knots[0], knots[-1]
+        if x_first != 0 or x_last != den:
             raise ValueError("knot abscissas must run from 0 to 1")
-        if any(a >= b for a, b in zip(xs, xs[1:])):
-            raise ValueError("knot abscissas must be strictly increasing")
-        if any(a > b for a, b in zip(ys, ys[1:])):
+        for (x0, _), (x1, _) in zip(knots, knots[1:]):
+            if x0 >= x1:
+                raise ValueError("knot abscissas must be strictly increasing")
+        if any(y0 > y1 for (_, y0), (_, y1) in zip(knots, knots[1:])):
             raise ValueError("knot ordinates must be nondecreasing")
-        for y in ys:
-            if not 0 <= y <= den:
-                raise ValueError("knot ordinates must lie in [0,1]")
+        # Nondecreasing ordinates lie in [0,1] once the end ones do.
+        if y_first < 0 or y_last > den:
+            raise ValueError("knot ordinates must lie in [0,1]")
         self.den, self.knots = den, knots
-
-
-def _segment(knots: tuple[tuple[int, int], ...], w: int, q: int) -> tuple[int, int, int, int]:
-    """``(X0, Y0, dX, dY)`` of the first segment with ``X0*q <= w <= X1*q``, for ``0 <= w <= den*q``."""
-    k = 1
-    while k < len(knots) - 1 and w > knots[k][0] * q:
-        k += 1
-    (x0, y0), (x1, y1) = knots[k - 1], knots[k]
-    return x0, y0, x1 - x0, y1 - y0
 
 
 def compose(phi: MonotoneMap, h: SeqFn) -> SeqFn:
@@ -88,6 +79,10 @@ def compose(phi: MonotoneMap, h: SeqFn) -> SeqFn:
     ``E = phi.den`` and h's ``(D, S, I)``, the tail meets the abscissa
     ``X`` at the coordinate ``t = (X*D - I*E) / (S*E)``, and ``seq(n)``
     lies past it once ``n > 1/(1 - t)``.
+
+    Every value comes out over ``E*q*L``, with ``L`` the lcm of the
+    segment widths: a segment from ``(X0, Y0)`` of slope ``m / L`` maps
+    the value ``v / q`` of h (``scaled_values``) to ``(Y0*L - m*X0)*q + m*E*v``.
     """
     e, knots = phi.den, phi.knots
     d, s, i = h.den, h.slope_num, h.intercept_num
@@ -102,19 +97,21 @@ def compose(phi: MonotoneMap, h: SeqFn) -> SeqFn:
             if 0 <= num < den:
                 extend_to = max(extend_to, den // (den - num) + 1)
     q, values = scaled_values(h, extend_to + 1)
-    # phi(v/q) = (Y0*dX*q + dY*(v*E - X0*q)) / (E*dX*q) on the segment of v/q.
-    parts = []
-    for v in values[: extend_to + 1]:
-        x0, y0, dx, dy = _segment(knots, v * e, q)
-        parts.append((y0 * dx * q + dy * (v * e - x0 * q), e * dx * q))
-    # The tail point seq(extend_to + 1) lies strictly inside the segment
-    # the whole tail follows (or, for a flat tail, on its value).
-    x0, y0, dx, dy = _segment(knots, values[extend_to + 1] * e, q)
-    parts.append((dy * s * e, e * dx * d))
-    parts.append((dy * i * e + (y0 * dx - dy * x0) * d, e * dx * d))
-    den = math.lcm(*(b for _, b in parts))
-    nums = [a * (den // b) for a, b in parts]
-    return _reduced(den, nums[0], nums[1:-2], nums[-2], nums[-1])
+    width_lcm = math.lcm(*(x1 - x0 for (x0, _), (x1, _) in zip(knots, knots[1:])))
+    rows = []
+    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        m = (y1 - y0) * (width_lcm // (x1 - x0))
+        rows.append(((y0 * width_lcm - m * x0) * q, m * e))
+    # v / q lies on the first segment with v <= floor(X1*q/E), or on the last one.
+    bounds = [x * q // e for x, _ in knots[1:-1]]
+    nums = []
+    for v in values:
+        c, me = rows[bisect_left(bounds, v)]
+        nums.append(c + me * v)
+    # From seq(extend_to + 1) on, the composite is affine in the
+    # coordinate, so that point and the limit give its tail.
+    slope = (nums[-1] - nums[-2]) * (extend_to + 1)
+    return _reduced(e * q * width_lcm, nums[0], nums[1:-2], slope, nums[-1] - slope)
 
 
 def _draw_denominator(max_denominator: int) -> int:

@@ -5,7 +5,7 @@ oppositely by them.  The space is infinite, but the representation
 makes the decision finite:
 
 * pairs among the isolated point, the shared head, and the limit are
-  checked directly;
+  checked directly, by comparisons of the scaled values, not products;
 * two tail points disagree iff the tail slopes have opposite signs
   (their defining product is ``slope_f * slope_g * (dt)**2``);
 * a tail point seq(n) against a fixed point x: since
@@ -17,8 +17,8 @@ makes the decision finite:
   ``n`` are tried.  Boundary zeros are allowed.
 
 ``PairRelations`` decides comonotonicity and pointwise order among the
-members of a fixed list.  It evaluates every function once, on
-``points_upto(D + 1)`` where ``D`` is the longest head in the list, as
+members of a fixed list.  It evaluates every function once, on the
+isolated point, ``seq(1..D + 1)`` and the limit, ``D`` the longest head, as
 integers over one common scale (``scaled_values``, brought to the
 ``math.lcm`` of the functions' scales; never floats), and then:
 
@@ -43,7 +43,8 @@ The sequence suites walk the pairs ``i <= j`` in
 ``suites.comonotone_pairs``.
 
 ``comonotone_truncated`` is the independent brute-force oracle over a
-finite depth, kept deliberately dumb.
+finite depth, kept deliberately dumb: it still tries every pair of
+points, comparing as above.  Both name only the points of a witness.
 """
 
 from __future__ import annotations
@@ -53,21 +54,19 @@ from fractions import Fraction
 from typing import Sequence
 
 from .grid import comonotone, signs
-from .seqspace import Point, SeqFn, order_rows, points_upto, scaled_values, seq
+from .seqspace import Point, SeqFn, order_rows, point_at, scaled_values, seq
 
 
 def _first_opposed(af: int, bf: int, ag: int, bg: int, n_min: int) -> int | None:
     """Smallest n >= n_min with (n*af - bf) * (n*ag - bg) < 0, or None.
 
-    Each factor changes sign only at its root b/a, so the product first
-    turns negative at n_min or at the first integer past a root,
-    ``b // a + 1`` (floor division is exact for either sign).
+    Each factor changes sign only at its root b/a (``b // a + 1`` is the
+    first integer past it, for either sign), so the product first turns
+    negative at n_min or at one of those two; past n_min, at most one is.
     """
-    candidates = {n_min}
-    for a, b in ((af, bf), (ag, bg)):
-        if a:
-            candidates.add(max(n_min, b // a + 1))
-    for n in sorted(candidates):
+    nf = max(n_min, bf // af + 1) if af else n_min
+    ng = max(n_min, bg // ag + 1) if ag else n_min
+    for n in (n_min, nf, ng):
         if (n * af - bf) * (n * ag - bg) < 0:
             return n
     return None
@@ -79,13 +78,13 @@ def comonotone_witness(f: SeqFn, g: SeqFn) -> tuple[Point, Point] | None:
     f_scale, fv = scaled_values(f, shared)
     g_scale, gv = scaled_values(g, shared)
 
-    # The values sit at points_upto(shared), named only for a witness returned.
+    # The values sit at point_at(0..shared + 1, shared), named only for a witness returned.
     # Literal, not grid.signs: it stops at the first opposed pair, and masking them all was slower.
     for i in range(len(fv)):
+        fi, gi = fv[i], gv[i]
         for j in range(i + 1, len(fv)):
-            if (fv[i] - fv[j]) * (gv[i] - gv[j]) < 0:
-                fixed = points_upto(shared)
-                return (fixed[i], fixed[j])
+            if (fi < fv[j] and gi > gv[j]) or (fi > fv[j] and gi < gv[j]):
+                return (point_at(i, shared), point_at(j, shared))
 
     bf = f.slope_num * (f_scale // f.den)
     bg = g.slope_num * (g_scale // g.den)
@@ -96,7 +95,7 @@ def comonotone_witness(f: SeqFn, g: SeqFn) -> tuple[Point, Point] | None:
     for x0, (fx, gx) in enumerate(zip(fv, gv)):
         n = _first_opposed(fv[-1] - fx, bf, gv[-1] - gx, bg, shared + 1)
         if n is not None:
-            return (points_upto(shared)[x0], seq(n))
+            return (point_at(x0, shared), seq(n))
 
     return None
 
@@ -131,15 +130,15 @@ def comonotone_truncated(f: SeqFn, g: SeqFn, depth: int = 50) -> tuple[Point, Po
     """Brute-force check over the isolated point, seq(1..depth), and the limit.
 
     Each function's values are compared as integers times its own
-    positive scale, which keeps the sign of every product.
+    positive scale, which keeps the order of every pair.
     """
     _, fv = scaled_values(f, depth)
     _, gv = scaled_values(g, depth)
     for i in range(len(fv)):
+        fi, gi = fv[i], gv[i]
         for j in range(i + 1, len(fv)):
-            if (fv[i] - fv[j]) * (gv[i] - gv[j]) < 0:
-                pts = points_upto(depth)
-                return (pts[i], pts[j])
+            if (fi < fv[j] and gi > gv[j]) or (fi > fv[j] and gi < gv[j]):
+                return (point_at(i, depth), point_at(j, depth))
     return None
 
 

@@ -90,9 +90,11 @@ class SeqFn(Record):
             raise ValueError(f"denominator {den} must be positive")
         check_unit(iso_num, den, "value at the isolated point")
         for k, num in enumerate(head_nums, start=1):
-            check_unit(num, den, f"head value at seq({k})")
+            if not 0 <= num <= den:
+                check_unit(num, den, f"head value at seq({k})")
         n = len(head_nums)
-        check_unit(s * n + i * (n + 1), den * (n + 1), f"tail value at seq({n + 1})")
+        if not 0 <= s * n + i * (n + 1) <= den * (n + 1):
+            check_unit(s * n + i * (n + 1), den * (n + 1), f"tail value at seq({n + 1})")
         check_unit(s + i, den, "limit value")
         if math.gcd(den, iso_num, s, i, *head_nums) != 1:
             raise ValueError("denominator is not reduced")
@@ -200,13 +202,13 @@ def ramp(iso_value: Fraction) -> SeqFn:
     return SeqFn(iso_value.denominator, iso_value.numerator, (), iso_value.denominator, 0)
 
 
-def points_upto(count: int) -> list[Point]:
-    """Isolated point, seq(1..count), and the limit, in canonical order."""
-    return [ISOLATED] + [seq(n) for n in range(1, count + 1)] + [LIMIT]
+def point_at(index: int, count: int) -> Point:
+    """The point of entry ``index`` in a ``scaled_values(f, count)`` row."""
+    return ISOLATED if index == 0 else LIMIT if index == count + 1 else seq(index)
 
 
 def scaled_values(f: SeqFn, count: int) -> tuple[int, list[int]]:
-    """A positive integer ``scale`` and ``scale * f.at(p)`` for p in ``points_upto(count)``.
+    """A positive integer ``scale`` and ``scale * f.at(p)`` for p = isolated, seq(1..count), limit.
 
     ``scale`` is ``f.den * M``, with ``M`` the lcm of the indices ``n``
     of the tail points ``seq(head_len + 1 .. count)``, so every value,
@@ -215,7 +217,7 @@ def scaled_values(f: SeqFn, count: int) -> tuple[int, list[int]]:
     of the values.
     """
     tail = range(f.head_len + 1, count + 1)
-    mult = math.lcm(*tail)
+    mult = math.lcm(*tail) if tail else 1
     s, i = f.slope_num, f.intercept_num
     values = [v * mult for v in (f.iso_num, *f.head_nums[:count])]
     values += [(s * (n - 1) + i * n) * (mult // n) for n in tail]

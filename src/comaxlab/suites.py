@@ -62,9 +62,11 @@ PAIR_COUNTS = {
     "generated": "generated_pairs",
 }
 
+BRANCH_COUNTS = {branch: f"branch_{branch}" for branch in ALL_BRANCHES}
+
 # Counts that every verify-counterexample report carries, zero or not.
 REPORTED_COUNTS = (
-    *(f"branch_{branch}" for branch in ALL_BRANCHES),
+    *BRANCH_COUNTS.values(),
     "ordered_comonotone_checks",
     *PAIR_COUNTS.values(),
 )
@@ -218,7 +220,7 @@ def _check_pair(pair: tuple[str, int, SeqFn, SeqFn, Membership, Membership, Memb
     """
     source, index, f, g, mf, mg, m_join, order = pair
     tally[PAIR_COUNTS[source]] += 1
-    tally[f"branch_{branch_tag(mf, mg)}"] += 1
+    tally[BRANCH_COUNTS[branch_tag(mf, mg)]] += 1
     nu_f, nu_g = mf.step, mg.step
     nu_join, expected = m_join.step, max(nu_f, nu_g)
     if nu_join != expected:
@@ -318,7 +320,7 @@ def counterexample_suite(
         violations.extend(result["violations"])
 
     for branch in ALL_BRANCHES:
-        if tally[f"branch_{branch}"] == 0:
+        if tally[BRANCH_COUNTS[branch]] == 0:
             violations.append({"kind": "branch_not_exercised", "branch": branch})
 
     kinds = Counter(v["kind"] for v in violations)

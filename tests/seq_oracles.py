@@ -2,7 +2,8 @@
 
 ``fraction_truncated`` is the brute-force truncated check written on
 ``SeqFn.at`` values: every value a ``Fraction``, every product taken
-in rational arithmetic, no scaling.  ``interval_witness`` is the exact
+in rational arithmetic, no scaling.  It keeps the defining product,
+which the integer pair loops replace by comparisons.  ``interval_witness`` is the exact
 decision written on ``Fraction`` values too: each tail point against a
 fixed point is settled by mapping the roots of two affine factors in
 the coordinate ``t = 1 - 1/n`` to an open interval, then to the first
@@ -39,6 +40,8 @@ stored first, then rescanned once per candidate through a cache of the
 candidate's values.  It reads ``suites._candidate_zoo`` at call time,
 so a test may swap the zoo for both.
 
+``points_upto`` lists the isolated point, ``seq(1..count)`` and the
+limit, the points ``seqspace.point_at`` names one at a time.
 ``comonotone``, ``attained_value``, ``constant_map``, ``IDENTITY_MAP``
 and ``fraction_map`` are small helpers only the tests need, and
 ``seq_fns`` is the one Hypothesis strategy for sequence-space functions.
@@ -61,9 +64,14 @@ from comaxlab.pairgen import GeneratorParams, MonotoneMap, generate_pair, pair_s
 from comaxlab.rational import ONE, ZERO
 from comaxlab.report import FINDING, INCONCLUSIVE, VerificationReport
 from comaxlab.seq_comonotone import PairRelations, comonotone_witness
-from comaxlab.seqspace import attained_max, constant, join, make, points_upto, ramp, seq
+from comaxlab.seqspace import ISOLATED, LIMIT, attained_max, constant, join, make, ramp, seq
 
 Bound = Fraction | None  # None stands for the unbounded side
+
+
+def points_upto(count):
+    """Isolated point, seq(1..count), and the limit, in canonical order."""
+    return [ISOLATED] + [seq(n) for n in range(1, count + 1)] + [LIMIT]
 
 
 def fraction_truncated(f, g, depth=50):

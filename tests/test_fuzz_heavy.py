@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from comaxlab.pairgen import GeneratorParams, compose, random_monotone_map, random_seqfn
 from comaxlab.seq_comonotone import comonotone_truncated, comonotone_witness, defining_product
-from comaxlab.seqspace import join, leq, points_upto
+from comaxlab.seqspace import join, leq
 
-from seq_oracles import fraction_map, seq_fns
+from seq_oracles import fraction_map, points_upto, seq_fns
 
 HEAVY = GeneratorParams(prefix_max=4, max_denominator=12, max_breakpoints=4)
 

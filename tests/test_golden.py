@@ -77,6 +77,12 @@ GOLDEN = [
         ("verify-counterexample", "--prefix-max", "4", "--samples", "300"),
         "ce1cda54d3177ec6bbc19289d0a7683c68b4c1c6c3a4974c86e485f1a600c6a1",
     ),
+    # Composed heads longer than the bench's generated config makes.
+    (
+        ("verify-counterexample", "--grid", "0,1/2,1", "--prefix-max", "3", "--samples", "2000",
+         "--seed", "7"),
+        "3703fdf6c5caebbe4e61d03bdb433b00bd1f2bfc0804a19db35857e83fd35de2",
+    ),
     (
         ("explore-problem1", "--prefix-max", "3", "--samples", "200"),
         "c2005e3514a1286e562ff340d05aa28cf18c52c5b046443810d114235dc76d61",

@@ -12,9 +12,9 @@ from comaxlab.pairgen import (
     pair_seed,
     random_seqfn,
 )
-from comaxlab.seqspace import constant, make, points_upto, ramp, seq
+from comaxlab.seqspace import constant, make, ramp, seq
 
-from seq_oracles import IDENTITY_MAP, comonotone, constant_map, fraction_map
+from seq_oracles import IDENTITY_MAP, comonotone, constant_map, fraction_map, points_upto
 
 F = Fraction
 
@@ -30,6 +30,14 @@ MAP_VALIDATION_CASES = [
     (2, ((0, -1), (2, 0)), r"lie in \[0,1\]"),  # ordinate below 0
     (0, ((0, 0), (0, 0)), "denominator 0 must be positive"),
     (-2, ((0, 0), (-2, -2)), "denominator -2 must be positive"),
+    # Several faults: the message is the first in the order above.
+    (2, ((0, 2), (1, 1), (1, 1), (2, 2)), "strictly increasing"),  # falls, then repeats
+    (2, ((0, -1), (1, 0), (1, 1), (2, 2)), "strictly increasing"),  # below 0, then repeats
+    (2, ((0, 3), (1, 1), (2, 2)), "nondecreasing"),  # above den and falling
+    (2, ((0, 1), (1, 3), (2, 2)), "nondecreasing"),  # rises above den, then falls
+    (2, ((0, 3), (0, 1), (1, 0)), "must run from 0 to 1"),  # every other fault too
+    (0, ((1, 5), (0, 0)), "denominator 0 must be positive"),
+    (2, ((0, 0), (1, 1), (2, 3)), r"lie in \[0,1\]"),  # only the last ordinate
 ]
 
 

@@ -15,7 +15,7 @@ from comaxlab.pairgen import (
     random_monotone_map,
     random_seqfn,
 )
-from comaxlab.seqspace import constant, make, points_upto, ramp
+from comaxlab.seqspace import constant, make, ramp
 
 from seq_oracles import (
     IDENTITY_MAP,
@@ -25,6 +25,7 @@ from seq_oracles import (
     fraction_map,
     fraction_random_monotone_map,
     fraction_random_seqfn,
+    points_upto,
 )
 
 F = Fraction
@@ -66,6 +67,10 @@ def test_generator_matches_fraction_generator(params):
 
 FALLING = make(F(1, 5), [F(1, 3)], F(-3, 4), F(1))  # tail 5/8 at seq(2), falling to 1/4
 
+# Widths 4, 2 and 6 over 12: the one denominator's factor L = 12 exceeds every width.
+SHARED_WIDTHS = MonotoneMap(12, ((0, 0), (4, 3), (6, 6), (12, 12)))
+IDENTITY_12 = MonotoneMap(12, ((0, 0), (4, 4), (6, 6), (12, 12)))
+
 FIXED_CASES = {
     # The tail starts on the knot 1/2 at coordinate 0 and rises into the next segment.
     "tail-starts-on-knot": (MonotoneMap(2, ((0, 0), (1, 0), (2, 2))), make(F(0), [], F(1, 2), F(1, 2))),
@@ -75,6 +80,13 @@ FIXED_CASES = {
     # Reaches the knot 1/2 only in the limit.
     "tail-limit-on-knot": (MonotoneMap(4, ((0, 0), (2, 1), (4, 4))), make(F(0), [], F(1, 2), F(0))),
     "identity": (IDENTITY_MAP, FALLING),
+    # Rises through the knots 1/3 (past seq(2)) and 1/2 (at seq(6)) toward 3/5.
+    "shared-widths-rising-tail": (SHARED_WIDTHS, make(F(1, 7), [F(1, 2)], F(3, 5), F(0))),
+    # Falls through the knots 1/2 (past seq(2)) and 1/3 (at seq(5)) toward 1/6.
+    "shared-widths-falling-tail": (SHARED_WIDTHS, make(F(1), [], F(-5, 6), F(1))),
+    "shared-widths-flat-tail": (SHARED_WIDTHS, make(F(2, 9), [F(5, 6), F(1, 3)], F(0), F(5, 12))),
+    # Every value over 12*q*12 reduces back to FALLING's denominator.
+    "shared-widths-identity": (IDENTITY_12, FALLING),
     "constant": (constant_map(F(2, 3)), FALLING),
 }
 
@@ -94,6 +106,7 @@ def test_fixed_compositions_known_results():
     # follow the final segment and are trimmed, and seq(8) is the last head entry.
     assert compose(phi, h).head_len == 8
     assert compose(IDENTITY_MAP, FALLING) == FALLING
+    assert compose(IDENTITY_12, FALLING) == FALLING
     assert compose(constant_map(F(2, 3)), FALLING) == constant(F(2, 3))
     phi, h = FIXED_CASES["flat-tail-on-knot"]
     assert compose(phi, h) == make(F(1, 4), [F(1)], F(0), F(1, 4))

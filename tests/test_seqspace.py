@@ -18,13 +18,13 @@ from comaxlab.seqspace import (
     leq,
     make,
     order_rows,
-    points_upto,
+    point_at,
     ramp,
     scaled_values,
     seq,
 )
 
-from seq_oracles import attained_value, seq_fns
+from seq_oracles import attained_value, points_upto, seq_fns
 
 F = Fraction
 
@@ -259,6 +259,7 @@ def assert_scaled_values_match(f, count):
     assert isinstance(scale, int) and scale > 0
     assert all(isinstance(v, int) for v in values)
     assert [Fraction(v, scale) for v in values] == [f.at(p) for p in points_upto(count)]
+    assert [point_at(k, count) for k in range(len(values))] == points_upto(count)
 
 
 def counts_for(f):
