@@ -15,19 +15,21 @@ report, the maxitivity break by the checkers' ``join_witness``.
 
 Rows are walked in lexicographic order by backtracking (Knuth, TAOCP
 Vol. 4B, 7.2.2), without recursion: the walk starts at the zero row,
-entries are set in domain order, and each join triple and ordered pair
-is checked as soon as its largest index is set.  Once a prefix breaks
-both maxitivity and monotonicity, every row below it is counted as
-neither without being visited.  One walk, in one process, covers every
-row over the relations the suite builds once; the budget still counts
-every row.
+entries are set in domain order, and each join triple and cover is
+checked as soon as its largest index is set.  A prefix breaks a cover
+iff it breaks an ordered pair: the covers from f up to g pass only
+through functions between them, which come no later than g.  Once a
+prefix breaks both maxitivity and monotonicity, every row below it is
+counted as neither without being visited.  One walk, in one process,
+covers every row over the relations the suite builds once; the budget
+still counts every row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .grid import Chain, Relations, relations
+from .grid import Chain, Relations, comonotone, relations, signs
 from .parallel import run_shards
 from .properties import join_break, join_witness, order_break
 from .rational import over_lcm
@@ -51,11 +53,11 @@ def _census_shard(args: tuple[Chain, Relations]) -> dict:
 
     # Each check waits for the largest index it reads.
     joins_at: list[list] = [[] for _ in range(size)]
-    order_at: list[list] = [[] for _ in range(size)]
+    covers_at: list[list] = [[] for _ in range(size)]
     for triple in structure.joins:
         joins_at[max(triple)].append(triple)
-    for pair in structure.order:
-        order_at[max(pair)].append(pair)
+    for pair in structure.covers:
+        covers_at[max(pair)].append(pair)
     below = [m ** (size - 1 - d) for d in range(size)]  # rows sharing a prefix of d + 1 entries
 
     classes: Counter = Counter()
@@ -71,7 +73,7 @@ def _census_shard(args: tuple[Chain, Relations]) -> dict:
     while True:
         while d < size:
             mx = maxitive[d] and join_break(row, joins_at[d]) is None
-            mo = monotone[d] and order_break(row, order_at[d]) is None
+            mo = monotone[d] and order_break(row, covers_at[d]) is None
             if not (mx or mo):
                 break
             d += 1
@@ -83,9 +85,11 @@ def _census_shard(args: tuple[Chain, Relations]) -> dict:
         else:
             mx, mo = maxitive[size], monotone[size]
             classes[mx, mo] += 1
-            # Comonotone ordered pairs are ordered pairs: only a non-monotone table breaks them.
+            # Maxitivity forbids breaking a comonotone cover; the rows' signs say which are.
             if mx and not mo:
-                if order_break(row, structure.comonotone_order) is not None:
+                fns = structure.domain
+                broken = [(fns[i], fns[j]) for i, j in structure.covers if row[i] > row[j]]
+                if any(comonotone(signs(f.values), signs(g.values)) for f, g in broken):
                     raise AssertionError("maxitive table not monotone on a comonotone ordered pair")
                 if len(bad_maxitive) < WITNESS_CAP:
                     bad_maxitive.append(

@@ -6,10 +6,12 @@ vector of a function on ``{0..n-1}``, kept for the integral's inputs and
 the report.  ``signs`` masks where a finite row rises and falls, and
 ``comonotone`` tests two masks: the one decider for this model and for
 the family screen ``seq_comonotone.PairRelations``.  ``relations``
-indexes comonotonicity, the join and the pointwise order over a whole
-grid, deciding them on rows of chain indices, which the increasing
-chain orders as it orders its values; each suite or shard builds it
-once and hands it to the checkers.
+indexes comonotonicity and the join over a whole grid, deciding them on
+rows of chain indices, which the increasing chain orders as it orders
+its values, and the pointwise order by its covers, where one entry rises
+one chain step: the order is their transitive closure (Aho, Garey and
+Ullman, 1972), and no cover reverses two entries, so each is comonotone.
+Each suite or shard builds it once and hands it to the checkers.
 """
 
 from __future__ import annotations
@@ -103,31 +105,28 @@ class Relations(NamedTuple):
 
     domain: tuple[GridFn, ...]
     joins: tuple[tuple[int, int, int], ...]  # comonotone i < j, index of their join
-    order: tuple[tuple[int, int], ...]  # domain[i] <= domain[j], i != j
-    comonotone_order: tuple[tuple[int, int], ...]  # the comonotone pairs of ``order``
+    covers: tuple[tuple[int, int], ...]  # domain[j] is domain[i] with one entry one step up
     constants: tuple[int, ...]  # index of the constant function at each chain value
 
 
 def relations(chain: Chain, n: int) -> Relations:
-    """Comonotone pairs with their join, ordered pairs, and the constants, over the grid.
+    """Comonotone pairs with their join, the order's covers, and the constants, over the grid.
 
     Each row's ``signs`` are taken once.  Pairs are listed in
     lexicographic ``(i, j)`` order.  Pairs of a function with itself are
     left out: they are comonotone, their join is the function, and they
     are ordered, so no check can fail on them.
     """
+    m = len(chain)
     domain = tuple(all_functions(chain, n))
-    index = {row: i for i, row in enumerate(product(range(len(chain)), repeat=n))}
+    index = {row: i for i, row in enumerate(product(range(m), repeat=n))}
     masks = [signs(row) for row in index]
-    joins, order, comonotone_order = [], [], []
+    joins = []
     for (a, i), (b, j) in combinations(index.items(), 2):
-        together = comonotone(masks[i], masks[j])
-        if together:
+        if comonotone(masks[i], masks[j]):
             joins.append((i, j, index[join(a, b)]))
-        # The domain is lexicographic over an increasing chain: f <= g, f != g puts f first.
-        if all(x <= y for x, y in zip(a, b)):
-            order.append((i, j))
-            if together:
-                comonotone_order.append((i, j))
-    constants = tuple(index[(k,) * n] for k in range(len(chain)))
-    return Relations(domain, tuple(joins), tuple(order), tuple(comonotone_order), constants)
+    # Raising entry c one step moves m ** (n - 1 - c) rows on in lexicographic order.
+    steps = [(c, m ** (n - 1 - c)) for c in reversed(range(n))]
+    covers = [(i, i + step) for row, i in index.items() for c, step in steps if row[c] < m - 1]
+    constants = tuple(index[(k,) * n] for k in range(m))
+    return Relations(domain, tuple(joins), tuple(covers), constants)

@@ -5,7 +5,9 @@ Each checker reads a functional's value table as integers over one
 handed, and decides one axiom exhaustively over a chain grid, comparing
 integers and returning the verdict with the first violating input; a
 Fraction is built only for a witness.  Only ``join_break`` and
-``order_break`` decide maxitivity and monotonicity; the census runs
+``order_break`` decide maxitivity and monotonicity, the latter on the
+order's covers, whose first break sends ``is_monotone`` to the whole
+order for its first broken pair as the witness; the census runs
 them on its rows of chain indices too.  ``integral_property_suite``
 bundles the four checks for the t-normed integral across every chain
 capacity, refused over budget by ``report.check_budget``: it builds the
@@ -86,18 +88,25 @@ def is_comonotone_maxitive(
 
 
 def is_monotone(values: list[int], scale: int, rel: Relations) -> tuple[bool, Witness | None]:
-    """Check f <= g pointwise implies F(f) <= F(g), exhaustively on the grid."""
-    found = order_break(values, rel.order)
-    if found is not None:
-        i, j = found
-        f, g = rel.domain[i], rel.domain[j]
-        return False, {
-            "f": f.to_json(),
-            "g": g.to_json(),
-            "F_f": Fraction(values[i], scale),
-            "F_g": Fraction(values[j], scale),
-        }
-    return True, None
+    """Check f <= g pointwise implies F(f) <= F(g), exhaustively on the grid's covers."""
+    if order_break(values, rel.covers) is None:
+        return True, None
+    # The witness is the order's first broken pair.  The domain is lexicographic
+    # over an increasing chain: f <= g, f != g puts f first.
+    rows = [f.values for f in rel.domain]
+    i, j = next(
+        (i, j)
+        for i, a in enumerate(rows)
+        for j in range(i + 1, len(rows))
+        if values[i] > values[j] and all(x <= y for x, y in zip(a, rows[j]))
+    )
+    f, g = rel.domain[i], rel.domain[j]
+    return False, {
+        "f": f.to_json(),
+        "g": g.to_json(),
+        "F_f": Fraction(values[i], scale),
+        "F_g": Fraction(values[j], scale),
+    }
 
 
 def chain_closed_under(norm: TNorm, chain: Chain) -> bool:

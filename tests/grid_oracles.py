@@ -85,6 +85,37 @@ def leq(f: GridFn, g: GridFn) -> bool:
     return all(x <= y for x, y in zip(f.values, g.values))
 
 
+def ordered_pairs(domain) -> list[tuple[int, int]]:
+    """Every ``(i, j)`` with ``domain[i] <= domain[j]`` pointwise and i != j, in ``(i, j)`` order."""
+    return [
+        (i, j) for i, f in enumerate(domain) for j, g in enumerate(domain) if i != j and leq(f, g)
+    ]
+
+
+def covers(chain: Chain, f: GridFn, g: GridFn) -> bool:
+    """g is f with exactly one value raised to the next value of the chain."""
+    steps = [
+        chain.values.index(y) - chain.values.index(x) for x, y in zip(f.values, g.values) if x != y
+    ]
+    return steps == [1]
+
+
+def transitive_closure(pairs, size: int) -> set[tuple[int, int]]:
+    """Every ``(i, j)`` with a path of one or more ``pairs`` from i to j, over ``range(size)``."""
+    after = [[] for _ in range(size)]
+    for i, j in pairs:
+        after[i].append(j)
+    closure = set()
+    for i in range(size):
+        stack = list(after[i])
+        while stack:
+            j = stack.pop()
+            if (i, j) not in closure:
+                closure.add((i, j))
+                stack.extend(after[j])
+    return closure
+
+
 def walk_capacities(chain_values, n):
     """Every capacity with values in the set: each raw assignment, kept if monotone.
 
@@ -255,6 +286,10 @@ def oracle_census_shard(args, lo=0, hi=None):
     """
     chain, structure = args
     domain = structure.domain
+    # The literal order, and its comonotone pairs, from the domain; the
+    # covers the relations list still count, so that patched ones do.
+    order = ordered_pairs(domain)
+    comonotone_order = [(i, j) for i, j in order if comonotone(domain[i], domain[j])]
 
     def table(row):
         return {",".join(map(str, f.values)): chain.values[x] for f, x in zip(domain, row)}
@@ -265,10 +300,10 @@ def oracle_census_shard(args, lo=0, hi=None):
     for row in islice(product(range(len(chain)), repeat=len(domain)), lo, hi):
         maxitivity_break = join_break(row, structure.joins)
         maxitive = maxitivity_break is None
-        monotone = order_break(row, structure.order) is None
+        monotone = order_break(row, order) is None and order_break(row, structure.covers) is None
         classes[maxitive, monotone] += 1
         if maxitive and not monotone:
-            if order_break(row, structure.comonotone_order) is not None:
+            if order_break(row, comonotone_order) is not None:
                 raise AssertionError("maxitive table not monotone on a comonotone ordered pair")
             if len(bad_maxitive) < WITNESS_CAP:
                 bad_maxitive.append({"kind": "maxitive_not_monotone", "table": table(row)})

@@ -27,6 +27,11 @@ GOLDEN = [
         ("finite-census", "--grid", "0,1", "--n", "4"),
         "fb8e6a5433dbfe5d0743336ebe28ad75470af2dff60e83c7ae954e7b27cf026e",
     ),
+    # 3 ** 27 tables, pruned on 54 covers where the order has 189 pairs.
+    (
+        ("finite-census", "--grid", "0,1/2,1", "--n", "3", "--budget", "10000000000000"),
+        "4a4dfcc2d4c294be0ef701994ae86cf35bb736e76720a7e0549f81de86f17769",
+    ),
     (
         ("integral-properties", "--n", "2"),
         "fddfcf5a8a380ccc9f2d48acb25f60430784e50e53adbf788d1b67c4afb8bb98",

@@ -15,15 +15,17 @@ from grid_oracles import (
     TabulatedFunctional,
     comonotone,
     constant,
+    covers,
     enumerate_functionals,
     grid_table,
     homogeneity_table,
     integral_value,
     join,
-    leq,
     oracle_comonotone_maxitive,
     oracle_monotone,
     oracle_scale_homogeneous,
+    ordered_pairs,
+    transitive_closure,
 )
 
 F = Fraction
@@ -47,12 +49,14 @@ def test_relations_match_definitions(chain, n):
         for j, g in enumerate(fns)
         if i < j and comonotone(f, g)
     ]
-    assert list(rel.order) == [
-        (i, j) for i, f in enumerate(fns) for j, g in enumerate(fns) if i != j and leq(f, g)
+    assert list(rel.covers) == [
+        (i, j) for i, f in enumerate(fns) for j, g in enumerate(fns) if covers(chain, f, g)
     ]
-    assert list(rel.comonotone_order) == [
-        (i, j) for i, j in rel.order if comonotone(fns[i], fns[j])
-    ]
+    joins = set(rel.joins)
+    for i, j in rel.covers:
+        assert comonotone(fns[i], fns[j])
+        assert (i, j, j) in joins
+    assert sorted(transitive_closure(rel.covers, len(fns))) == ordered_pairs(fns)
     assert [fns[k] for k in rel.constants] == [constant(c, n) for c in chain]
 
 

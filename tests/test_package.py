@@ -275,7 +275,7 @@ def test_every_class_field_is_read_by_attribute():
     ]
     unread = [field for field in fields if not read[field.partition(".")[2]]]
     assert not unread
-    assert len(fields) >= 30
+    assert len(fields) >= 29
 
 
 def _instance_attributes(tree: ast.AST):

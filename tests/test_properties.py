@@ -93,6 +93,12 @@ def test_monotone_examples():
     assert witness["f"] == {"values": ["0", "0"]}
     assert witness["g"] == {"values": ["1", "0"]}
 
+    # Only the cover (1, 2) breaks, yet the witness is the first broken
+    # ordered pair, (0, 2), which is not a cover.
+    ok, witness = is_monotone([1, 1, 0], 1, relations(CHAIN3, 1))
+    assert not ok
+    assert witness == {"f": {"values": ["0"]}, "g": {"values": ["1"]}, "F_f": 1, "F_g": 0}
+
 
 def test_chain_closure():
     assert chain_closed_under(TNorm.MINIMUM, CHAIN3)
