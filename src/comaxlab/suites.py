@@ -309,7 +309,7 @@ def counterexample_suite(
 
     tally["family_functions"] = size
     tally["family_pairs"] = total_pairs
-    # Family and sample shards share one pool; results merge in list order.
+    # Family and sample shards share one fan-out; results merge in list order.
     shards = [
         (_family_shard, (tuple(grid), prefix_max, lo, hi))
         for lo, hi in split_range(total_pairs, jobs)

@@ -10,25 +10,16 @@ import pytest
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Swap in an inline pool that starts no process; return the sizes asked of it.
+    """Run the fan-out inline, forking nothing; return the worker counts asked of it.
 
     Shards then run in the test's own process, so a monkeypatch of the
     module they call is seen by every shard.
     """
     sizes = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def inline_fan_out(worker, shard_args, workers):
+        sizes.append(workers)
+        return [worker(args) for args in shard_args]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("comaxlab.parallel._fork_shards", inline_fan_out)
     return sizes

@@ -3,7 +3,7 @@
 Every suite is correct on the configurations the CLI runs by default,
 so no other test sees a ``fail`` report.  Here a wrong membership, a
 wrong integral or a broken norm is patched in (the fault lives in this
-process only, so shards at ``--jobs`` above 1 run on an inline pool),
+process only, so shards at ``--jobs`` above 1 run inline, not forked),
 and the report must keep its bytes and exit 1.  Each count of violations
 or failures must equal the number of witnesses of its kind.
 
@@ -101,7 +101,7 @@ def test_failing_counterexample_report_keeps_its_bytes_over_shards(
     # Every violation's source and index must survive the cut into shards.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     digest, _ = failing_counterexample_report(monkeypatch, capsys, jobs)
-    assert pool_sizes == [jobs]  # one pool serves family and sample shards
+    assert pool_sizes == [jobs]  # one fan-out serves family and sample shards
     assert digest == FAILING_COUNTEREXAMPLE_DIGEST
 
 

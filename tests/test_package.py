@@ -6,6 +6,7 @@ dead-code lint reads the source with ``ast`` alone.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -51,16 +52,41 @@ def test_every_traced_name_resolves_after_import_comaxlab():
     assert int(result.stdout) > 0
 
 
+# Two usable CPUs on any host, so --jobs 2 forks one worker.
+FORKED_RUN = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from comaxlab import cli
+code = cli.main(["verify-counterexample", "--samples", "50", "--jobs", "2", "--output", os.devnull])
+pool = sorted(m for m in sys.modules if m.partition(".")[0] in ("multiprocessing", "concurrent"))
+print(code, "pickle" in sys.modules, pool)
+"""
+
+
 def test_import_cli_loads_no_dataclasses_or_process_pool():
     # Every CLI process pays for what the import loads.  The value classes
     # are plain classes, so dataclasses (with inspect and ast) stays out;
-    # the pool is imported where run_shards starts one, so runs that need
-    # no pool, --help among them, skip loading multiprocessing.
-    heavy = ("dataclasses", "multiprocessing", "concurrent")
+    # pickle is imported where run_shards forks its workers, so runs that
+    # fork none, --help among them, skip loading it.  Forked workers need
+    # no process pool, so even a --jobs 2 run loads none.
+    heavy = ("dataclasses", "multiprocessing", "concurrent", "pickle")
     loaded = f"sorted(m for m in sys.modules if m.partition('.')[0] in {heavy})"
     result = run_python("-c", f"import sys, comaxlab.cli; print({loaded})")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+    result = run_python("-c", FORKED_RUN)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 True []\n"
+
+
+def test_forked_workers_run_without_warnings():
+    # From Python 3.12 a fork in a process with threads warns, so on a
+    # host with two usable CPUs a thread started before run_shards forks
+    # fails this.
+    args = ("verify-counterexample", "--samples", "200", "--jobs", "2")
+    result = run_python("-W", "error", "-m", "comaxlab.cli", *args)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["status"] == "pass"
 
 
 # The flags each subcommand's --help lists besides --output: its row of the flag table.

@@ -1,4 +1,8 @@
 import os
+import signal
+import time
+
+import pytest
 
 from comaxlab.parallel import run_shards, split_range
 
@@ -66,3 +70,83 @@ def test_one_usable_cpu_runs_the_shards_in_process(monkeypatch, pool_sizes):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert run_shards(square_sum, shards, jobs=4) == run_shards(square_sum, shards, jobs=1)
     assert pool_sizes == []
+
+
+# The tests below fork real workers.  Each must end within a minute, and
+# after each no child may be left unreaped: waitpid must find none.
+
+
+def deadlock(signum, frame):
+    raise TimeoutError("the caller and a child wait on each other")
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three usable CPUs on any host, an alarm a minute on, and no child left after."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    previous = signal.signal(signal.SIGALRM, deadlock)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def shard_and_pid(k):
+    return k, os.getpid()
+
+
+def test_shard_k_runs_on_worker_k_mod_workers_and_the_caller_is_worker_0(three_cpus):
+    results = run_shards(shard_and_pid, range(7), jobs=3)
+    assert [k for k, _ in results] == list(range(7))
+    pids = [pid for _, pid in results]
+    assert pids[::3] == [os.getpid()] * 3
+    assert pids[1::3] == [pids[1]] * 2 and pids[2::3] == [pids[2]] * 2
+    assert len(set(pids)) == 3
+
+
+def fail_on_shard_one(k):
+    if k == 1:
+        raise ValueError("shard 1 cannot be checked")
+    return k
+
+
+def test_a_child_shard_exception_reaches_the_caller(three_cpus):
+    with pytest.raises(ValueError, match="^shard 1 cannot be checked$"):
+        run_shards(fail_on_shard_one, range(3), jobs=3)
+
+
+def fail_here_after_the_children_start(k):
+    if k == 0:
+        raise KeyError("the caller's own shard")
+    time.sleep(0.2)  # the children are still running when the caller raises
+    return k
+
+
+def test_an_exception_in_the_callers_share_still_reaps_every_child(three_cpus):
+    with pytest.raises(KeyError, match="the caller's own shard"):
+        run_shards(fail_here_after_the_children_start, range(3), jobs=3)
+
+
+def exit_without_results(k):
+    if k == 1:
+        os._exit(3)
+    return k
+
+
+def test_a_child_that_exits_without_results_is_an_error_naming_its_status(three_cpus):
+    with pytest.raises(RuntimeError, match="exit code 3 without results"):
+        run_shards(exit_without_results, range(3), jobs=3)
+
+
+def large_result(k):
+    return str(k) * (3 << 20)
+
+
+def test_results_larger_than_a_pipe_come_back_whole(three_cpus):
+    # Each child's result is over 1 MiB, far more than a pipe holds, so
+    # each child blocks writing until the caller reads its pipe.
+    assert run_shards(large_result, range(6), jobs=3) == [large_result(k) for k in range(6)]

@@ -96,13 +96,13 @@ def test_counterexample_suite_deterministic_across_jobs():
 
 
 def test_counterexample_suite_merges_many_shards(monkeypatch, pool_sizes):
-    # The inline pool merges one shard per job on a host of any size.
+    # The inline fan-out merges one shard per job on a host of any size.
     sequential = counterexample_suite(seed=5, samples=64, grid=GRID3, prefix_max=1).to_dict()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(200)), raising=False)
     for jobs in (3, 5, 200):
         report = counterexample_suite(seed=5, samples=64, grid=GRID3, prefix_max=1, jobs=jobs)
         assert report.to_dict() == sequential, jobs
-    assert pool_sizes == [3, 5, 200]  # one pool per run
+    assert pool_sizes == [3, 5, 200]  # one fan-out per run
 
 
 def test_jobs_above_the_cpus_build_the_family_once_per_worker(monkeypatch, pool_sizes):
