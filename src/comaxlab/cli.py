@@ -31,15 +31,39 @@ from .seqspace import SeqFn
 from .suites import counterexample_suite, normalized_search
 from .tnorms import TNorm, axiom_suite
 
-# The flags each subcommand takes, besides --output, --norm and the
-# files; argparse refuses any other.
-FLAGS = {
-    "verify-counterexample": ("seed", "samples", "prefix_max", "grid", "budget", "jobs"),
-    "finite-census": ("seed", "grid", "n", "budget"),
-    "integral-properties": ("seed", "grid", "n", "budget"),
-    "tnorm-axioms": ("seed", "grid", "budget"),
-    "comonotone-check": ("seed",),
-    "explore-problem1": ("seed", "samples", "prefix_max", "grid", "budget"),
+# One row per subcommand: the flags it takes besides --output ("norm"
+# and the positional "files" included; argparse refuses any other) and
+# the call of its suite.  The call names its suite rather than storing
+# it, so a caller that rebinds the module global (a test fake, the bench
+# tracer) is honoured on each call.
+SUBCOMMANDS = {
+    "verify-counterexample": (
+        ("seed", "samples", "prefix_max", "grid", "budget", "jobs"),
+        lambda a, chain: counterexample_suite(
+            seed=a.seed, samples=a.samples, grid=chain.values, prefix_max=a.prefix_max,
+            jobs=a.jobs, budget=a.budget,
+        ),
+    ),
+    "finite-census": (
+        ("seed", "grid", "n", "budget"),
+        lambda a, chain: functional_census(chain, a.n, a.budget),
+    ),
+    "integral-properties": (
+        ("seed", "grid", "n", "budget", "norm"),
+        lambda a, chain: integral_property_suite(chain, a.n, TNorm(a.norm), a.budget, a.seed),
+    ),
+    "tnorm-axioms": (
+        ("seed", "grid", "budget"),
+        lambda a, chain: axiom_suite(chain.values, a.budget),
+    ),
+    "comonotone-check": (("seed", "files"), lambda a, chain: _run_comonotone_check(a.files)),
+    "explore-problem1": (
+        ("seed", "samples", "prefix_max", "grid", "budget"),
+        lambda a, chain: normalized_search(
+            seed=a.seed, samples=a.samples, grid=chain.values, prefix_max=a.prefix_max,
+            budget=a.budget,
+        ),
+    ),
 }
 DEFAULTS = {
     "seed": 0,
@@ -97,21 +121,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification suites for comonotone maxitivity and t-normed integrals.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, flags in FLAGS.items():
+    for name, (flags, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         for flag in flags:
-            default = DEFAULTS[flag]
-            p.add_argument(f"--{flag.replace('_', '-')}", type=type(default), default=default)
+            if flag == "files":
+                p.add_argument("files", nargs="+", help="JSON function files to compare pairwise")
+            elif flag == "norm":
+                p.add_argument("--norm", choices=[t.value for t in TNorm], default="minimum")
+            else:
+                default = DEFAULTS[flag]
+                p.add_argument(f"--{flag.replace('_', '-')}", type=type(default), default=default)
         p.add_argument("--output", type=str, default=None)
         p.set_defaults(**{flag: value for flag, value in DEFAULTS.items() if flag not in flags})
-        if name == "integral-properties":
-            p.add_argument(
-                "--norm",
-                choices=[t.value for t in TNorm],
-                default=TNorm.MINIMUM.value,
-            )
-        if name == "comonotone-check":
-            p.add_argument("files", nargs="+", help="JSON function files to compare pairwise")
     return parser
 
 
@@ -163,41 +184,6 @@ def _run_comonotone_check(files: Sequence[str]) -> VerificationReport:
     )
 
 
-def _dispatch(args: argparse.Namespace, chain: Chain) -> VerificationReport:
-    # The suites are looked up as module globals on each call, so a
-    # caller that rebinds one (a test fake, the bench tracer) is honoured.
-    if args.subcommand == "verify-counterexample":
-        return counterexample_suite(
-            seed=args.seed,
-            samples=args.samples,
-            grid=chain.values,
-            prefix_max=args.prefix_max,
-            jobs=args.jobs,
-            budget=args.budget,
-        )
-    if args.subcommand == "finite-census":
-        return functional_census(chain, args.n, args.budget)
-    if args.subcommand == "integral-properties":
-        return integral_property_suite(
-            chain,
-            args.n,
-            TNorm(args.norm),
-            budget=args.budget,
-            seed=args.seed,
-        )
-    if args.subcommand == "tnorm-axioms":
-        return axiom_suite(chain.values, args.budget)
-    if args.subcommand == "comonotone-check":
-        return _run_comonotone_check(args.files)
-    return normalized_search(
-        seed=args.seed,
-        samples=args.samples,
-        grid=chain.values,
-        prefix_max=args.prefix_max,
-        budget=args.budget,
-    )
-
-
 def _error(message: str) -> None:
     """Print one ``error:`` line; a message over 200 characters keeps its head and its length."""
     if len(message) > 200:
@@ -232,7 +218,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         chain = _chain_from_args(args)
         try:
-            report = _dispatch(args, chain)
+            report = SUBCOMMANDS[args.subcommand][1](args, chain)
         except BudgetExceededError as exc:
             _emit(exc.refusal(args.subcommand), args, chain)
             raise InputError(str(exc)) from exc

@@ -1,15 +1,15 @@
 """Deterministic fan-out of shard work across processes.
 
 The counterexample suite cuts its family pairs and its samples each into
-one contiguous shard per worker, so shard bounds depend on the
-configuration and the usable CPUs, and hands all of them to one
+one contiguous shard per worker, and hands all of them to one
 ``run_shards`` call.  Shard ``k`` runs on worker ``k mod workers``, so
 each worker gets one family shard and one sample shard.  Worker 0 is
-the calling process; the others are forked children, each sending its
-results back pickled through a pipe.  The merge runs in shard order,
-never completion order, which keeps the report independent of both:
-jobs=4 gives exactly the report of jobs=1.  The census hands its one
-walk to ``run_shards`` at one job.
+the calling process; the others are forked children, which read what
+the caller built before the call (the suite's family table) and send
+their results, or their exception, back pickled through a pipe.  The
+merge runs in shard order, never completion order, which keeps the
+report independent of both: jobs=4 gives exactly the report of jobs=1.
+The census hands its one walk to ``run_shards`` at one job.
 """
 
 from __future__ import annotations
@@ -43,7 +43,12 @@ def _fork_shards(worker: Callable[[A], R], shard_args: Sequence[A], workers: int
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 os.close(read_fd)
                 _child(worker, shard_args[w::workers], write_fd)
@@ -58,23 +63,23 @@ def _fork_shards(worker: Callable[[A], R], shard_args: Sequence[A], workers: int
         if status != 0 or not data:
             code = os.waitstatus_to_exitcode(status)
             raise RuntimeError(f"shard worker {pid} ended with exit code {code} without results")
-        kind, value = pickle.loads(data)
-        if kind == "err":
+        value = pickle.loads(data)
+        if isinstance(value, BaseException):
             raise value
         shares.append(value)
     return [shares[k % workers][k // workers] for k in range(len(shard_args))]
 
 
 def _child(worker: Callable, shard_args: Sequence, write_fd: int) -> None:
-    """Send ("ok", results) or ("err", exception) through the pipe, then leave the process."""
+    """Send the list of results, or the exception, through the pipe, then leave the process."""
     import pickle
 
     code = 1
     try:
         try:
-            message = pickle.dumps(("ok", [worker(args) for args in shard_args]))
+            message = pickle.dumps([worker(args) for args in shard_args])
         except BaseException as exc:
-            message = pickle.dumps(("err", exc))
+            message = pickle.dumps(exc)
         with open(write_fd, "wb") as pipe:
             pipe.write(message)
         code = 0
@@ -104,6 +109,7 @@ def _workers(jobs: int, items: int) -> int:
 
 def split_range(total: int, parts: int) -> list[tuple[int, int]]:
     """Cut range(total) into _workers(parts, total) contiguous nonempty, balanced chunks."""
+    # Capped at the usable CPUs, so --jobs 10**6 cuts no million chunks.
     parts = _workers(parts, total)
     base, extra = divmod(total, max(parts, 1))
     cuts = [i * base + min(i, extra) for i in range(parts + 1)]

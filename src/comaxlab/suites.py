@@ -159,20 +159,15 @@ def family_size(grid: Sequence[Fraction], prefix_max: int) -> int:
     return capped_power(g, prefix_max + 2) + extra
 
 
-def _check_family_budget(grid: Sequence[Fraction], prefix_max: int, budget: int) -> tuple[int, int]:
-    """The family size and pair count; a family whose pairs exceed the budget is refused."""
+def _family_table(
+    grid: Sequence[Fraction], prefix_max: int, budget: int, evaluate: Callable[[SeqFn], V]
+) -> tuple[Table, int]:
+    """The family's ``Table`` and pair count; over ``budget`` pairs, refused before it is built."""
     size = family_size(grid, prefix_max)
     pairs = size * (size + 1) // 2
     check_budget(pairs, budget, "structured family pairs")
-    return size, pairs
-
-
-def _family_table(
-    grid: Sequence[Fraction], prefix_max: int, evaluate: Callable[[SeqFn], V]
-) -> Table:
-    """The structured family, its ``PairRelations``, and ``evaluate`` of each member."""
     family = structured_family(grid, prefix_max)
-    return family, PairRelations(family), [evaluate(f) for f in family]
+    return (family, PairRelations(family), [evaluate(f) for f in family]), pairs
 
 
 def _pair(evaluate: Callable[[SeqFn], V], source: str, index: int, f: SeqFn, g: SeqFn,
@@ -246,8 +241,7 @@ def _check_pairs(pairs: Iterable[tuple]) -> dict:
 
 
 def _family_shard(args: tuple) -> dict:
-    grid, prefix_max, lo, hi = args
-    table = _family_table(grid, prefix_max, membership)
+    table, lo, hi = args
     return _check_pairs(comonotone_pairs(membership, table, lo, hi))
 
 
@@ -282,7 +276,7 @@ def counterexample_suite(
     violation counts are the violations of each kind.  A family with
     more than ``budget`` pairs is refused before anything runs.
     """
-    size, total_pairs = _check_family_budget(grid, prefix_max, budget)
+    table, total_pairs = _family_table(grid, prefix_max, budget, membership)
     params = GeneratorParams(prefix_max=prefix_max)
     tally = Counter(dict.fromkeys(REPORTED_COUNTS, 0))
     violations: list[dict] = []
@@ -307,13 +301,12 @@ def counterexample_suite(
         _check_pair(_pair(membership, "named", tally["named_pairs"], f, g, membership(f),
                           membership(g), pointwise_order(f, g)), tally, violations)
 
-    tally["family_functions"] = size
+    tally["family_functions"] = len(table[0])
     tally["family_pairs"] = total_pairs
-    # Family and sample shards share one fan-out; results merge in list order.
-    shards = [
-        (_family_shard, (tuple(grid), prefix_max, lo, hi))
-        for lo, hi in split_range(total_pairs, jobs)
-    ]
+    # Family and sample shards share one fan-out; results merge in list
+    # order.  Every family shard reads the one table built above: forked
+    # workers inherit it, and an unforked run reads it in process.
+    shards = [(_family_shard, (table, lo, hi)) for lo, hi in split_range(total_pairs, jobs)]
     shards += [(_sample_shard, (seed, lo, hi, params)) for lo, hi in split_range(samples, jobs)]
     for result in run_shards(_run_shard, shards, jobs):
         tally.update(result["tally"])
@@ -368,9 +361,8 @@ def normalized_search(
     runs first, so maxitivity wins), a monotonicity break alone would be
     a finding, and an unbroken record stays ``monotone_at_this_scale``.
     The expected outcome is ``inconclusive``, never a settled question.
-    A family over ``budget`` pairs is refused before anything runs.
+    A family over ``budget`` pairs is refused before any pair is walked.
     """
-    _, total_pairs = _check_family_budget(grid, prefix_max, budget)
     params = GeneratorParams(prefix_max=prefix_max)
     probe_constants = sorted({*grid, Fraction(1, 3), Fraction(2, 3)})
 
@@ -395,7 +387,7 @@ def normalized_search(
                 record.update(outcome="candidate_found", lower=lower.to_json(),
                               upper=upper.to_json())
 
-    table = _family_table(grid, prefix_max, evaluate)
+    table, total_pairs = _family_table(grid, prefix_max, budget, evaluate)
     sources: Counter = Counter()
     for source, _, f, g, vf, vg, v_join, _ in comonotone_pairs(
         evaluate, table, 0, total_pairs, seed, 0, samples, params

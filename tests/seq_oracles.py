@@ -62,7 +62,7 @@ from comaxlab import suites
 from comaxlab.classify import Membership
 from comaxlab.pairgen import GeneratorParams, MonotoneMap, generate_pair, pair_seed, random_seqfn
 from comaxlab.rational import ONE, ZERO
-from comaxlab.report import FINDING, INCONCLUSIVE, VerificationReport
+from comaxlab.report import FINDING, INCONCLUSIVE, VerificationReport, check_budget
 from comaxlab.seq_comonotone import PairRelations, comonotone_witness
 from comaxlab.seqspace import ISOLATED, LIMIT, attained_max, constant, join, make, ramp, seq
 
@@ -356,7 +356,8 @@ def fraction_random_monotone_map(rng, params):
 
 def list_normalized_search(seed, samples, grid, prefix_max, budget=10**7):
     """``suites.normalized_search`` over stored pair lists, one rescan per candidate."""
-    suites._check_family_budget(grid, prefix_max, budget)
+    size = suites.family_size(grid, prefix_max)
+    check_budget(size * (size + 1) // 2, budget, "structured family pairs")
     params = GeneratorParams(prefix_max=prefix_max)
 
     family = suites.structured_family(grid, prefix_max)

@@ -566,6 +566,8 @@ FLAG_VALUES = {
     "n": ("3", 3),
     "budget": ("12345", 12345),
     "jobs": ("3", 3),
+    "norm": ("product", TNorm.PRODUCT),
+    "files": (["a.json", "b.json"], ["a.json", "b.json"]),
 }
 # The function each subcommand hands its flags to.
 SUITES = {
@@ -578,14 +580,9 @@ SUITES = {
 }
 # Subcommands that take --seed but never read it.
 SEEDLESS = {"finite-census", "tnorm-axioms", "comonotone-check"}
-# Arguments outside the flag table, as typed and as received.
-EXTRA_ARGS = {
-    "integral-properties": (["--norm", "product"], {"norm": TNorm.PRODUCT}),
-    "comonotone-check": (["a.json", "b.json"], {"files": ["a.json", "b.json"]}),
-}
 
 
-@pytest.mark.parametrize("subcommand", list(cli.FLAGS))
+@pytest.mark.parametrize("subcommand", list(cli.SUBCOMMANDS))
 def test_every_flag_reaches_its_suite(subcommand, monkeypatch, capsys):
     real = getattr(cli, SUITES[subcommand])
     received = {}
@@ -598,12 +595,15 @@ def test_every_flag_reaches_its_suite(subcommand, monkeypatch, capsys):
         return VerificationReport(claim_id=subcommand, status="pass")
 
     monkeypatch.setattr(cli, SUITES[subcommand], fake)
-    extra_argv, extra_expected = EXTRA_ARGS.get(subcommand, ([], {}))
-    argv, expected = [subcommand, *extra_argv], dict(extra_expected)
-    for flag in cli.FLAGS[subcommand]:
+    flags, _ = cli.SUBCOMMANDS[subcommand]
+    argv, expected = [subcommand], {}
+    for flag in flags:
         typed, value = FLAG_VALUES[flag]
-        assert typed != str(cli.DEFAULTS[flag])
-        argv += [f"--{flag.replace('_', '-')}", typed]
+        if flag == "files":
+            argv += typed
+        else:
+            assert typed != str(cli.DEFAULTS.get(flag, TNorm.MINIMUM.value))
+            argv += [f"--{flag.replace('_', '-')}", typed]
         if not (flag == "seed" and subcommand in SEEDLESS):
             expected[flag] = value
     assert cli.main(argv) == 0

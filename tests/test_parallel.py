@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 import time
@@ -150,3 +151,27 @@ def test_results_larger_than_a_pipe_come_back_whole(three_cpus):
     # Each child's result is over 1 MiB, far more than a pipe holds, so
     # each child blocks writing until the caller reads its pipe.
     assert run_shards(large_result, range(6), jobs=3) == [large_result(k) for k in range(6)]
+
+
+def open_fds():
+    """How many descriptors this process holds, or None where /proc/self/fd is missing."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_child_before_it(three_cpus, monkeypatch):
+    # The second fork fails as it would at a process limit; the fixture
+    # checks that the first child was reaped.
+    real_fork, calls = os.fork, []
+
+    def fork_fails_second():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_fails_second)
+    before = open_fds()
+    with pytest.raises(OSError) as failed:
+        run_shards(shard_and_pid, range(3), jobs=3)
+    assert failed.value.errno == errno.EAGAIN
+    assert open_fds() == before

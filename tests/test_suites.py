@@ -1,4 +1,5 @@
 import os
+import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -105,16 +106,46 @@ def test_counterexample_suite_merges_many_shards(monkeypatch, pool_sizes):
     assert pool_sizes == [3, 5, 200]  # one fan-out per run
 
 
-def test_jobs_above_the_cpus_build_the_family_once_per_worker(monkeypatch, pool_sizes):
-    # Jobs beyond the usable CPUs add no shard, so each worker builds the family once.
+def test_jobs_above_the_cpus_build_the_family_once(monkeypatch, pool_sizes):
+    # Jobs beyond the usable CPUs add no shard, and the shards share one family.
     sequential = counterexample_suite(samples=10, jobs=1).to_json()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     built = []
     real = suites.structured_family
     monkeypatch.setattr(suites, "structured_family", lambda *a: built.append(a) or real(*a))
     assert counterexample_suite(samples=10, jobs=200).to_json() == sequential
-    assert 1 <= len(built) <= 2
+    assert len(built) == 1
     assert pool_sizes == [2]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks real workers")
+def test_forked_workers_read_the_family_the_caller_built(monkeypatch, tmp_path):
+    # Each build writes the pid of the process that ran it; a forked
+    # worker that built the family again would write its own.
+    sequential = counterexample_suite(samples=10, jobs=1).to_json()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids = tmp_path / "pids"
+    real = suites.structured_family
+
+    def recording_structured_family(*args):
+        with open(pids, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    def deadlock(signum, frame):
+        raise TimeoutError("the caller and a worker wait on each other")
+
+    monkeypatch.setattr(suites, "structured_family", recording_structured_family)
+    previous = signal.signal(signal.SIGALRM, deadlock)
+    signal.alarm(60)
+    try:
+        assert counterexample_suite(samples=10, jobs=2).to_json() == sequential
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert pids.read_text(encoding="utf-8").split() == [str(os.getpid())]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_counterexample_suite_seed_changes_nothing_about_verdict():

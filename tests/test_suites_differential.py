@@ -182,9 +182,8 @@ STEP_FIELDS = ("step_join", "max_steps", "step_lower", "step_upper")
 def family_check_pairs():
     """Every comonotone pair of the thirds family at prefix length 2."""
     grid, prefix_max = GRIDS["0,1/3,2/3,1"], 2
-    table = suites._family_table(grid, prefix_max, membership)
-    size = len(table[0])
-    return list(suites.comonotone_pairs(membership, table, 0, size * (size + 1) // 2))
+    table, pairs = suites._family_table(grid, prefix_max, 10**7, membership)
+    return list(suites.comonotone_pairs(membership, table, 0, pairs))
 
 
 def generated_check_pairs():
