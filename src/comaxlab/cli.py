@@ -9,12 +9,20 @@ failed, 1 when the report status is ``fail``, 2 for malformed input,
 bad flags, an unwritable --output, or a refused enumeration budget.
 Every exit-2 path but argparse's usage error raises one ``InputError``,
 which ``main`` prints as one line.
+
+``run``, the entry of ``python -m comaxlab.cli`` and the ``comaxlab``
+script, ends the process with ``os._exit`` once stdout is flushed: the
+interpreter's teardown would free every object the run loaded and
+change nothing it wrote, so ``atexit`` handlers do not run.  A flush
+that fails, or a missing stdout, takes Python's own exit (a failed flush
+exits 120).  ``main`` returns its code and leaves the exit to its caller.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import combinations
 from math import comb
@@ -199,7 +207,7 @@ def _emit(report: VerificationReport, args: argparse.Namespace, chain: Chain) ->
     echo = {flag: getattr(args, flag) for flag in DEFAULTS if flag != "jobs"}
     echo["grid"] = chain.values
     echo["subcommand"] = args.subcommand
-    if args.subcommand == "comonotone-check":
+    if "files" in SUBCOMMANDS[args.subcommand][0]:
         echo["files"] = list(args.files)
     report.config_echo = echo
     report.seed = args.seed
@@ -229,5 +237,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 1 if report.status == FAIL else 0
 
 
+def run() -> NoReturn:
+    """Run ``main`` on the command line and end the process once stdout is flushed."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help and usage error
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
+    try:
+        sys.stdout.flush()
+    except Exception:
+        # A full device or a closed pipe (Python's own exit reports the
+        # failed flush and exits 120), or no stdout at all (fd 1 closed):
+        # Python's own exit does what it always did.
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

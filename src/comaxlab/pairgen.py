@@ -32,18 +32,26 @@ from .seqspace import SeqFn, _reduced, scaled_values
 
 
 class GeneratorParams(Record):
-    """Size bounds for generated objects."""
+    """Size bounds for generated objects.
 
-    __slots__ = _fields = ("prefix_max", "max_denominator", "max_breakpoints")
+    ``draw_den``, ``lcm(1..max(2, max_denominator))``, is a multiple of
+    every denominator drawn; every draw is put over it.  Equality, hash
+    and repr read the three bounds alone.
+    """
+
+    __slots__ = ("prefix_max", "max_denominator", "max_breakpoints", "draw_den")
+    _fields = ("prefix_max", "max_denominator", "max_breakpoints")
     prefix_max: int
     max_denominator: int
     max_breakpoints: int
+    draw_den: int
 
     def __init__(self, prefix_max: int = 2, max_denominator: int = 6, max_breakpoints: int = 3):
         if prefix_max < 0 or max_denominator < 1 or max_breakpoints < 0:
             raise ValueError("generator parameters must be nonnegative (denominator >= 1)")
         self.prefix_max, self.max_denominator = prefix_max, max_denominator
         self.max_breakpoints = max_breakpoints
+        self.draw_den = math.lcm(*range(1, max(2, max_denominator) + 1))
 
 
 class MonotoneMap(Record):
@@ -114,11 +122,6 @@ def compose(phi: MonotoneMap, h: SeqFn) -> SeqFn:
     return _reduced(e * q * width_lcm, nums[0], nums[1:-2], slope, nums[-1] - slope)
 
 
-def _draw_denominator(max_denominator: int) -> int:
-    """``lcm(1..max(2, max_denominator))``: a multiple of every denominator drawn."""
-    return math.lcm(*range(1, max(2, max_denominator) + 1))
-
-
 def _unit_num(rng: random.Random, max_denominator: int, den: int) -> int:
     """``random_unit_rational``'s draw, as an integer over ``den``."""
     d = draw_int(rng, 1, max_denominator)
@@ -133,8 +136,7 @@ def _interior_num(rng: random.Random, max_denominator: int, den: int) -> int:
 
 def random_seqfn(rng: random.Random, params: GeneratorParams) -> SeqFn:
     """A random representable function within the size bounds."""
-    maxd = params.max_denominator
-    den = _draw_denominator(maxd)
+    maxd, den = params.max_denominator, params.draw_den
     head_len = draw_int(rng, 0, params.prefix_max)
     iso = _unit_num(rng, maxd, den)
     head = [_unit_num(rng, maxd, den) for _ in range(head_len)]
@@ -147,8 +149,7 @@ def random_seqfn(rng: random.Random, params: GeneratorParams) -> SeqFn:
 
 
 def random_monotone_map(rng: random.Random, params: GeneratorParams) -> MonotoneMap:
-    maxd = params.max_denominator
-    den = _draw_denominator(maxd)
+    maxd, den = params.max_denominator, params.draw_den
     count = draw_int(rng, 0, params.max_breakpoints)
     inner = sorted({_interior_num(rng, maxd, den) for _ in range(count)})
     xs = [0, *inner, den]

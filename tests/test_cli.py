@@ -609,3 +609,85 @@ def test_every_flag_reaches_its_suite(subcommand, monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert received == expected
     assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+
+# ``python -m comaxlab.cli`` ends with ``os._exit`` once stdout is
+# flushed; Python's own exit after ``main`` is what it must match.
+NORMAL_EXIT = "import sys; from comaxlab import cli; sys.exit(cli.main())"
+
+
+def run_entry(*args, normal_exit=False, stdout=subprocess.PIPE, preexec_fn=None):
+    """Exit code, stdout bytes and stderr text of one process, without PYTHONUNBUFFERED."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    entry = ["-c", NORMAL_EXIT] if normal_exit else ["-m", "comaxlab.cli"]
+    result = subprocess.run(
+        [sys.executable, *entry, *args],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, preexec_fn=preexec_fn,
+    )
+    return result.returncode, result.stdout, result.stderr.decode()
+
+
+REFUSAL = ("verify-counterexample", "--prefix-max", "9", "--budget", "10")
+
+
+@pytest.mark.parametrize(
+    "argv", [("finite-census",), REFUSAL, ("finite-census", "--bogus"), ("--help",)],
+    ids=" ".join,
+)
+def test_the_module_entry_exits_as_python_does_after_main(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_entry(*argv) == run_entry(*argv, normal_exit=True)
+
+
+def test_the_module_entry_writes_what_main_writes(tmp_path, monkeypatch, capsysbinary):
+    code, out, err = run_entry("finite-census")
+    assert (code, err) == (0, "")
+    assert cli.main(["finite-census"]) == 0
+    assert out == capsysbinary.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    assert run_entry("tnorm-axioms", "--output", "entry.json") == (0, b"", "")
+    assert cli.main(["tnorm-axioms", "--output", "main.json"]) == 0
+    assert Path("entry.json").read_bytes() == Path("main.json").read_bytes()
+
+
+def test_the_module_entry_refuses_with_its_report_and_one_error_line():
+    code, out, err = run_entry(*REFUSAL)
+    assert code == 2
+    assert json.loads(out)["witnesses"][0]["kind"] == "budget_refusal"
+    refused = "structured family pairs needs 15693984361 items, over the budget of 10"
+    assert err.splitlines() == [f"error: {refused}"]
+
+
+def test_the_module_entry_exits_2_on_a_usage_error():
+    code, out, err = run_entry("finite-census", "--bogus")
+    assert (code, out) == (2, b"")
+    assert err.startswith("usage: comaxlab ")
+    assert err.endswith("\nerror: unrecognized arguments: --bogus\n")
+
+
+def test_the_module_entry_prints_the_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_entry("--help") == (0, cli._build_parser().format_help().encode(), "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failed_stdout_flush_exits_120_as_python_does():
+    with open("/dev/full", "wb") as full:
+        code, out, err = run_entry("finite-census", stdout=full)
+        assert (code, out, err) == run_entry("finite-census", normal_exit=True, stdout=full)
+    assert code == 120
+    assert "Exception ignored" in err and "OSError" in err
+    assert "Traceback" not in err
+
+
+def test_a_closed_stdout_exits_as_python_does(tmp_path, monkeypatch):
+    # With fd 1 closed, sys.stdout is None: the report goes to --output
+    # and the run exits 0, with nothing to flush.
+    monkeypatch.chdir(tmp_path)
+    argv = ("tnorm-axioms", "--output", "report.json")
+    no_stdout = {"stdout": None, "preexec_fn": lambda: os.close(1)}
+    assert run_entry(*argv, **no_stdout) == (0, None, "")
+    assert run_entry(*argv, normal_exit=True, **no_stdout) == (0, None, "")
+    assert json.loads(Path("report.json").read_text())["claim_id"]

@@ -482,3 +482,35 @@ def test_only_check_budget_refuses_and_the_cli_decides_no_budget():
     }
     deciders = {"check_budget", "capped_power", "axiom_check_count", "check_axioms", "INCONCLUSIVE"}
     assert not imported & deciders
+
+
+def _compares_subcommand(node: ast.AST) -> bool:
+    return isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.Attribute) and side.attr == "subcommand"
+        for side in (node.left, *node.comparators)
+    )
+
+
+def test_the_cli_never_branches_on_a_subcommand_name():
+    """What a subcommand takes is its ``SUBCOMMANDS`` row.
+
+    No comparison in ``cli.py`` reads ``.subcommand``: the parser and
+    the config echo ask the row which flags a subcommand takes.
+    """
+    tree = _parse(PACKAGE / "cli.py")
+    assert not [node.lineno for node in ast.walk(tree) if _compares_subcommand(node)]
+
+
+def _skips_teardown(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and _callee(node.func) == "_exit"
+
+
+def test_only_the_cli_entry_and_forked_workers_skip_teardown():
+    """Two ``os._exit`` calls.
+
+    ``os._exit`` is called in the package only inside ``parallel._child``,
+    a forked worker that must not run its parent's exit, and ``cli.run``,
+    which ends the command line's process once its report is flushed.
+    ``main`` returns its code, so an in-process caller exits normally.
+    """
+    assert _package_scopes(_skips_teardown) == {"parallel._child", "cli.run"}

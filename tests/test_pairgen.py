@@ -60,6 +60,15 @@ def test_generator_params_are_refused_at_construction(fields):
     assert GeneratorParams(prefix_max=0, max_denominator=1, max_breakpoints=0).prefix_max == 0
 
 
+def test_generator_params_are_their_three_bounds():
+    # draw_den is computed from max_denominator; identity ignores it.
+    params = GeneratorParams()
+    assert repr(params) == "GeneratorParams(prefix_max=2, max_denominator=6, max_breakpoints=3)"
+    assert params == GeneratorParams(2, 6, 3) and hash(params) == hash(GeneratorParams(2, 6, 3))
+    assert params._key() == (2, 6, 3)
+    assert [GeneratorParams(max_denominator=d).draw_den for d in (1, 2, 6, 12)] == [2, 2, 60, 27720]
+
+
 def test_identity_composition_returns_same_function():
     h = make(F(1, 2), [F(0)], F(1, 2), F(1, 4))
     assert compose(IDENTITY_MAP, h) == h
