@@ -51,8 +51,8 @@ class GridFn(Record):
 
     ``levels`` pairs each threshold of ``values + {0, 1}``, ascending and
     as a numerator over ``den``, with the points where the function
-    reaches it; ``integral.tnorm_integral`` sweeps them.  Equality, hash
-    and repr read ``values`` alone.
+    reaches it; ``integral.LevelTable`` gathers them over the lcm of its
+    inputs' ``den``.  Equality, hash and repr read ``values`` alone.
     """
 
     __slots__ = ("values", "den", "levels")

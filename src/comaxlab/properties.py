@@ -11,17 +11,16 @@ order for its first broken pair as the witness; the census runs
 them on its rows of chain indices too.  ``integral_property_suite``
 bundles the four checks for the t-normed integral across every chain
 capacity, refused over budget by ``report.check_budget``: it builds the
-relations, the homogeneity cases and the lcm ``common`` of their
-inputs' denominators once, tabulates the integral once per capacity on
-those inputs (the grid domain first) as numerators over
-``common * cap.den``, and hands all four checkers what they read.  The
-checkers cross-multiply and reduce witnesses, so any common scale will
-do.  Only the scaled homogeneity inputs are built with the Fraction norm.
+relations, the homogeneity cases and the ``integral.LevelTable`` of
+their inputs (the grid domain first) once, integrates each capacity
+once over that table, as numerators over ``table.common * cap.den``,
+and hands all four checkers what they read.  The checkers
+cross-multiply and reduce witnesses, so any common scale will do.  Only
+the scaled homogeneity inputs are built with the Fraction norm.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -29,7 +28,7 @@ from functools import partial
 
 from .capacity import enumerate_capacities
 from .grid import Chain, GridFn, Relations, relations
-from .integral import tnorm_integral
+from .integral import LevelTable, tnorm_integral
 from .rational import over_lcm, random_unit_rational
 from .report import FAIL, PASS, VerificationReport, capped_power, check_budget
 from .tnorms import TNorm, apply, apply_scaled
@@ -184,13 +183,13 @@ def integral_property_suite(
 
     rel = relations(chain, n)
     inputs, cases = _homogeneity_cases(norm, chain, rel.domain, seed)
-    common = math.lcm(*(f.den for f in inputs))
+    table = LevelTable(inputs)
     capacities = 0
     witnesses: list[dict] = []
     for cap in enumerate_capacities(chain.values, n):
         capacities += 1
-        values = [tnorm_integral(cap, norm, f) * (common // f.den) for f in inputs]
-        scale = common * cap.den
+        values = tnorm_integral(cap, norm, table)
+        scale = table.common * cap.den
         checks = {
             "normalized": (is_normalized(values, scale, rel), None),
             "comonotone_maxitivity": is_comonotone_maxitive(values, scale, rel),

@@ -5,15 +5,16 @@ loop and calls the functional on every input as it meets it: no shared
 relations, no index lists, no caching.  The differential tests hold
 the checkers of ``comaxlab.properties`` to these: same verdict, same
 witness.  ``fraction_integral`` is the t-normed integral swept on
-Fractions, and ``oracle_check_axioms`` the axiom checker that calls the
-operation anew for every check; the integer integral, read through
-``integral_value`` as its numerator over its denominator, and the
-tabled checker of ``comaxlab.tnorms`` are held to them.  The oracles
-reach the norms through ``fraction_apply``, the three formulas on
-Fractions, which ``tnorms.apply`` and ``tnorms.apply_scaled`` are held
-to in turn, and decide a chain's closure under a norm with
-``oracle_closed_under``, a scan of the chain's Fractions per pair,
-which ``properties.chain_closed_under`` is held to.  ``on_numerators``
+Fractions, one input at a time, and ``oracle_check_axioms`` the axiom
+checker that calls the operation anew for every check; the integer
+integral over a level table, read through ``integral_value`` on a table
+of one input, and the tabled checker of ``comaxlab.tnorms`` are held
+to them.  The oracles reach the norms through ``fraction_apply``, the
+three formulas on Fractions, which ``tnorms.apply`` and
+``tnorms.apply_scaled`` are held to in turn, and decide a chain's
+closure under a norm with ``oracle_closed_under``, a scan of the
+chain's Fractions per pair, which ``properties.chain_closed_under`` is
+held to.  ``on_numerators``
 turns a Fraction operation into a stand-in for ``tnorms.apply_scaled``,
 the one point where a test patches a broken norm in.
 ``comonotone``, ``join`` and ``leq`` decide the pair relations on
@@ -49,7 +50,7 @@ from typing import Iterator
 from comaxlab.capacity import Capacity, subsets
 from comaxlab.census import WITNESS_CAP, table_count
 from comaxlab.grid import Chain, GridFn, all_functions, relations
-from comaxlab.integral import tnorm_integral
+from comaxlab.integral import LevelTable, tnorm_integral
 from comaxlab.properties import (
     _homogeneity_cases,
     is_comonotone_maxitive,
@@ -374,7 +375,7 @@ def oracle_scale_homogeneous(functional, norm, chain, n, samples=200, seed=0, ma
 
 
 def fraction_integral(cap, norm, f):
-    """The t-normed integral, swept over ``values(f) + {0, 1}`` on Fractions."""
+    """The t-normed integral of one input, swept over ``values(f) + {0, 1}`` on Fractions."""
     if len(f.values) != cap.n:
         raise ValueError(f"function on {len(f.values)} points vs capacity on {cap.n}")
     best = ZERO
@@ -387,8 +388,10 @@ def fraction_integral(cap, norm, f):
 
 
 def integral_value(cap, norm, f):
-    """The value of ``tnorm_integral``: its numerator over ``f.den * cap.den``, as a Fraction."""
-    return Fraction(tnorm_integral(cap, norm, f), f.den * cap.den)
+    """The value of ``tnorm_integral`` at f, a table of one input, as a Fraction."""
+    table = LevelTable((f,))
+    [num] = tnorm_integral(cap, norm, table)
+    return Fraction(num, table.common * cap.den)
 
 
 def oracle_check_axioms(op, grid):

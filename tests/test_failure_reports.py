@@ -41,14 +41,14 @@ def wrong_membership(f):
                       below_one=m.below_one and f.iso != 0)
 
 
-def wrong_integral(cap, norm, f):
-    """The integral's numerator over ``f.den * cap.den``, for a value reversed when
+def wrong_integral(cap, norm, table):
+    """The integrals' numerators over ``table.common * cap.den``, for values reversed when
     mu({0}) = 1/2 and squared when mu({0}) = 1: a squared value's numerator is a Fraction."""
-    num, den = tnorm_integral(cap, norm, f), f.den * cap.den
+    values, scale = tnorm_integral(cap, norm, table), table.common * cap.den
     low = cap(frozenset({0}))
     if low == F(1, 2):
-        return den - num
-    return F(num * num, den) if low == 1 else num
+        return [scale - v for v in values]
+    return [F(v * v, scale) for v in values] if low == 1 else values
 
 
 def broken_apply(norm, s, t):

@@ -48,6 +48,11 @@ GOLDEN = [
         ("integral-properties", "--n", "3"),
         "e3402f01cce8d35eba6b42c4c297db36e4fddb2fa7c8cbe9001f27e2128dc663",
     ),
+    # 7,246 capacities; the level table is 3 atoms wide at the minimum norm.
+    (
+        ("integral-properties", "--n", "4"),
+        "3376d71822fd57f8c30308a78fd317cbb366578697523af17fba544282a90aac",
+    ),
     (
         ("verify-counterexample", "--grid", "0,1/3,2/3,1", "--samples", "200"),
         "853f1e43b881535320f1505595d96c1ba2c81d6639a28be1934dfe34f4f38f8c",
@@ -230,7 +235,8 @@ def test_traced_integral_step_writes_the_untraced_bytes(tmp_path):
     )
     assert traced.stdout == plain.stdout
     stats = json.loads(trace.read_text(encoding="utf-8"))["stats"]
-    assert stats["integral.tnorm_integral"]["calls"] == 36_765
+    # One call per capacity, over the level table of all 285 inputs.
+    assert stats["integral.tnorm_integral"]["calls"] == 129
     assert stats["properties.is_scale_homogeneous"]["calls"] == 129
     # One comonotone test per pair of the 27 grid functions, one join per comonotone pair.
     assert stats["grid.comonotone"]["calls"] == 351

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from comaxlab.capacity import Capacity, enumerate_capacities, subsets
 from comaxlab.grid import Chain, GridFn, all_functions, relations
-from comaxlab.integral import tnorm_integral
+from comaxlab.integral import LevelTable, tnorm_integral
 from comaxlab.properties import _homogeneity_cases
 from comaxlab.tnorms import TNorm
 
@@ -156,21 +156,51 @@ def test_enumerate_capacities_count_at_four_points():
 
 @pytest.mark.parametrize("norm", list(TNorm), ids=lambda t: t.value)
 @pytest.mark.parametrize(
-    "grid, n", [("0,1/2,1", 2), ("0,1/3,2/3,1", 2), ("0,1/2,1", 3)], ids=str
+    "grid, n", [("0,1/2,1", 1), ("0,1/2,1", 2), ("0,1/3,2/3,1", 2), ("0,1/2,1", 3)], ids=str
 )
 def test_integral_matches_fraction_oracle_on_every_chain_capacity(grid, n, norm):
+    # The inputs mix 2 to n + 2 levels, so narrow rows are padded; product at n = 3 has 285.
     chain = Chain(tuple(F(v) for v in grid.split(",")))
     homogeneity_functions, _ = _homogeneity_cases(norm, chain, relations(chain, n).domain, 0)
-    functions = {
+    functions = tuple(dict.fromkeys([
         *all_functions(chain, n),
         *(constant(F(k, 12), n) for k in range(13)),
         *homogeneity_functions,
-    }
+    ]))
+    table = LevelTable(functions)
+    widths = {len(f.levels) for f in functions}
+    assert min(widths) == 2 < max(widths) == len(table.columns)
     for cap in enumerate_capacities(chain.values, n):
-        for f in functions:
-            got = tnorm_integral(cap, norm, f)
-            assert type(got) is int
-            assert got == fraction_integral(cap, norm, f) * f.den * cap.den, (cap.to_json(), f)
+        got = tnorm_integral(cap, norm, table)
+        scale = table.common * cap.den
+        assert [type(v) for v in got] == [int] * len(functions)
+        expected = [fraction_integral(cap, norm, f) * scale for f in functions]
+        assert got == expected, cap.to_json()
+
+
+def test_level_table_shares_the_atoms_of_its_inputs():
+    chain = Chain((F(0), F(1, 2), F(1)))
+    domain = relations(chain, 3).domain
+    assert len(LevelTable(_homogeneity_cases(TNorm.MINIMUM, chain, domain, 0)[0]).atoms) == 16
+    inputs, _ = _homogeneity_cases(TNorm.PRODUCT, chain, domain, 0)
+    table = LevelTable(inputs)
+    assert (len(inputs), len(table.atoms), len(table.columns)) == (285, 234, 5)
+
+
+def test_level_table_refuses_inputs_on_different_numbers_of_points():
+    for inputs in [(constant(F(0), 2), constant(F(1), 3)), ()]:
+        with pytest.raises(ValueError) as exc:
+            LevelTable(inputs)
+        sizes = sorted({len(f.values) for f in inputs})
+        assert str(exc.value) == f"table inputs must share one number of points, not {sizes}"
+
+
+def test_integral_refuses_a_capacity_on_another_number_of_points():
+    table = LevelTable((constant(F(1, 2), 2), GridFn((F(0), F(1)))))
+    assert tnorm_integral(uniform(2), TNorm.PRODUCT, table) == [2, 2]  # 1/2 and 1/2, over 4
+    with pytest.raises(ValueError) as exc:
+        tnorm_integral(uniform(3), TNorm.MINIMUM, table)
+    assert str(exc.value) == "function on 2 points vs capacity on 3"
 
 
 @st.composite
